@@ -1,6 +1,6 @@
 // Cluster-scale event-engine benchmark: the calendar-queue engine
 // (sim/engine.hpp, typed POD events) against the frozen binary-heap +
-// std::function engine (sim/heap_engine.hpp) it replaced.
+// std::function engine (tests/support/heap_engine.hpp) it replaced.
 //
 //   bench_cluster [--scale smoke|default|full] [--seed N] [--reps N]
 //                 [--csv true] [--min-speedup X] [--out BENCH_cluster.json]
@@ -47,9 +47,10 @@
 #include "obs/report.hpp"
 #include "sched/closed_loop.hpp"
 #include "sim/engine.hpp"
-#include "sim/heap_engine.hpp"
 #include "sim/network.hpp"
 #include "stats/percentile.hpp"
+#include "support/fj_baseline.hpp"
+#include "support/heap_engine.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -341,7 +342,7 @@ void write_json(const std::string& path, const BenchOptions& options,
   os << "  \"seed\": " << options.seed << ",\n";
   os << "  \"reps\": " << reps << ",\n";
   os << "  \"baseline_engine\": \"binary heap + std::function handlers "
-        "(sim/heap_engine.hpp, pre-change driver)\",\n";
+        "(tests/support/heap_engine.hpp, pre-change driver)\",\n";
   os << "  \"candidate_engine\": \"two-level calendar queue + typed POD "
         "events (sim/engine.hpp)\",\n";
   os << "  \"cancel_heavy_compactions\": " << compactions << ",\n";

@@ -114,54 +114,33 @@ std::optional<TaskStats> OnlineTailPredictor::node_stats(std::size_t node) const
 OnlineTailPredictor::PooledStats OnlineTailPredictor::pooled_stats() const {
   PooledStats pooled;
   pooled.total_nodes = windows_.size();
-  // First pass: pooled mean over the filled windows only.
-  double total_n = 0.0;
-  double mean_acc = 0.0;
+  stats::MomentSketch merged;
   for (const auto& w : windows_) {
     if (w.count() < min_samples_) continue;
-    const double n = static_cast<double>(w.count());
-    total_n += n;
-    mean_acc += n * w.mean();
+    merged.merge(w.moments());
     ++pooled.filled_nodes;
   }
-  if (pooled.filled_nodes == 0) return pooled;
-  const double mean = mean_acc / total_n;
-  double var_acc = 0.0;
-  for (const auto& w : windows_) {
-    if (w.count() < min_samples_) continue;
-    const double n = static_cast<double>(w.count());
-    const double d = w.mean() - mean;
-    var_acc += n * (w.variance() + d * d);
-  }
-  pooled.count = total_n;
-  pooled.mean = mean;
-  pooled.variance = var_acc / total_n;
+  pooled.count = static_cast<double>(merged.count);
+  pooled.mean = merged.mean;
+  pooled.variance = merged.variance();
   return pooled;
+}
+
+std::optional<TaskStats> OnlineTailPredictor::pooled_fit_input() const {
+  const PooledStats pooled = pooled_stats();
+  if (pooled.filled_nodes < pooled.total_nodes || !(pooled.variance > 0.0)) {
+    return std::nullopt;
+  }
+  return TaskStats{pooled.mean, pooled.variance};
 }
 
 std::optional<double> OnlineTailPredictor::predict_homogeneous(double p,
                                                                double k) const {
   return count_outcome([&]() -> std::optional<double> {
-    // Pool all node windows into one service-level moment estimate.
-    double total_n = 0.0;
-    double mean_acc = 0.0;
-    for (const auto& w : windows_) {
-      if (w.count() < min_samples_) return std::nullopt;
-      const double n = static_cast<double>(w.count());
-      total_n += n;
-      mean_acc += n * w.mean();
-    }
-    const double mean = mean_acc / total_n;
-    double var_acc = 0.0;
-    for (const auto& w : windows_) {
-      const double n = static_cast<double>(w.count());
-      const double d = w.mean() - mean;
-      var_acc += n * (w.variance() + d * d);
-    }
-    const double variance = var_acc / total_n;
-    if (!(variance > 0.0)) return std::nullopt;
+    const auto stats = pooled_fit_input();
+    if (!stats) return std::nullopt;
     const double kk = k > 0.0 ? k : static_cast<double>(windows_.size());
-    return homogeneous_quantile({mean, variance}, kk, p);
+    return homogeneous_quantile(*stats, kk, p);
   }());
 }
 
@@ -198,25 +177,9 @@ std::optional<double> OnlineTailPredictor::predict_subset(
 std::optional<double> OnlineTailPredictor::predict_mixture(
     const TaskCountMixture& mixture, double p) const {
   return count_outcome([&]() -> std::optional<double> {
-    // Reuse the pooled homogeneous fit through the mixture formula.
-    double total_n = 0.0;
-    double mean_acc = 0.0;
-    for (const auto& w : windows_) {
-      if (w.count() < min_samples_) return std::nullopt;
-      const double n = static_cast<double>(w.count());
-      total_n += n;
-      mean_acc += n * w.mean();
-    }
-    const double mean = mean_acc / total_n;
-    double var_acc = 0.0;
-    for (const auto& w : windows_) {
-      const double n = static_cast<double>(w.count());
-      const double d = w.mean() - mean;
-      var_acc += n * (w.variance() + d * d);
-    }
-    const double variance = var_acc / total_n;
-    if (!(variance > 0.0)) return std::nullopt;
-    return mixture_quantile({mean, variance}, mixture, p);
+    const auto stats = pooled_fit_input();
+    if (!stats) return std::nullopt;
+    return mixture_quantile(*stats, mixture, p);
   }());
 }
 

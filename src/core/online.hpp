@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/predictor.hpp"
+#include "stats/welford.hpp"
 #include "stats/windowed.hpp"
 
 namespace forktail::core {
@@ -71,12 +72,18 @@ class OnlineTailPredictor {
   /// shard-friendly accessor: callers merge PooledStats across shards and
   /// decide for themselves whether `filled_nodes < total_nodes` means
   /// "degrade" (serve) or "decline" (the strict predict_* methods below).
+  /// The windows combine through stats::MomentSketch::merge.
   struct PooledStats {
     double count = 0.0;     ///< samples across the filled windows
     double mean = 0.0;
     double variance = 0.0;
     std::size_t filled_nodes = 0;  ///< windows meeting min_samples
     std::size_t total_nodes = 0;
+
+    stats::MomentSketch moments() const noexcept {
+      return stats::MomentSketch::of(static_cast<std::uint64_t>(count), mean,
+                                     variance);
+    }
   };
   PooledStats pooled_stats() const;
 
@@ -97,6 +104,10 @@ class OnlineTailPredictor {
                                         double p) const;
 
  private:
+  /// Pooled (mean, variance) for the homogeneous-style fits: nullopt unless
+  /// every window is filled and the pooled variance is positive.
+  std::optional<TaskStats> pooled_fit_input() const;
+
   std::vector<stats::WindowedMoments> windows_;
   /// Per-node timestamp high-water mark; NaN = no sample yet.
   std::vector<double> last_now_;

@@ -29,35 +29,7 @@ double HistogramSnapshot::quantile(double q) const {
 
 #if FORKTAIL_OBS_ENABLED
 
-std::size_t Histogram::bucket_index(double v) noexcept {
-  // Octave E (2^E <= v < 2^(E+1)) and a linear sub-bucket inside it, both
-  // from frexp alone -- no log() on the recording path.
-  if (!(v > 0.0)) return 0;  // <= 0 and NaN land in the underflow bucket
-  int e;
-  const double m = std::frexp(v, &e);  // v = m * 2^e, m in [0.5, 1)
-  const int octave = e - 1;
-  if (octave < kHistMinExp) return 0;
-  if (octave >= kHistMaxExp) return kHistBuckets - 1;
-  const auto sub = static_cast<std::size_t>((m - 0.5) * 2.0 *
-                                            static_cast<double>(kHistSubBuckets));
-  return static_cast<std::size_t>(octave - kHistMinExp) * kHistSubBuckets +
-         std::min<std::size_t>(sub, kHistSubBuckets - 1) + 1;
-}
-
-double Histogram::bucket_upper_bound(std::size_t i) noexcept {
-  if (i == 0) return std::ldexp(1.0, kHistMinExp);
-  if (i >= kHistBuckets - 1) return std::numeric_limits<double>::infinity();
-  const std::size_t j = i - 1;
-  const int octave = kHistMinExp + static_cast<int>(j / kHistSubBuckets);
-  const auto sub = static_cast<double>(j % kHistSubBuckets);
-  return std::ldexp(1.0 + (sub + 1.0) / kHistSubBuckets, octave);
-}
-
 namespace {
-double bucket_lower_bound(std::size_t i) noexcept {
-  return i == 0 ? 0.0 : Histogram::bucket_upper_bound(i - 1);
-}
-
 void atomic_add(std::atomic<double>& a, double v) noexcept {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
@@ -80,7 +52,8 @@ void atomic_max(std::atomic<double>& a, double v) noexcept {
 }  // namespace
 
 void Histogram::record(double v) noexcept {
-  counts_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+  counts_[stats::Log2Grid::bucket_index(v)].fetch_add(
+      1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, v);
   atomic_min(min_, v);
@@ -93,10 +66,11 @@ HistogramSnapshot Histogram::snapshot() const {
   s.sum = sum_.load(std::memory_order_relaxed);
   s.min = s.count > 0 ? min_.load(std::memory_order_relaxed) : 0.0;
   s.max = s.count > 0 ? max_.load(std::memory_order_relaxed) : 0.0;
-  for (std::size_t i = 0; i < kHistBuckets; ++i) {
+  for (std::size_t i = 0; i < stats::Log2Grid::kBuckets; ++i) {
     const std::uint64_t c = counts_[i].load(std::memory_order_relaxed);
     if (c > 0) {
-      s.buckets.push_back({bucket_lower_bound(i), bucket_upper_bound(i), c});
+      s.buckets.push_back({stats::Log2Grid::bucket_lower_edge(i),
+                           stats::Log2Grid::bucket_upper_edge(i), c});
     }
   }
   return s;

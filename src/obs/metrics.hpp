@@ -8,9 +8,10 @@
 //
 //   * Counter   -- monotonically increasing u64, relaxed atomic add.
 //   * Gauge     -- last-written / maximum double, CAS-based.
-//   * Histogram -- fixed log2-linear buckets over positive doubles with
-//                  tail-quantile estimation (p50/p95/p99/...); every
-//                  recording is a handful of relaxed atomics.
+//   * Histogram -- the library's log2-linear bucket grid
+//                  (stats/log2_histogram.hpp) with tail-quantile estimation
+//                  (p50/p95/p99/...); every recording is a handful of
+//                  relaxed atomics.
 //   * ScopedSpan / SpanTimer -- RAII wall-clock duration into a Histogram.
 //
 // Instrumented call sites cache the metric reference once:
@@ -40,6 +41,8 @@
 #include <string_view>
 #include <vector>
 
+#include "stats/log2_histogram.hpp"
+
 #ifndef FORKTAIL_OBS_ENABLED
 #define FORKTAIL_OBS_ENABLED 1
 #endif
@@ -48,18 +51,6 @@ namespace forktail::obs {
 
 /// True when the library was built with instrumentation compiled in.
 inline constexpr bool enabled() { return FORKTAIL_OBS_ENABLED != 0; }
-
-/// Histogram bucket layout: log2-linear (HdrHistogram-style).  Values in
-/// [2^kMinExp, 2^kMaxExp) land in one of kSubBuckets linear sub-buckets per
-/// octave, bounding the per-bucket relative error at 2^(1/kSubBuckets)-1
-/// (~9% with 8 sub-buckets); smaller / larger values fall into dedicated
-/// underflow / overflow buckets.  The covered range 2^-30..2^30 spans
-/// ~1 ns..~34 min when recording seconds, and 1..1e9 when recording counts.
-inline constexpr int kHistMinExp = -30;
-inline constexpr int kHistMaxExp = 30;
-inline constexpr int kHistSubBuckets = 8;
-inline constexpr std::size_t kHistBuckets =
-    static_cast<std::size_t>(kHistMaxExp - kHistMinExp) * kHistSubBuckets + 2;
 
 /// Point-in-time copy of one histogram (see Histogram::snapshot).
 struct HistogramSnapshot {
@@ -129,13 +120,8 @@ class Histogram {
   HistogramSnapshot snapshot() const;
   void reset() noexcept;
 
-  /// Bucket index for a value (exposed for tests).
-  static std::size_t bucket_index(double v) noexcept;
-  /// Upper bound of bucket `i` (+inf for the overflow bucket).
-  static double bucket_upper_bound(std::size_t i) noexcept;
-
  private:
-  std::atomic<std::uint64_t> counts_[kHistBuckets]{};
+  std::atomic<std::uint64_t> counts_[stats::Log2Grid::kBuckets]{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
@@ -199,8 +185,6 @@ class Histogram {
   std::uint64_t count() const noexcept { return 0; }
   HistogramSnapshot snapshot() const { return {}; }
   void reset() noexcept {}
-  static std::size_t bucket_index(double) noexcept { return 0; }
-  static double bucket_upper_bound(std::size_t) noexcept { return 0.0; }
 };
 
 class Registry {

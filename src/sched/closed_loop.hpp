@@ -61,7 +61,7 @@ struct ClosedLoopResult {
   double mean_predicted_latency = 0.0;  ///< average Eq. 5 value at admission
   /// Admitted (measured) responses pooled into the fixed log2-linear grid:
   /// tail percentiles without keeping every sample.
-  sim::LatencyHistogram response_histogram;
+  stats::LatencyHistogram response_histogram;
   /// Deterministic roll-up of the sharded per-node task-time registry
   /// (measured tasks only): exact per-node moments, node-order pooled
   /// merge, pooled task-time histogram.

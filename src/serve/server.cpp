@@ -20,6 +20,7 @@
 #include "core/predictor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "stats/welford.hpp"
 #include "util/json.hpp"
 
 namespace forktail::serve {
@@ -363,8 +364,7 @@ Server::Prediction Server::predict(double p, double k) const {
   Prediction pred;
   pred.p = p;
 
-  // Merge the per-shard pooled moments with the standard combine law.
-  double count = 0.0, mean = 0.0, m2 = 0.0;
+  stats::MomentSketch pooled;
   std::uint64_t shed = 0;
   bool shed_recent = false;
   for (const auto& shard : shards_) {
@@ -376,19 +376,9 @@ Server::Prediction Server::predict(double p, double k) const {
     pred.staleness_ms = std::max(pred.staleness_ms, snap.staleness_ms);
     shed += snap.batches_shed;
     if (snap.last_shed_s >= now - config_.window_seconds) shed_recent = true;
-    if (snap.pooled.count > 0.0) {
-      const double c = snap.pooled.count;
-      count += c;
-      mean += c * snap.pooled.mean;
-      m2 += c * (snap.pooled.variance +
-                 snap.pooled.mean * snap.pooled.mean);
-    }
+    pooled.merge(snap.pooled.moments());
   }
-  if (count > 0.0) {
-    mean /= count;
-    m2 = m2 / count - mean * mean;
-    if (m2 < 0.0) m2 = 0.0;  // combine-law rounding
-  }
+  const double variance = pooled.variance();
 
   if (!(p > 0.0 && p < 100.0)) {
     pred.served = false;
@@ -405,16 +395,16 @@ Server::Prediction Server::predict(double p, double k) const {
                                                    : pred.filled_nodes);
     }
     pred.k = kk;
-    if (m2 <= 0.0) {
+    if (variance <= 0.0) {
       // Zero-variance window (every sample identical): the GE fit would be
       // degenerate, but the answer is exact -- serve the mean, say why.
-      pred.quantile_ms = mean;
+      pred.quantile_ms = pooled.mean;
       pred.served = true;
       pred.reasons.push_back("zero_variance");
     } else {
       try {
         pred.quantile_ms =
-            core::homogeneous_quantile({mean, m2}, kk, p);
+            core::homogeneous_quantile({pooled.mean, variance}, kk, p);
         pred.served = true;
       } catch (const std::exception&) {
         pred.served = false;

@@ -1,66 +1,6 @@
 #include "sim/cluster_stats.hpp"
 
-#include <cmath>
-#include <cstring>
-#include <limits>
-
-static_assert(forktail::sim::LatencyHistogram::kSubBuckets == 8,
-              "bucket_index reads exactly the top 3 mantissa bits");
-
 namespace forktail::sim {
-
-namespace {
-// Majors cover binades [2^-32, 2^32): more than enough dynamic range for
-// task/response times in simulated seconds.  Values below the range land in
-// the underflow bucket (index 0, shared with v <= 0), values above in the
-// overflow bucket.
-constexpr int kMinBinade = -32;
-constexpr int kMaxBinade = 31;
-}  // namespace
-
-std::size_t LatencyHistogram::bucket_index(double v) noexcept {
-  if (!(v > 0.0)) return 0;  // catches v <= 0 and NaN
-  // Read the binade straight off the IEEE-754 exponent field and the
-  // sub-bucket off the top mantissa bits: no frexp call on the hot path.
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
-  if (biased == 0x7ff) return kBuckets - 1;  // +inf (NaN handled above)
-  const int binade = biased - 1023;  // v in [2^binade, 2^(binade+1))
-  if (biased == 0 || binade < kMinBinade) return 0;  // subnormal/underflow
-  if (binade > kMaxBinade) return kBuckets - 1;
-  const std::size_t major = static_cast<std::size_t>(binade - kMinBinade);
-  const std::size_t sub = (bits >> 49) & (kSubBuckets - 1);
-  return 1 + major * kSubBuckets + sub;
-}
-
-double LatencyHistogram::bucket_upper_edge(std::size_t i) noexcept {
-  if (i == 0) return std::ldexp(1.0, kMinBinade);
-  if (i >= kBuckets - 1) return std::numeric_limits<double>::infinity();
-  const std::size_t major = (i - 1) / kSubBuckets;
-  const std::size_t sub = (i - 1) % kSubBuckets;
-  const double lo = std::ldexp(1.0, static_cast<int>(major) + kMinBinade);
-  return lo * (1.0 + static_cast<double>(sub + 1) /
-                         static_cast<double>(kSubBuckets));
-}
-
-double LatencyHistogram::percentile(double pct) const noexcept {
-  const std::uint64_t n = total();
-  if (n == 0) return 0.0;
-  if (pct < 0.0) pct = 0.0;
-  if (pct > 100.0) pct = 100.0;
-  // Rank on the nearest-rank definition: the smallest bucket whose
-  // cumulative count reaches ceil(pct/100 * n).
-  std::uint64_t target =
-      static_cast<std::uint64_t>(std::ceil(pct / 100.0 * static_cast<double>(n)));
-  if (target == 0) target = 1;
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    cum += counts_[i];
-    if (cum >= target) return bucket_upper_edge(i);
-  }
-  return bucket_upper_edge(kBuckets - 1);
-}
 
 ClusterStats::ClusterStats(std::size_t num_nodes, std::size_t num_shards)
     : num_nodes_(num_nodes) {
@@ -93,9 +33,9 @@ ClusterSummary ClusterStats::summary() const {
   // shards in order *is* node order): the pooled merge sequence -- and
   // therefore every pooled double -- is independent of the shard count.
   for (const Shard& sh : shards_) {
-    for (const NodeStats& ns : sh.nodes) {
-      out.per_node.push_back(ns.task_times);
-      out.pooled.merge(ns.task_times);
+    for (const stats::Welford& node : sh.nodes) {
+      out.per_node.push_back(node);
+      out.pooled.merge(node);
     }
     out.histogram.merge(sh.histogram);
   }
@@ -105,8 +45,8 @@ ClusterSummary ClusterStats::summary() const {
 
 void ClusterStats::reset() {
   for (Shard& sh : shards_) {
-    for (NodeStats& ns : sh.nodes) ns.task_times.reset();
-    sh.histogram = LatencyHistogram{};
+    for (stats::Welford& node : sh.nodes) node.reset();
+    sh.histogram = stats::LatencyHistogram{};
   }
 }
 

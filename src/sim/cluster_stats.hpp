@@ -14,8 +14,9 @@
 //     samples for one node are recorded in simulation order).
 //   * The pooled Welford is produced by merging the per-node accumulators
 //     in *node* order, which is independent of the shard layout.
-//   * The latency histogram uses integer bucket counts on a fixed log2-
-//     linear grid, so merge order cannot perturb it.
+//   * The latency histogram uses integer bucket counts on the fixed log2-
+//     linear grid (stats/log2_histogram.hpp), so merge order cannot
+//     perturb it.
 // Note the pooled moments are a node-ordered *merge* of exact per-node
 // accumulators -- a deliberate definition (it is what a black-box monitor
 // that only sees per-node (count, mean, variance) reports can compute), not
@@ -26,61 +27,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "stats/log2_histogram.hpp"
 #include "stats/welford.hpp"
 
 namespace forktail::sim {
-
-/// Fixed-grid log2-linear latency histogram: 64 major (power-of-two) ranges
-/// of 8 linear sub-buckets each covering [2^-32, 2^32), plus an underflow
-/// and an overflow bucket.  Integer counts make merges exact and
-/// order-independent.
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kMajors = 64;
-  static constexpr std::size_t kSubBuckets = 8;
-  static constexpr std::size_t kBuckets = kMajors * kSubBuckets + 2;
-
-  void record(double v) noexcept { ++counts_[bucket_index(v)]; }
-
-  void merge(const LatencyHistogram& other) noexcept {
-    for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
-  }
-
-  std::uint64_t total() const noexcept {
-    std::uint64_t t = 0;
-    for (const std::uint64_t c : counts_) t += c;
-    return t;
-  }
-
-  /// Smallest value v such that at least `pct`% of samples are <= the upper
-  /// edge of v's bucket (upper-edge rule: a conservative tail estimate).
-  /// Returns 0 when empty.
-  double percentile(double pct) const noexcept;
-
-  const std::uint64_t* counts() const noexcept { return counts_; }
-
-  /// Bucket index for a value: bucket 0 catches v <= 0 (and NaN), the last
-  /// bucket catches +inf/overflow, the rest split each binade [2^e, 2^e+1)
-  /// into kSubBuckets linear slices.
-  static std::size_t bucket_index(double v) noexcept;
-
-  /// Upper edge of bucket `i` (the value reported for percentiles).
-  static double bucket_upper_edge(std::size_t i) noexcept;
-
- private:
-  std::uint64_t counts_[kBuckets] = {};
-};
-
-/// One node's view: exact streaming moments plus its histogram contribution.
-struct NodeStats {
-  stats::Welford task_times;
-};
 
 /// Deterministic roll-up of the whole registry (see file comment).
 struct ClusterSummary {
   stats::Welford pooled;               ///< node-order merge of per-node stats
   std::vector<stats::Welford> per_node;
-  LatencyHistogram histogram;          ///< pooled latency histogram
+  stats::LatencyHistogram histogram;   ///< pooled latency histogram
   std::uint64_t samples = 0;
 };
 
@@ -103,7 +59,7 @@ class ClusterStats {
   /// Record one task response time for `node`.  O(1), allocation-free.
   void record(std::size_t node, double task_time) noexcept {
     Shard& sh = shards_[shard_of(node)];
-    sh.nodes[node - sh.first_node].task_times.add(task_time);
+    sh.nodes[node - sh.first_node].add(task_time);
     sh.histogram.record(task_time);
   }
 
@@ -112,13 +68,13 @@ class ClusterStats {
   /// histogram at join granularity).
   void record_moments(std::size_t node, double task_time) noexcept {
     Shard& sh = shards_[shard_of(node)];
-    sh.nodes[node - sh.first_node].task_times.add(task_time);
+    sh.nodes[node - sh.first_node].add(task_time);
   }
 
   /// Exact accumulator for one node (its shard slice).
   const stats::Welford& node(std::size_t node) const noexcept {
     const Shard& sh = shards_[shard_of(node)];
-    return sh.nodes[node - sh.first_node].task_times;
+    return sh.nodes[node - sh.first_node];
   }
 
   /// Deterministic roll-up: identical for every shard count (see file
@@ -129,12 +85,12 @@ class ClusterStats {
 
  private:
   /// Cache-line padded so adjacent shards never share a line.  The nodes
-  /// vector is per-shard (contiguous slice), the histogram is the shard's
-  /// pooled contribution.
+  /// vector is per-shard (contiguous slice, one exact accumulator per
+  /// node), the histogram is the shard's pooled contribution.
   struct alignas(64) Shard {
     std::size_t first_node = 0;
-    std::vector<NodeStats> nodes;
-    LatencyHistogram histogram;
+    std::vector<stats::Welford> nodes;
+    stats::LatencyHistogram histogram;
   };
 
   std::size_t num_nodes_;

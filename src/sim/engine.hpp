@@ -30,7 +30,7 @@
 // Determinism contract: events fire in strict (time, seq) order and seq is
 // assigned per schedule call, so any driver issuing the same schedule/cancel
 // calls in the same order observes the same firing order as the reference
-// binary-heap engine (sim/heap_engine.hpp), bit for bit.
+// binary-heap engine (tests/support/heap_engine.hpp), bit for bit.
 //
 // The fork-join systems in `src/sim` are built on this engine; the Lindley
 // fast path in `src/fjsim` is the specialised alternative, and the two are

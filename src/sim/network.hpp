@@ -55,7 +55,7 @@ struct FjResult {
   /// Request response times pooled into the fixed log2-linear histogram
   /// (tail percentiles without keeping every sample).  Measured requests
   /// only; filled whether or not responses are recorded.
-  LatencyHistogram response_histogram;
+  stats::LatencyHistogram response_histogram;
   double sim_end_time = 0.0;
   std::uint64_t total_tasks = 0;
   std::uint64_t redundant_issues = 0;
@@ -65,13 +65,6 @@ struct FjResult {
 
 /// Run the system to completion (all requests joined).
 FjResult run_fj_simulation(const FjConfig& config);
-
-/// The pre-calendar-queue implementation of run_fj_simulation: the original
-/// callback driver on the binary-heap engine (sim/heap_engine.hpp).  Frozen
-/// as the determinism reference and the bench_cluster speedup baseline; it
-/// honours `record_responses` but ignores `stats_shards` (it has no
-/// sharding) and leaves `response_histogram` empty.
-FjResult run_fj_simulation_baseline(const FjConfig& config);
 
 /// Nominal per-server utilization implied by a config (ignores redundant
 /// replicas): rho = lambda * E[k]/N * E[S] / replicas.

@@ -1,8 +1,11 @@
-// Streaming first/second moment estimation (Welford's algorithm) plus a
-// third/fourth central moment extension used by distribution tests.
+// Streaming first/second moment estimation.
 //
 // This is the measurement primitive of the black-box model: each fork node
 // only ever reports (count, mean, variance) of its task response times.
+// MomentSketch is the one mergeable form of that triple; every pooled
+// estimate in the library (Welford accumulators, per-node cluster stats,
+// online-predictor windows, the serve daemon's shard merge) combines
+// through its merge() so none of them re-derives the combine law.
 #pragma once
 
 #include <cmath>
@@ -11,65 +14,100 @@
 
 namespace forktail::stats {
 
-class Welford {
- public:
-  void add(double x) noexcept {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    const double delta2 = x - mean_;
-    m2_ += delta * delta2;
-    // A NaN sample poisons mean/m2 through the arithmetic above; poison
-    // min/max explicitly too (plain comparisons would silently drop it and
-    // leave the extremes disagreeing with the moments).
-    if (std::isnan(x) || x < min_ || n_ == 1) min_ = x;
-    if (std::isnan(x) || x > max_ || n_ == 1) max_ = x;
+/// Mergeable (count, mean, M2) summary, where M2 is the sum of squared
+/// deviations from the mean.  add() is Welford's update and merge() the
+/// Chan et al. parallel combine: both stay exact in exact arithmetic and
+/// avoid the E[X^2] - E[X]^2 cancellation of raw power sums.
+struct MomentSketch {
+  std::uint64_t count = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
+
+  /// The sketch of `n` samples with population mean and variance given.
+  static MomentSketch of(std::uint64_t n, double mean,
+                         double variance) noexcept {
+    if (n == 0) return {};
+    return {n, mean, variance * static_cast<double>(n)};
   }
 
-  /// Merge another accumulator (parallel reduction; Chan et al.).
-  void merge(const Welford& other) noexcept {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
+  void add(double x) noexcept {
+    ++count;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(count);
+    const double delta2 = x - mean;
+    m2 += delta * delta2;
+  }
+
+  void merge(const MomentSketch& other) noexcept {
+    if (other.count == 0) return;
+    if (count == 0) {
       *this = other;
       return;
     }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
+    const double na = static_cast<double>(count);
+    const double nb = static_cast<double>(other.count);
+    const double delta = other.mean - mean;
     const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    n_ += other.n_;
-    if (std::isnan(other.min_) || other.min_ < min_) min_ = other.min_;
-    if (std::isnan(other.max_) || other.max_ > max_) max_ = other.max_;
+    mean += delta * nb / total;
+    m2 += other.m2 + delta * delta * na * nb / total;
+    count += other.count;
   }
 
-  std::uint64_t count() const noexcept { return n_; }
-  double mean() const noexcept { return mean_; }
-
   /// Population variance (divides by n); matches the moment definitions the
-  /// model equations use.  Cancellation in `merge` can leave m2 a hair
-  /// below zero for near-constant data; clamp so stddev() never goes NaN.
+  /// model equations use.  Cancellation can leave m2 a hair below zero for
+  /// near-constant data; clamp so a stddev never goes NaN.
   double variance() const noexcept {
-    if (n_ == 0) return 0.0;
-    const double v = m2_ / static_cast<double>(n_);
-    return v > 0.0 ? v : (v == v ? 0.0 : v);  // clamp negatives, keep NaN
+    if (count == 0) return 0.0;
+    return clamp(m2 / static_cast<double>(count));
   }
 
   /// Unbiased sample variance (divides by n-1).
   double sample_variance() const {
-    if (n_ < 2) throw std::logic_error("sample_variance requires n >= 2");
-    const double v = m2_ / static_cast<double>(n_ - 1);
-    return v > 0.0 ? v : (v == v ? 0.0 : v);
+    if (count < 2) throw std::logic_error("sample_variance requires n >= 2");
+    return clamp(m2 / static_cast<double>(count - 1));
   }
 
+ private:
+  static double clamp(double v) noexcept {
+    return v > 0.0 ? v : (v == v ? 0.0 : v);  // clamp negatives, keep NaN
+  }
+};
+
+/// MomentSketch plus the exact observed extremes.
+class Welford {
+ public:
+  void add(double x) noexcept {
+    m_.add(x);
+    // A NaN sample poisons mean/m2 through the arithmetic above; poison
+    // min/max explicitly too (plain comparisons would silently drop it and
+    // leave the extremes disagreeing with the moments).
+    if (std::isnan(x) || x < min_ || m_.count == 1) min_ = x;
+    if (std::isnan(x) || x > max_ || m_.count == 1) max_ = x;
+  }
+
+  /// Merge another accumulator (parallel reduction; Chan et al.).
+  void merge(const Welford& other) noexcept {
+    if (other.count() == 0) return;
+    if (count() == 0) {
+      *this = other;
+      return;
+    }
+    m_.merge(other.m_);
+    if (std::isnan(other.min_) || other.min_ < min_) min_ = other.min_;
+    if (std::isnan(other.max_) || other.max_ > max_) max_ = other.max_;
+  }
+
+  std::uint64_t count() const noexcept { return m_.count; }
+  double mean() const noexcept { return m_.mean; }
+  double variance() const noexcept { return m_.variance(); }
+  double sample_variance() const { return m_.sample_variance(); }
   double stddev() const noexcept { return std::sqrt(variance()); }
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
 
   /// Squared coefficient of variation V/E^2.
   double scv() const noexcept {
-    return mean_ != 0.0 ? variance() / (mean_ * mean_) : 0.0;
+    return mean() != 0.0 ? variance() / (mean() * mean()) : 0.0;
   }
 
   void reset() noexcept { *this = Welford{}; }
@@ -83,52 +121,16 @@ class Welford {
                             double min, double max) noexcept {
     Welford w;
     if (n == 0) return w;
-    w.n_ = n;
-    w.mean_ = mean;
-    w.m2_ = m2;
+    w.m_ = {n, mean, m2};
     w.min_ = min;
     w.max_ = max;
     return w;
   }
 
  private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
+  MomentSketch m_;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Raw-moment accumulator up to the 4th moment: needed by white-box M/G/1
-/// analysis (Eq. 11 requires E[S^3]) and by distribution unit tests.
-class RawMoments {
- public:
-  void add(double x) noexcept {
-    ++n_;
-    double p = x;
-    for (int k = 0; k < 4; ++k) {
-      sums_[k] += p;
-      p *= x;
-    }
-  }
-
-  std::uint64_t count() const noexcept { return n_; }
-
-  /// E[X^k] for k in 1..4.
-  double moment(int k) const {
-    if (k < 1 || k > 4) throw std::out_of_range("moment order must be 1..4");
-    return n_ > 0 ? sums_[k - 1] / static_cast<double>(n_) : 0.0;
-  }
-
-  double mean() const { return moment(1); }
-  double variance() const {
-    const double m = mean();
-    return moment(2) - m * m;
-  }
-
- private:
-  std::uint64_t n_ = 0;
-  double sums_[4] = {0, 0, 0, 0};
 };
 
 }  // namespace forktail::stats

@@ -1,13 +1,6 @@
 #include "stats/windowed.hpp"
 
-#include "util/kahan.hpp"
-
 namespace forktail::stats {
-
-namespace {
-// Re-sum from scratch every this many incremental updates to bound drift.
-constexpr std::uint64_t kResyncInterval = 1u << 16;
-}  // namespace
 
 WindowedMoments::WindowedMoments(double window_seconds) : window_(window_seconds) {
   if (!(window_seconds > 0.0)) {
@@ -19,19 +12,10 @@ void WindowedMoments::add(double timestamp, double value) {
   if (!samples_.empty() && timestamp < samples_.back().t) {
     throw std::invalid_argument("timestamps must be non-decreasing");
   }
-  if (samples_.empty()) {
-    // Pin the shift at the first value of a fresh window so the shifted
-    // sums stay near zero whenever the data is tightly clustered.
-    shift_ = value;
-    sum_ = 0.0;
-    sum_sq_ = 0.0;
-  }
+  if (samples_.empty()) sums_.restart(value);
   samples_.push_back({timestamp, value});
-  const double c = value - shift_;
-  sum_ += c;
-  sum_sq_ += c * c;
+  sums_.add(value);
   evict(timestamp);
-  ++ops_since_resync_;
   maybe_resync();
 }
 
@@ -45,55 +29,25 @@ void WindowedMoments::advance(double now) {
 void WindowedMoments::evict(double now) {
   const double cutoff = now - window_;
   while (!samples_.empty() && samples_.front().t < cutoff) {
-    const double c = samples_.front().v - shift_;
-    sum_ -= c;
-    sum_sq_ -= c * c;
+    sums_.remove(samples_.front().v);
     samples_.pop_front();
-    ++ops_since_resync_;
   }
-  if (samples_.empty()) {
-    sum_ = 0.0;
-    sum_sq_ = 0.0;
-  }
+  if (samples_.empty()) sums_.clear();
 }
 
 void WindowedMoments::maybe_resync() {
-  if (ops_since_resync_ >= kResyncInterval) resync();
-}
-
-void WindowedMoments::resync() {
-  // Re-pin the shift at the current window mean, then re-sum the shifted
-  // values exactly (Kahan): the subsequent incremental updates start from
-  // the best-conditioned representation possible.
-  util::KahanSum raw;
-  for (const auto& sample : samples_) raw.add(sample.v);
-  shift_ = samples_.empty()
-               ? 0.0
-               : raw.value() / static_cast<double>(samples_.size());
-  util::KahanSum s;
-  util::KahanSum s2;
-  for (const auto& sample : samples_) {
-    const double c = sample.v - shift_;
-    s.add(c);
-    s2.add(c * c);
-  }
-  sum_ = s.value();
-  sum_sq_ = s2.value();
-  ops_since_resync_ = 0;
+  sums_.maybe_resync(samples_, [](const Sample& s) { return s.v; });
 }
 
 double WindowedMoments::mean() const noexcept {
-  return samples_.empty()
-             ? 0.0
-             : shift_ + sum_ / static_cast<double>(samples_.size());
+  return samples_.empty() ? 0.0
+                          : sums_.mean(static_cast<double>(samples_.size()));
 }
 
 double WindowedMoments::variance() const noexcept {
-  if (samples_.empty()) return 0.0;
-  const double n = static_cast<double>(samples_.size());
-  const double m = sum_ / n;
-  const double v = sum_sq_ / n - m * m;
-  return v > 0.0 ? v : 0.0;
+  return samples_.empty()
+             ? 0.0
+             : sums_.variance(static_cast<double>(samples_.size()));
 }
 
 RollingMoments::RollingMoments(std::size_t capacity) : capacity_(capacity) {
@@ -101,54 +55,24 @@ RollingMoments::RollingMoments(std::size_t capacity) : capacity_(capacity) {
 }
 
 void RollingMoments::add(double value) {
-  if (window_.empty()) {
-    shift_ = value;
-    sum_ = 0.0;
-    sum_sq_ = 0.0;
-  }
+  if (window_.empty()) sums_.restart(value);
   window_.push_back(value);
-  const double c = value - shift_;
-  sum_ += c;
-  sum_sq_ += c * c;
-  if (buffer_size_ == capacity_) {
-    const double old = window_.front() - shift_;
+  sums_.add(value);
+  if (window_.size() > capacity_) {
+    sums_.remove(window_.front());
     window_.pop_front();
-    sum_ -= old;
-    sum_sq_ -= old * old;
-  } else {
-    ++buffer_size_;
   }
-  if (++ops_since_resync_ >= kResyncInterval) resync();
-}
-
-void RollingMoments::resync() {
-  util::KahanSum raw;
-  for (double v : window_) raw.add(v);
-  shift_ =
-      window_.empty() ? 0.0 : raw.value() / static_cast<double>(window_.size());
-  util::KahanSum s;
-  util::KahanSum s2;
-  for (double v : window_) {
-    const double c = v - shift_;
-    s.add(c);
-    s2.add(c * c);
-  }
-  sum_ = s.value();
-  sum_sq_ = s2.value();
-  ops_since_resync_ = 0;
+  sums_.maybe_resync(window_, [](double v) { return v; });
 }
 
 double RollingMoments::mean() const noexcept {
-  return buffer_size_ == 0 ? 0.0
-                           : shift_ + sum_ / static_cast<double>(buffer_size_);
+  return window_.empty() ? 0.0
+                         : sums_.mean(static_cast<double>(window_.size()));
 }
 
 double RollingMoments::variance() const noexcept {
-  if (buffer_size_ == 0) return 0.0;
-  const double n = static_cast<double>(buffer_size_);
-  const double m = sum_ / n;
-  const double v = sum_sq_ / n - m * m;
-  return v > 0.0 ? v : 0.0;
+  return window_.empty() ? 0.0
+                         : sums_.variance(static_cast<double>(window_.size()));
 }
 
 }  // namespace forktail::stats

@@ -20,7 +20,79 @@
 #include <deque>
 #include <stdexcept>
 
+#include "stats/welford.hpp"
+#include "util/kahan.hpp"
+
 namespace forktail::stats {
+
+/// Running sums of (v - shift) and (v - shift)^2: the shifted-data core
+/// both window estimators below share.  The shift is pinned at the first
+/// value of a fresh window and re-pinned at the window mean on every
+/// resync (each kResyncInterval add/remove operations), which re-sums the
+/// window exactly (Kahan) to bound the drift of the add/subtract pattern.
+class ShiftedSums {
+ public:
+  /// Start a fresh window whose first value is `first`.
+  void restart(double first) noexcept {
+    shift_ = first;
+    sum_ = 0.0;
+    sum_sq_ = 0.0;
+  }
+  void add(double v) noexcept {
+    const double c = v - shift_;
+    sum_ += c;
+    sum_sq_ += c * c;
+    ++ops_;
+  }
+  void remove(double v) noexcept {
+    const double c = v - shift_;
+    sum_ -= c;
+    sum_sq_ -= c * c;
+    ++ops_;
+  }
+  void clear() noexcept {
+    sum_ = 0.0;
+    sum_sq_ = 0.0;
+  }
+  /// Resync from `window` (values via `value_of`) once the drift budget is
+  /// spent.
+  template <typename Window, typename ValueOf>
+  void maybe_resync(const Window& window, ValueOf value_of);
+
+  double mean(double n) const noexcept { return shift_ + sum_ / n; }
+  double variance(double n) const noexcept {
+    const double m = sum_ / n;
+    const double v = sum_sq_ / n - m * m;
+    return v > 0.0 ? v : 0.0;
+  }
+
+ private:
+  static constexpr std::uint64_t kResyncInterval = 1u << 16;
+
+  double shift_ = 0.0;
+  double sum_ = 0.0;
+  double sum_sq_ = 0.0;
+  std::uint64_t ops_ = 0;
+};
+
+template <typename Window, typename ValueOf>
+void ShiftedSums::maybe_resync(const Window& window, ValueOf value_of) {
+  if (ops_ < kResyncInterval) return;
+  util::KahanSum raw;
+  for (const auto& item : window) raw.add(value_of(item));
+  shift_ = window.empty() ? 0.0
+                          : raw.value() / static_cast<double>(window.size());
+  util::KahanSum s;
+  util::KahanSum s2;
+  for (const auto& item : window) {
+    const double c = value_of(item) - shift_;
+    s.add(c);
+    s2.add(c * c);
+  }
+  sum_ = s.value();
+  sum_sq_ = s2.value();
+  ops_ = 0;
+}
 
 /// Moments over a sliding *time* window.  Samples are (timestamp, value)
 /// with non-decreasing timestamps; samples older than `window` relative to
@@ -39,6 +111,11 @@ class WindowedMoments {
   double variance() const noexcept;
   double window() const noexcept { return window_; }
 
+  /// The window's (count, mean, variance) as a mergeable sketch.
+  MomentSketch moments() const noexcept {
+    return MomentSketch::of(count(), mean(), variance());
+  }
+
  private:
   struct Sample {
     double t;
@@ -50,15 +127,7 @@ class WindowedMoments {
 
   double window_;
   std::deque<Sample> samples_;
-  // Incremental sums of the shifted values (v - shift_) and their squares;
-  // re-synced periodically (and on every resync the shift is re-pinned to
-  // the current window mean) to bound floating point drift from the
-  // add/subtract pattern.
-  double shift_ = 0.0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  std::uint64_t ops_since_resync_ = 0;
-  void resync();
+  ShiftedSums sums_;
 };
 
 /// Moments over the trailing N samples (count window rather than time
@@ -69,21 +138,15 @@ class RollingMoments {
 
   void add(double value);
 
-  std::size_t count() const noexcept { return buffer_size_; }
-  bool full() const noexcept { return buffer_size_ == capacity_; }
+  std::size_t count() const noexcept { return window_.size(); }
+  bool full() const noexcept { return window_.size() == capacity_; }
   double mean() const noexcept;
   double variance() const noexcept;
 
  private:
   std::size_t capacity_;
   std::deque<double> window_;
-  std::size_t buffer_size_ = 0;
-  // Shifted-data sums, as in WindowedMoments.
-  double shift_ = 0.0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  std::uint64_t ops_since_resync_ = 0;
-  void resync();
+  ShiftedSums sums_;
 };
 
 }  // namespace forktail::stats

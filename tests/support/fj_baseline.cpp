@@ -3,6 +3,8 @@
 // reference and bench baseline for run_fj_simulation.  The determinism
 // suite pins the typed-event driver bit-identical to this one; do not
 // optimise this file.
+#include "support/fj_baseline.hpp"
+
 #include <algorithm>
 #include <functional>
 #include <memory>
@@ -11,8 +13,7 @@
 #include <vector>
 
 #include "fjsim/redundant_node.hpp"
-#include "sim/heap_engine.hpp"
-#include "sim/network.hpp"
+#include "support/heap_engine.hpp"
 
 namespace forktail::sim {
 

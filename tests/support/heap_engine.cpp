@@ -1,4 +1,4 @@
-#include "sim/heap_engine.hpp"
+#include "support/heap_engine.hpp"
 
 #include <stdexcept>
 

@@ -7,7 +7,7 @@
 
 #include "dist/factory.hpp"
 #include "stats/ecdf.hpp"
-#include "stats/welford.hpp"
+#include "support/raw_moments.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::dist {
@@ -18,7 +18,7 @@ namespace {
 void check_distribution(const Distribution& d, double moment_tol_rel,
                         std::uint64_t seed, int n = 200000) {
   util::Rng rng(seed);
-  stats::RawMoments m;
+  test_support::RawMoments m;
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {

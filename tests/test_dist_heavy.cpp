@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "stats/ecdf.hpp"
-#include "stats/welford.hpp"
+#include "support/raw_moments.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::dist {
@@ -40,7 +40,7 @@ TEST(Weibull, PaperCalibration) {
 TEST(Weibull, SampledMomentsMatchAnalytic) {
   const auto d = Weibull::from_mean_cv(4.22, 1.5);
   util::Rng rng(20);
-  stats::RawMoments m;
+  test_support::RawMoments m;
   std::vector<double> samples;
   for (int i = 0; i < 300000; ++i) {
     const double x = d.sample(rng);
@@ -98,7 +98,7 @@ TEST(TruncatedPareto, ThirdMomentFiniteThanksToTruncation) {
   EXPECT_GT(d.moment(3), 0.0);
   EXPECT_LT(d.moment(3), std::pow(276.6, 3));
   util::Rng rng(22);
-  stats::RawMoments m;
+  test_support::RawMoments m;
   // E[S^3] with alpha ~ 2 is dominated by rare near-maximum draws, so the
   // Monte-Carlo estimate converges slowly; use a wide band.
   for (int i = 0; i < 2000000; ++i) m.add(d.sample(rng));
@@ -108,7 +108,7 @@ TEST(TruncatedPareto, ThirdMomentFiniteThanksToTruncation) {
 TEST(TruncatedPareto, MomentAtKEqualAlphaUsesLogBranch) {
   TruncatedPareto d(2.0, 1.0, 50.0);  // k = 2 == alpha
   util::Rng rng(23);
-  stats::RawMoments m;
+  test_support::RawMoments m;
   for (int i = 0; i < 400000; ++i) m.add(d.sample(rng));
   EXPECT_NEAR(m.moment(2), d.moment(2), 0.05 * d.moment(2));
 }
@@ -133,7 +133,7 @@ TEST(TruncatedNormal, MomentsMatchSampling) {
   const double m = 50.0;
   TruncatedNormal d(m, 2.0 * m, 0.05);
   util::Rng rng(25);
-  stats::RawMoments mm;
+  test_support::RawMoments mm;
   for (int i = 0; i < 400000; ++i) {
     const double x = d.sample(rng);
     ASSERT_GE(x, 0.05);
@@ -214,7 +214,7 @@ TEST(Pareto, SampledBodyMatchesCdf) {
   // converges (alpha > 2) but slowly, so the band is loose.
   const auto d = Pareto::from_mean_tail(4.22, 2.6);
   util::Rng rng(21);
-  stats::RawMoments m;
+  test_support::RawMoments m;
   std::vector<double> samples;
   for (int i = 0; i < 300000; ++i) {
     const double x = d.sample(rng);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/welford.hpp"
+#include "support/raw_moments.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::dist {
@@ -38,7 +38,7 @@ TEST(Empirical, CdfInvertsQuantile) {
 TEST(Empirical, SamplingMatchesMoments) {
   const Empirical d = two_segment();
   util::Rng rng(30);
-  stats::RawMoments m;
+  test_support::RawMoments m;
   for (int i = 0; i < 300000; ++i) m.add(d.sample(rng));
   EXPECT_NEAR(m.moment(1), d.moment(1), 0.01);
   EXPECT_NEAR(m.moment(2), d.moment(2), 0.03);

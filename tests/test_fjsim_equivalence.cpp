@@ -3,6 +3,7 @@
 // steady-state statistics must agree within Monte-Carlo noise.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "dist/basic.hpp"
@@ -23,6 +24,17 @@ struct Case {
   fjsim::Policy fast_policy;
   sim::DispatchPolicy event_policy;
 };
+
+// Names the case in test listings (and hence in ctest test names). Without
+// it GoogleTest dumps the raw bytes, including the address of `dist` and
+// uninitialised padding, so the names would change from build to build.
+void PrintTo(const Case& tc, std::ostream* os) {
+  static constexpr const char* kPolicyNames[] = {"single", "roundrobin",
+                                                 "redundant"};
+  *os << tc.dist << "_n" << tc.nodes << "_r" << tc.replicas << "_load"
+      << std::lround(tc.load * 100.0) << "_"
+      << kPolicyNames[static_cast<int>(tc.fast_policy)];
+}
 
 class EquivalenceTest : public ::testing::TestWithParam<Case> {};
 

@@ -6,7 +6,7 @@
 
 #include "dist/basic.hpp"
 #include "stats/ecdf.hpp"
-#include "stats/welford.hpp"
+#include "support/raw_moments.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::dist {
@@ -65,7 +65,7 @@ TEST_P(GammaSampling, MatchesAnalyticMomentsAndCdf) {
   const double cv = GetParam();
   const Gamma g = Gamma::from_mean_cv(1.0, cv);
   util::Rng rng(17);
-  stats::RawMoments m;
+  test_support::RawMoments m;
   std::vector<double> samples;
   samples.reserve(200000);
   for (int i = 0; i < 200000; ++i) {

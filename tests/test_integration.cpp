@@ -21,6 +21,13 @@ struct Band {
   double max_error_pct;  // paper band plus Monte-Carlo slack
 };
 
+// Names the case in test listings (and hence in ctest test names). Without
+// it GoogleTest dumps the raw bytes, including the address of `dist`, so
+// the names would change from build to build.
+void PrintTo(const Band& band, std::ostream* os) {
+  *os << band.dist << "_load" << std::lround(band.load * 100.0);
+}
+
 class HeadlineClaim : public ::testing::TestWithParam<Band> {};
 
 TEST_P(HeadlineClaim, BlackBoxErrorWithinBand) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/report.hpp"
+#include "stats/log2_histogram.hpp"
 
 namespace forktail::obs {
 namespace {
@@ -119,6 +120,27 @@ TEST(ObsHistogram, ExtremeValuesLandInOverflowBuckets) {
   // Quantiles stay inside [min, max] even for out-of-range mass.
   EXPECT_GE(snap.quantile(0.5), snap.min);
   EXPECT_LE(snap.quantile(0.999), snap.max);
+}
+
+// One grid: every value lands in the bucket the simulators'
+// stats::LatencyHistogram puts it in, with the same edges.
+TEST(ObsHistogram, BucketsAreTheSharedLog2Grid) {
+  if (!enabled()) GTEST_SKIP() << "observability compiled out";
+  for (double v : {3e-10, 1e-6, 0.004, 1.0, 7.3, 1e4, 3e9}) {
+    Registry registry;
+    Histogram& h = registry.histogram("grid");
+    h.record(v);
+    stats::LatencyHistogram plain;
+    plain.record(v);
+    const HistogramSnapshot snap = h.snapshot();
+    ASSERT_EQ(snap.buckets.size(), 1u);
+    const std::size_t i = stats::Log2Grid::bucket_index(v);
+    EXPECT_EQ(plain.counts()[i], 1u);
+    EXPECT_EQ(snap.buckets[0].lo, stats::Log2Grid::bucket_lower_edge(i));
+    EXPECT_EQ(snap.buckets[0].hi, stats::Log2Grid::bucket_upper_edge(i));
+    EXPECT_GE(v, snap.buckets[0].lo);
+    EXPECT_LT(v, snap.buckets[0].hi);
+  }
 }
 
 TEST(ObsHistogram, ResetClearsEverything) {

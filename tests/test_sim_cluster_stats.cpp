@@ -12,6 +12,8 @@
 namespace forktail::sim {
 namespace {
 
+using stats::LatencyHistogram;
+
 // ---------------------------------------------------------------------------
 // LatencyHistogram
 // ---------------------------------------------------------------------------

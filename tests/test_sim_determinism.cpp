@@ -22,6 +22,7 @@
 #include "sched/closed_loop.hpp"
 #include "sim/network.hpp"
 #include "stats/percentile.hpp"
+#include "support/fj_baseline.hpp"
 
 namespace forktail {
 namespace {
@@ -166,7 +167,7 @@ TEST(SimDeterminism, MemoryBoundedModeChangesNoOtherOutput) {
   EXPECT_EQ(with.sim_end_time, without.sim_end_time);
   EXPECT_EQ(with.total_tasks, without.total_tasks);
   EXPECT_EQ(with.measured_requests, without.measured_requests);
-  for (std::size_t i = 0; i < sim::LatencyHistogram::kBuckets; ++i) {
+  for (std::size_t i = 0; i < stats::LatencyHistogram::kBuckets; ++i) {
     EXPECT_EQ(with.response_histogram.counts()[i],
               without.response_histogram.counts()[i]);
   }
@@ -291,7 +292,7 @@ TEST(SimDeterminism, ClosedLoopMemoryBoundedModeChangesNoOtherOutput) {
   EXPECT_EQ(with.violations, without.violations);
   EXPECT_EQ(with.violation_rate, without.violation_rate);
   EXPECT_EQ(with.mean_predicted_latency, without.mean_predicted_latency);
-  for (std::size_t i = 0; i < sim::LatencyHistogram::kBuckets; ++i) {
+  for (std::size_t i = 0; i < stats::LatencyHistogram::kBuckets; ++i) {
     EXPECT_EQ(with.response_histogram.counts()[i],
               without.response_histogram.counts()[i]);
   }

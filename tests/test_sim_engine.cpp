@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/heap_engine.hpp"
+#include "support/heap_engine.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::sim {

@@ -13,8 +13,8 @@
 #include "dist/factory.hpp"
 #include "fjsim/homogeneous.hpp"
 #include "sim/engine.hpp"
-#include "sim/heap_engine.hpp"
 #include "stats/percentile.hpp"
+#include "support/heap_engine.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "support/raw_moments.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::stats {
@@ -134,9 +135,61 @@ TEST(Welford, EmptyAccumulatorIsWellDefined) {
   EXPECT_THROW(w.sample_variance(), std::logic_error);
 }
 
+TEST(MomentSketch, OfRoundTripsCountMeanVariance) {
+  const MomentSketch s = MomentSketch::of(40, 3.5, 0.25);
+  EXPECT_EQ(s.count, 40u);
+  EXPECT_DOUBLE_EQ(s.mean, 3.5);
+  EXPECT_DOUBLE_EQ(s.variance(), 0.25);
+  const MomentSketch empty = MomentSketch::of(0, 7.0, 2.0);
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_DOUBLE_EQ(empty.variance(), 0.0);
+}
+
+TEST(MomentSketch, MergeOfGroupsEqualsPooledSample) {
+  // {1, 2, 3} and {10, 12}: pooled mean 5.6, population variance 20.24.
+  MomentSketch a, b, all;
+  for (double x : {1.0, 2.0, 3.0}) {
+    a.add(x);
+    all.add(x);
+  }
+  for (double x : {10.0, 12.0}) {
+    b.add(x);
+    all.add(x);
+  }
+  MomentSketch merged = MomentSketch::of(a.count, a.mean, a.variance());
+  merged.merge(MomentSketch::of(b.count, b.mean, b.variance()));
+  EXPECT_EQ(merged.count, 5u);
+  EXPECT_NEAR(merged.mean, 5.6, 1e-12);
+  EXPECT_NEAR(merged.variance(), 20.24, 1e-12);
+  EXPECT_NEAR(all.variance(), 20.24, 1e-12);
+}
+
+// The combine law this replaces pooled sum(c * (var + mean^2)) / n - mean^2,
+// which cancels catastrophically when mean >> stddev: at a mean of 1e9,
+// mean^2 has an ulp of 128, so a pooled variance of 2 is lost entirely.
+// The Chan merge keeps it.
+TEST(MomentSketch, MergeSurvivesLargeOffsets) {
+  MomentSketch pooled;
+  pooled.merge(MomentSketch::of(1000, 1e9, 1.0));
+  pooled.merge(MomentSketch::of(1000, 1e9 + 2.0, 1.0));
+  EXPECT_NEAR(pooled.mean, 1e9 + 1.0, 1e-6);
+  EXPECT_NEAR(pooled.variance(), 2.0, 1e-9);
+}
+
+TEST(MomentSketch, EmptyIsMergeIdentity) {
+  MomentSketch a = MomentSketch::of(3, 2.0, 1.0);
+  a.merge(MomentSketch{});
+  EXPECT_EQ(a.count, 3u);
+  EXPECT_DOUBLE_EQ(a.mean, 2.0);
+  MomentSketch b;
+  b.merge(a);
+  EXPECT_EQ(b.count, 3u);
+  EXPECT_DOUBLE_EQ(b.m2, a.m2);
+}
+
 TEST(RawMoments, MatchesAnalyticExponential) {
   util::Rng rng(11);
-  RawMoments m;
+  test_support::RawMoments m;
   const double mean = 2.0;
   for (int i = 0; i < 500000; ++i) m.add(rng.exponential(mean));
   EXPECT_NEAR(m.moment(1), mean, 0.02);
@@ -145,7 +198,7 @@ TEST(RawMoments, MatchesAnalyticExponential) {
 }
 
 TEST(RawMoments, RejectsOutOfRangeOrder) {
-  RawMoments m;
+  test_support::RawMoments m;
   m.add(1.0);
   EXPECT_THROW(m.moment(0), std::out_of_range);
   EXPECT_THROW(m.moment(5), std::out_of_range);
