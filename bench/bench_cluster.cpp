@@ -155,6 +155,21 @@ std::string json_num(double v) {
   return buf;
 }
 
+/// Schedule one cancellable no-op event through each engine's own API: a
+/// typed event on the calendar engine (whose bound dispatcher ignores it),
+/// an empty closure on the heap engine.
+std::uint64_t schedule_noop(sim::Engine& engine, double time) {
+  return engine.schedule_cancellable_event(time, sim::EventKind::kTimer,
+                                           sim::EventPayload{});
+}
+std::uint64_t schedule_noop(sim::HeapEngine& engine, double time) {
+  return engine.schedule_cancellable(time, [] {});
+}
+void bind_noop(sim::Engine& engine) {
+  engine.bind(nullptr, [](void*, sim::Engine&, const sim::Event&) {});
+}
+void bind_noop(sim::HeapEngine&) {}
+
 /// ~50%-cancel engine microbenchmark, generic over the two engine types
 /// (identical schedule/cancel sequence => identical firing order).  Each
 /// round schedules `batch` cancellable no-op events at deterministic
@@ -165,6 +180,7 @@ RunOutcome run_cancel_heavy(std::uint64_t seed, std::size_t batch,
                             std::size_t rounds) {
   util::Rng rng(seed);
   EngineT engine;
+  bind_noop(engine);
   std::vector<typename EngineT::EventId> ids;
   ids.reserve(batch);
   util::Stopwatch watch;
@@ -172,8 +188,7 @@ RunOutcome run_cancel_heavy(std::uint64_t seed, std::size_t batch,
     ids.clear();
     const double base = engine.now();
     for (std::size_t i = 0; i < batch; ++i) {
-      ids.push_back(engine.schedule_cancellable(
-          base + 100.0 * rng.uniform(), [] {}));
+      ids.push_back(schedule_noop(engine, base + 100.0 * rng.uniform()));
     }
     for (std::size_t i = 0; i < batch; i += 2) engine.cancel(ids[i]);
     engine.run();
@@ -309,11 +324,11 @@ std::vector<Workload> build_workloads(const BenchOptions& options,
                                  std::move(run)});
     // Record that compaction actually ran (structural claim in the JSON).
     sim::Engine engine;
+    bind_noop(engine);
     util::Rng rng(seed);
     std::vector<sim::Engine::EventId> ids;
     for (std::size_t i = 0; i < batch; ++i) {
-      ids.push_back(
-          engine.schedule_cancellable(100.0 * rng.uniform(), [] {}));
+      ids.push_back(schedule_noop(engine, 100.0 * rng.uniform()));
     }
     for (std::size_t i = 0; i < batch; i += 2) engine.cancel(ids[i]);
     engine.run();

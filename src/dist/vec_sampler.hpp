@@ -53,7 +53,7 @@ enum class VecKind : std::uint8_t {
   kPareto,  // untruncated: the kTruncPareto kernel with trunc_mass = 1
   kLogNormal,
   kEmpirical,
-  kGeneric,  // per-lane scalar Rng + virtual sample_n (Gamma, TruncNormal, ...)
+  kGeneric,  // per-lane scalar Rng + virtual sample_n (TruncNormal, mixture)
 };
 
 /// Vector classification of a distribution.  Erlang lanes can only share a

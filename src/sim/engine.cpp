@@ -49,7 +49,6 @@ const Event* Engine::peek_live() {
       // the processed count (cancellation must be observationally free).
       if ((ev.flags & kFlagCancellable) && !cancelled_.empty() &&
           cancelled_.erase(ev.seq) > 0) {
-        release_slot_of(ev);
         ++batch_pos_;
         --size_;
         continue;
@@ -144,15 +143,14 @@ void Engine::rebucket() {
 
 void Engine::compact() {
   ++compactions_;
-  // One pass per container: keep live events in place, release the handler
-  // slots of dead ones, and retire their tombstones.  cancelled_ drains to
-  // empty because every tombstone corresponds to exactly one queued event.
+  // One pass per container: keep live events in place and retire the
+  // tombstones of dead ones.  cancelled_ drains to empty because every
+  // tombstone corresponds to exactly one queued event.
   const auto sweep = [this](std::vector<Event>& v, std::size_t begin) {
     std::size_t w = begin;
     for (std::size_t r = begin; r < v.size(); ++r) {
       const Event& ev = v[r];
       if ((ev.flags & kFlagCancellable) && cancelled_.erase(ev.seq) > 0) {
-        release_slot_of(ev);
         --size_;
         continue;
       }
@@ -168,25 +166,6 @@ void Engine::compact() {
   batch_pos_ = 0;
   for (std::size_t i = scan_; i < nbuckets_; ++i) sweep(buckets_[i], 0);
   sweep(overflow_, 0);
-}
-
-void Engine::schedule(double time, Handler handler) {
-  check_time(time);
-  EventPayload payload;
-  payload.handler.slot = acquire_slot(std::move(handler));
-  const Event ev{time, seq_++, payload, EventKind::kHandler, 0};
-  push(ev);
-}
-
-Engine::EventId Engine::schedule_cancellable(double time, Handler handler) {
-  check_time(time);
-  EventPayload payload;
-  payload.handler.slot = acquire_slot(std::move(handler));
-  const Event ev{time, seq_++, payload, EventKind::kHandler,
-                 kFlagCancellable};
-  push(ev);
-  cancellable_.insert(ev.seq);
-  return ev.seq;
 }
 
 bool Engine::cancel(EventId id) {
@@ -205,38 +184,6 @@ bool Engine::cancel(EventId id) {
   return true;
 }
 
-std::uint32_t Engine::acquire_slot(Handler handler) {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    handlers_[slot] = std::move(handler);
-    return slot;
-  }
-  handlers_.push_back(std::move(handler));
-  return static_cast<std::uint32_t>(handlers_.size() - 1);
-}
-
-void Engine::release_slot_of(const Event& ev) {
-  if (ev.kind != EventKind::kHandler) return;
-  const std::uint32_t slot = ev.payload.handler.slot;
-  handlers_[slot] = nullptr;
-  free_slots_.push_back(slot);
-}
-
-void Engine::fire(const Event& ev) {
-  if (ev.kind == EventKind::kHandler) {
-    const std::uint32_t slot = ev.payload.handler.slot;
-    // Move the handler out before invoking it: the handler may schedule and
-    // reallocate the slab, and its slot is free for reuse immediately.
-    Handler handler = std::move(handlers_[slot]);
-    handlers_[slot] = nullptr;
-    free_slots_.push_back(slot);
-    handler();
-  } else {
-    dispatcher_(ctx_, *this, ev);
-  }
-}
-
 void Engine::publish_metrics(std::uint64_t events,
                              std::uint64_t compactions) const {
   // One registry touch per run() call, not per event: the run loop itself
@@ -244,17 +191,11 @@ void Engine::publish_metrics(std::uint64_t events,
   // observability on.
   static obs::Counter& processed =
       obs::Registry::global().counter("sim.events_processed");
-  static obs::Counter& processed_legacy =
-      obs::Registry::global().counter("sim.engine.events");
   static obs::Gauge& depth = obs::Registry::global().gauge("sim.queue_depth");
-  static obs::Gauge& depth_legacy =
-      obs::Registry::global().gauge("sim.engine.max_queue_depth");
   static obs::Counter& compacted =
       obs::Registry::global().counter("sim.compactions");
   processed.add(events);
-  processed_legacy.add(events);
   depth.set_max(static_cast<double>(max_depth_));
-  depth_legacy.set_max(static_cast<double>(max_depth_));
   compacted.add(compactions);
 }
 

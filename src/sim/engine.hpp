@@ -16,12 +16,9 @@
 //     global (time, seq) firing order.
 //
 // Events are 40-byte trivially-copyable records: a timestamp, a sequence
-// number, an EventKind tag, and a two-word payload union.  Typed events are
+// number, an EventKind tag, and a two-word payload union.  Every event is
 // dispatched through one bound function pointer (`bind`) and a switch in the
-// driver -- no per-event heap allocation and no std::function type erasure
-// on the hot path.  The legacy `Handler` API is kept as a compatibility shim:
-// handlers live in a slab (vector + free list) and fire through a kHandler
-// event carrying the slot index.
+// driver -- no per-event heap allocation and no type erasure.
 //
 // Cancellation stays lazy (tombstone set, skipped on pop), but tombstones no
 // longer accumulate without bound: when at least half the queued events are
@@ -30,7 +27,8 @@
 // Determinism contract: events fire in strict (time, seq) order and seq is
 // assigned per schedule call, so any driver issuing the same schedule/cancel
 // calls in the same order observes the same firing order as the reference
-// binary-heap engine (tests/support/heap_engine.hpp), bit for bit.
+// binary-heap engine (tests/support/heap_engine.hpp, which keeps its own
+// closure-per-event API), bit for bit.
 //
 // The fork-join systems in `src/sim` are built on this engine; the Lindley
 // fast path in `src/fjsim` is the specialised alternative, and the two are
@@ -38,17 +36,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <unordered_set>
 #include <vector>
 
 namespace forktail::sim {
 
-/// Closed enum of event types.  Drivers switch on the kind; kHandler is
-/// reserved for the legacy std::function shim.
+/// Closed enum of event types.  Drivers switch on the kind.
 enum class EventKind : std::uint8_t {
-  kHandler = 0,   ///< legacy shim: payload.handler.slot indexes the slab
   kArrival,       ///< open/closed-loop request arrival
   kTaskComplete,  ///< a node finished one task
   kReport,        ///< periodic reporting / monitoring tick
@@ -61,9 +56,6 @@ union EventPayload {
   struct {
     std::uint64_t a, b;
   } raw;
-  struct {
-    std::uint32_t slot;  ///< index into the engine's handler slab
-  } handler;
   struct {
     std::uint64_t index;  ///< request ordinal
   } arrival;
@@ -95,10 +87,9 @@ static_assert(sizeof(Event) <= 40, "events must stay arena-friendly");
 
 class Engine {
  public:
-  using Handler = std::function<void()>;
-  /// Identifies one cancellable event (see schedule_cancellable).
+  /// Identifies one cancellable event (see schedule_cancellable_event).
   using EventId = std::uint64_t;
-  /// Typed-event sink: called for every fired non-kHandler event.
+  /// Event sink: called for every fired event.
   using Dispatcher = void (*)(void* ctx, Engine& engine, const Event& ev);
 
   double now() const noexcept { return now_; }
@@ -114,8 +105,8 @@ class Engine {
   /// Events currently queued (tombstones included until compacted).
   std::size_t queue_depth() const noexcept { return size_; }
 
-  /// Bind the typed-event sink.  Must be set before any non-kHandler event
-  /// fires; typically `engine.bind(this, &Driver::on_event_thunk)`.
+  /// Bind the event sink.  Must be set before any event fires; typically
+  /// `engine.bind(this, &Driver::on_event_thunk)`.
   void bind(void* ctx, Dispatcher dispatcher) noexcept {
     ctx_ = ctx;
     dispatcher_ = dispatcher;
@@ -137,8 +128,9 @@ class Engine {
     return schedule_event(now_ + delay, kind, payload);
   }
 
-  /// Schedule a *cancellable* typed event.  The returned id stays valid
-  /// until the event fires or is cancelled.
+  /// Schedule a *cancellable* typed event (timeout deadlines, hedge
+  /// launches: anything that a cancel-on-first-complete race may retract).
+  /// The returned id stays valid until the event fires or is cancelled.
   EventId schedule_cancellable_event(double time, EventKind kind,
                                      EventPayload payload) {
     check_time(time);
@@ -147,20 +139,6 @@ class Engine {
     cancellable_.insert(ev.seq);
     return ev.seq;
   }
-
-  /// Legacy shim: schedule `handler` at absolute time `time` (>= now).
-  /// The handler is parked in a slab and fired through a kHandler event.
-  void schedule(double time, Handler handler);
-
-  /// Schedule at now + delay.
-  void schedule_in(double delay, Handler handler) {
-    schedule(now_ + delay, std::move(handler));
-  }
-
-  /// Schedule a *cancellable* handler event (timeout deadlines, hedge
-  /// launches: anything that a cancel-on-first-complete race may retract).
-  /// The returned id stays valid until the event fires or is cancelled.
-  EventId schedule_cancellable(double time, Handler handler);
 
   /// Cancel a pending cancellable event.  Returns false (harmlessly) when
   /// the event already fired, was already cancelled, or never existed.
@@ -177,7 +155,7 @@ class Engine {
   /// queued).
   void run_until(double t_end);
 
-  /// Request termination from inside a handler.
+  /// Request termination from inside the dispatcher.
   void stop() noexcept { stopped_ = true; }
 
   bool empty() const noexcept { return size_ == 0; }
@@ -229,15 +207,12 @@ class Engine {
   /// comment).
   void rebucket();
 
-  /// Drop every tombstone from the calendar in one sweep and release their
-  /// handler slots.  Runs when cancel() sees >= 50% dead events.
+  /// Drop every tombstone from the calendar in one sweep.  Runs when
+  /// cancel() sees >= 50% dead events.
   void compact();
 
-  /// Fire one event: slab handler for kHandler, bound dispatcher otherwise.
-  void fire(const Event& ev);
-
-  std::uint32_t acquire_slot(Handler handler);
-  void release_slot_of(const Event& ev);
+  /// Fire one event through the bound dispatcher.
+  void fire(const Event& ev) { dispatcher_(ctx_, *this, ev); }
 
   /// Flush run-loop telemetry into the global metrics registry (no-op when
   /// observability is compiled out).  Deltas are this run's counts.
@@ -255,10 +230,6 @@ class Engine {
   double inv_width_ = 1.0;      ///< 1 / bucket width
   double window_end_ = 0.0;     ///< origin_ + nbuckets_ * width
   std::size_t size_ = 0;        ///< queued events, tombstones included
-
-  // --- handler slab (legacy shim) ---------------------------------------
-  std::vector<Handler> handlers_;
-  std::vector<std::uint32_t> free_slots_;
 
   // --- typed dispatch ---------------------------------------------------
   void* ctx_ = nullptr;

@@ -33,39 +33,13 @@ ForkNode::ForkNode(Engine& engine, dist::DistPtr service, int replicas,
 }
 
 void ForkNode::resolve(std::uint64_t id, double arrival, double completion) {
-  if (const auto it = pending_callbacks_.find(id);
-      it != pending_callbacks_.end()) {
-    TaskCallback cb = std::move(it->second);
-    pending_callbacks_.erase(it);
-    cb(arrival, completion);
-    return;
+  const auto it = pending_cookies_.find(id);
+  if (it == pending_cookies_.end()) {
+    throw std::logic_error("ForkNode: completion for unknown task");
   }
-  if (const auto it = pending_cookies_.find(id); it != pending_cookies_.end()) {
-    const std::uint64_t cookie = it->second;
-    pending_cookies_.erase(it);
-    completion_fn_(completion_ctx_, cookie, arrival, completion);
-    return;
-  }
-  throw std::logic_error("ForkNode: completion for unknown task");
-}
-
-void ForkNode::submit(TaskCallback on_complete) {
-  const double arrival = engine_.now();
-  if (policy_ == DispatchPolicy::kRedundant) {
-    const std::uint64_t id = next_task_id_++;
-    pending_callbacks_.emplace(id, std::move(on_complete));
-    redundant_->submit_task(
-        arrival, id, [this](std::uint64_t tid, double arr, double done) {
-          resolve(tid, arr, done);
-        });
-    return;
-  }
-  const double service = draw_service();
-  const std::size_t server = next_server();
-  const double done = servers_[server].submit(arrival, service);
-  engine_.schedule(done, [arrival, done, cb = std::move(on_complete)] {
-    cb(arrival, done);
-  });
+  const std::uint64_t cookie = it->second;
+  pending_cookies_.erase(it);
+  completion_fn_(completion_ctx_, cookie, arrival, completion);
 }
 
 void ForkNode::submit_task(std::uint64_t cookie) {
@@ -82,9 +56,9 @@ void ForkNode::submit_task(std::uint64_t cookie) {
   const double service = draw_service();
   const std::size_t server = next_server();
   const double done = servers_[server].submit(arrival, service);
-  // The payload carries the cookie plus the arrival time's bit pattern;
-  // completion time is the event's own timestamp.  No allocation, no
-  // capture -- this is the whole fast path.
+  // The payload carries the cookie plus the arrival time's bit pattern
+  // (decoded by completion_of); completion time is the event's own
+  // timestamp.  No allocation, no capture -- this is the whole fast path.
   EventPayload payload;
   payload.raw.a = cookie;
   static_assert(sizeof(double) == sizeof(std::uint64_t));

@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -53,41 +53,43 @@ class FifoServer {
 
 class ForkNode {
  public:
-  /// `on_task_complete(arrival, completion)` fires exactly once per task.
-  /// For the redundant policy the callback may fire from a later submit()
-  /// or from flush() (the completion *values* are exact; only the calling
-  /// point differs, which no consumer depends on).
-  using TaskCallback = std::function<void(double arrival, double completion)>;
-
-  /// Typed-path completion sink: `fn(ctx, cookie, arrival, completion)`
-  /// fires exactly once per submit_task(cookie).  A raw function pointer,
-  /// not std::function: one indirect call, no type erasure, no allocation.
+  /// Completion sink: `fn(ctx, cookie, arrival, completion)` fires exactly
+  /// once per submit_task(cookie).  A raw function pointer: one indirect
+  /// call, no type erasure, no allocation.
   using CompletionFn = void (*)(void* ctx, std::uint64_t cookie,
                                 double arrival, double completion);
+
+  /// A FIFO-policy completion as carried by its kTaskComplete event.
+  struct Completion {
+    std::uint64_t cookie;
+    double arrival;
+  };
 
   ForkNode(Engine& engine, dist::DistPtr service, int replicas,
            DispatchPolicy policy, double redundant_delay, util::Rng rng);
 
-  /// Submit a task arriving now (engine time).  The service demand is drawn
-  /// internally; the callback fires at completion.
-  void submit(TaskCallback on_complete);
-
-  /// Bind the typed-path completion sink (required before submit_task).
-  /// FIFO-policy completions are delivered through a kTaskComplete engine
-  /// event whose payload carries (cookie, arrival-bits) -- the driver's
-  /// dispatcher decodes it (see network.cpp) -- while redundant-policy
-  /// completions call `fn` directly from a later submit_task() or
-  /// flush(), exactly where the legacy callback path fired them.
+  /// Bind the completion sink (required before submit_task).  FIFO-policy
+  /// completions are delivered through a kTaskComplete engine event -- the
+  /// driver's dispatcher decodes it with completion_of() -- while
+  /// redundant-policy completions call `fn` directly from a later
+  /// submit_task() or flush() (the completion *values* are exact; only the
+  /// calling point differs, which no consumer depends on).
   void bind_completions(void* ctx, CompletionFn fn) noexcept {
     completion_ctx_ = ctx;
     completion_fn_ = fn;
   }
 
-  /// Typed fast path of submit(): submit a task arriving now, tagged with
-  /// an opaque driver cookie.  Consumes the same RNG draws and engine
-  /// sequence numbers as submit(), so the two paths fire completions in
-  /// bit-identical order.
+  /// Submit a task arriving now (engine time), tagged with an opaque driver
+  /// cookie.  The service demand is drawn internally.
   void submit_task(std::uint64_t cookie);
+
+  /// Decode a kTaskComplete event scheduled by submit_task(); the
+  /// completion time is the event's own timestamp.
+  static Completion completion_of(const Event& ev) noexcept {
+    Completion c{ev.payload.raw.a, 0.0};
+    std::memcpy(&c.arrival, &ev.payload.raw.b, sizeof(double));
+    return c;
+  }
 
   /// Resolve any still-pending redundant completions (call after the event
   /// loop drains).  No-op for the FIFO policies.
@@ -117,14 +119,13 @@ class ForkNode {
                            : service_->sample(rng_);
   }
 
-  // Typed-path sink (bind_completions).
+  // Completion sink (bind_completions).
   void* completion_ctx_ = nullptr;
   CompletionFn completion_fn_ = nullptr;
 
   // Redundant policy state: the shared queued-server node plus the pending
-  // callbacks (legacy path) / cookies (typed path) keyed by task id.
+  // cookies keyed by task id.
   std::unique_ptr<fjsim::RedundantNode> redundant_;
-  std::unordered_map<std::uint64_t, TaskCallback> pending_callbacks_;
   std::unordered_map<std::uint64_t, std::uint64_t> pending_cookies_;
   std::uint64_t next_task_id_ = 0;
 

@@ -1,7 +1,6 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 
@@ -120,9 +119,8 @@ class FjDriver {
         self->on_arrival();
         break;
       case EventKind::kTaskComplete: {
-        double arrival;
-        std::memcpy(&arrival, &ev.payload.raw.b, sizeof(double));
-        self->on_task_complete(ev.payload.raw.a, arrival, ev.time);
+        const ForkNode::Completion c = ForkNode::completion_of(ev);
+        self->on_task_complete(c.cookie, c.arrival, ev.time);
         break;
       }
       default:

@@ -20,7 +20,10 @@ double interpolate_sorted(std::span<const double> sorted, double p) {
 
 void check_args(std::size_t n, double p) {
   if (n == 0) throw std::invalid_argument("percentile of empty sample");
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("p must be in [0,100]");
+  // Written so that a NaN `p` fails the check too.
+  if (!(p >= 0.0 && p <= 100.0)) {
+    throw std::invalid_argument("p must be in [0,100]");
+  }
 }
 
 // A NaN breaks the strict weak ordering sort/nth_element require, so a
@@ -120,88 +123,6 @@ std::vector<double> percentiles_inplace(std::span<double> samples,
     out[i] = vlo + frac * (vhi - vlo);
   }
   return out;
-}
-
-P2Quantile::P2Quantile(double p) : p_(p / 100.0) {
-  if (!(p > 0.0 && p < 100.0)) {
-    throw std::invalid_argument("P2Quantile requires 0 < p < 100");
-  }
-  dn_ = {0.0, p_ / 2.0, p_, (1.0 + p_) / 2.0, 1.0};
-}
-
-double P2Quantile::parabolic(int i, double d) const {
-  const auto u = static_cast<std::size_t>(i);
-  return q_[u] + d / (n_[u + 1] - n_[u - 1]) *
-                     ((n_[u] - n_[u - 1] + d) * (q_[u + 1] - q_[u]) /
-                          (n_[u + 1] - n_[u]) +
-                      (n_[u + 1] - n_[u] - d) * (q_[u] - q_[u - 1]) /
-                          (n_[u] - n_[u - 1]));
-}
-
-double P2Quantile::linear(int i, double d) const {
-  const auto u = static_cast<std::size_t>(i);
-  const auto v = static_cast<std::size_t>(i + static_cast<int>(d));
-  return q_[u] + d * (q_[v] - q_[u]) / (n_[v] - n_[u]);
-}
-
-void P2Quantile::add(double x) {
-  if (count_ < 5) {
-    initial_[count_++] = x;
-    if (count_ == 5) {
-      std::sort(initial_.begin(), initial_.end());
-      q_ = initial_;
-      n_ = {0, 1, 2, 3, 4};
-      np_ = {0, 2 * p_, 4 * p_, 2 + 2 * p_, 4};
-    }
-    return;
-  }
-  ++count_;
-
-  int k;
-  if (x < q_[0]) {
-    q_[0] = x;
-    k = 0;
-  } else if (x < q_[1]) {
-    k = 0;
-  } else if (x < q_[2]) {
-    k = 1;
-  } else if (x < q_[3]) {
-    k = 2;
-  } else if (x <= q_[4]) {
-    k = 3;
-  } else {
-    q_[4] = x;
-    k = 3;
-  }
-
-  for (int i = k + 1; i < 5; ++i) n_[static_cast<std::size_t>(i)] += 1.0;
-  for (std::size_t i = 0; i < 5; ++i) np_[i] += dn_[i];
-
-  for (int i = 1; i <= 3; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    const double d = np_[u] - n_[u];
-    if ((d >= 1.0 && n_[u + 1] - n_[u] > 1.0) ||
-        (d <= -1.0 && n_[u - 1] - n_[u] < -1.0)) {
-      const double sign = d >= 0 ? 1.0 : -1.0;
-      double qp = parabolic(i, sign);
-      if (!(q_[u - 1] < qp && qp < q_[u + 1])) qp = linear(i, sign);
-      q_[u] = qp;
-      n_[u] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) throw std::logic_error("P2Quantile: no samples");
-  if (count_ < 5) {
-    auto copy = initial_;
-    std::sort(copy.begin(), copy.begin() + static_cast<std::ptrdiff_t>(count_));
-    const double h = p_ * static_cast<double>(count_ - 1);
-    const auto lo = static_cast<std::size_t>(h);
-    if (lo + 1 >= count_) return copy[count_ - 1];
-    return copy[lo] + (h - static_cast<double>(lo)) * (copy[lo + 1] - copy[lo]);
-  }
-  return q_[2];
 }
 
 }  // namespace forktail::stats

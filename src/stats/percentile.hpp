@@ -1,11 +1,9 @@
-// Percentile estimation: exact order statistics on retained samples and the
-// P-square streaming estimator for memory-constrained online tracking.
+// Percentile estimation: exact order statistics on retained samples.
 //
-// Simulated "ground truth" tails use the exact estimator; the online
-// scheduler example uses P-square.
+// Simulated "ground truth" tails use these estimators; bounded-memory
+// streaming tails use the log2-linear histogram (stats/log2_histogram.hpp).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -32,32 +30,5 @@ double percentile_inplace(std::span<double> samples, double p);
 /// caller's original order.
 std::vector<double> percentiles_inplace(std::span<double> samples,
                                         std::span<const double> ps);
-
-/// P-square (Jain & Chlamtac 1985) streaming quantile estimator: O(1) memory
-/// per tracked quantile, no sample retention.
-class P2Quantile {
- public:
-  /// `p` in (0, 100).
-  explicit P2Quantile(double p);
-
-  void add(double x);
-
-  /// Current estimate; requires at least 5 observations.
-  double value() const;
-
-  std::size_t count() const noexcept { return count_; }
-
- private:
-  double p_;
-  std::size_t count_ = 0;
-  std::array<double, 5> q_{};   // marker heights
-  std::array<double, 5> n_{};   // marker positions
-  std::array<double, 5> np_{};  // desired positions
-  std::array<double, 5> dn_{};  // desired position increments
-  std::array<double, 5> initial_{};
-
-  double parabolic(int i, double d) const;
-  double linear(int i, double d) const;
-};
 
 }  // namespace forktail::stats

@@ -50,29 +50,4 @@ double WindowedMoments::variance() const noexcept {
              : sums_.variance(static_cast<double>(samples_.size()));
 }
 
-RollingMoments::RollingMoments(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) throw std::invalid_argument("capacity must be positive");
-}
-
-void RollingMoments::add(double value) {
-  if (window_.empty()) sums_.restart(value);
-  window_.push_back(value);
-  sums_.add(value);
-  if (window_.size() > capacity_) {
-    sums_.remove(window_.front());
-    window_.pop_front();
-  }
-  sums_.maybe_resync(window_, [](double v) { return v; });
-}
-
-double RollingMoments::mean() const noexcept {
-  return window_.empty() ? 0.0
-                         : sums_.mean(static_cast<double>(window_.size()));
-}
-
-double RollingMoments::variance() const noexcept {
-  return window_.empty() ? 0.0
-                         : sums_.variance(static_cast<double>(window_.size()));
-}
-
 }  // namespace forktail::stats

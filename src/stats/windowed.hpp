@@ -25,11 +25,11 @@
 
 namespace forktail::stats {
 
-/// Running sums of (v - shift) and (v - shift)^2: the shifted-data core
-/// both window estimators below share.  The shift is pinned at the first
-/// value of a fresh window and re-pinned at the window mean on every
-/// resync (each kResyncInterval add/remove operations), which re-sums the
-/// window exactly (Kahan) to bound the drift of the add/subtract pattern.
+/// Running sums of (v - shift) and (v - shift)^2: the shifted-data core of
+/// the time-window estimator below.  The shift is pinned at the first value
+/// of a fresh window and re-pinned at the window mean on every resync
+/// (each kResyncInterval add/remove operations), which re-sums the window
+/// exactly (Kahan) to bound the drift of the add/subtract pattern.
 class ShiftedSums {
  public:
   /// Start a fresh window whose first value is `first`.
@@ -127,25 +127,6 @@ class WindowedMoments {
 
   double window_;
   std::deque<Sample> samples_;
-  ShiftedSums sums_;
-};
-
-/// Moments over the trailing N samples (count window rather than time
-/// window); used when the sampling rate rather than wall time is fixed.
-class RollingMoments {
- public:
-  explicit RollingMoments(std::size_t capacity);
-
-  void add(double value);
-
-  std::size_t count() const noexcept { return window_.size(); }
-  bool full() const noexcept { return window_.size() == capacity_; }
-  double mean() const noexcept;
-  double variance() const noexcept;
-
- private:
-  std::size_t capacity_;
-  std::deque<double> window_;
   ShiftedSums sums_;
 };
 

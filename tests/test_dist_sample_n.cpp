@@ -15,7 +15,6 @@
 #include "dist/distribution.hpp"
 #include "dist/empirical.hpp"
 #include "dist/factory.hpp"
-#include "dist/gamma.hpp"
 #include "dist/google_leaf.hpp"
 #include "dist/heavy.hpp"
 #include "util/rng.hpp"
@@ -95,13 +94,6 @@ TEST(SampleN, TruncatedNormal) {
   // Rejection sampling consumes a data-dependent number of uniforms per
   // draw; the contract must hold regardless.
   check_sample_n(TruncatedNormal(4.0, 8.0, 0.0), "TruncNormal");
-}
-
-TEST(SampleN, Gamma) {
-  // Marsaglia-Tsang is also rejection-based, and switches algorithm at
-  // shape < 1; cover both regimes.
-  check_sample_n(Gamma(0.7, 2.0), "Gamma(shape<1)");
-  check_sample_n(Gamma(3.4, 0.5), "Gamma(shape>1)");
 }
 
 TEST(SampleN, Empirical) {

@@ -5,7 +5,6 @@
 #include "dist/basic.hpp"
 #include "dist/factory.hpp"
 #include "fjsim/homogeneous.hpp"
-#include "queueing/heavy_traffic.hpp"
 #include "queueing/mg1.hpp"
 #include "queueing/mm1.hpp"
 #include "queueing/mmc.hpp"
@@ -113,30 +112,6 @@ TEST(Mmc, PoolingBeatsPartitioning) {
   Mmc pooled(2.4, 1.0, 3);
   Mm1 partitioned(0.8, 1.0);
   EXPECT_LT(pooled.mean_response(), partitioned.mean_response());
-}
-
-TEST(Kingman, MatchesMm1AtExponential) {
-  GG1Inputs in{0.9, 1.0, 1.0, 1.0};
-  Mm1 q(0.9, 1.0);
-  EXPECT_NEAR(kingman_mean_wait(in), q.mean_wait(), 1e-9);
-}
-
-TEST(Kingman, ScalesWithVariability) {
-  GG1Inputs low{0.9, 1.0, 1.0, 0.5};
-  GG1Inputs high{0.9, 1.0, 1.0, 2.0};
-  EXPECT_LT(kingman_mean_wait(low), kingman_mean_wait(high));
-}
-
-TEST(Kingman, PercentileConsistentWithCcdf) {
-  GG1Inputs in{0.9, 1.0, 1.0, 1.5};
-  const double x = kingman_wait_percentile(in, 99.0);
-  EXPECT_NEAR(kingman_wait_ccdf(in, x), 0.01, 1e-9);
-}
-
-TEST(Kingman, LowPercentileInAtom) {
-  GG1Inputs in{0.5, 1.0, 1.0, 1.0};
-  // P(W = 0) ~ 0.5, so the 40th percentile of waiting time is 0.
-  EXPECT_DOUBLE_EQ(kingman_wait_percentile(in, 40.0), 0.0);
 }
 
 }  // namespace

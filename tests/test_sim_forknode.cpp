@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -19,40 +20,83 @@ TEST(FifoServer, LindleyRecursion) {
   EXPECT_DOUBLE_EQ(s.next_free(), 0.0);
 }
 
+/// Recording dispatcher for one ForkNode: a kArrival event whose payload
+/// index is `n` submits n tasks at that instant.  FIFO completions come
+/// back as kTaskComplete events (decoded with ForkNode::completion_of),
+/// redundant ones through the node's completion sink; both are recorded in
+/// firing order.
+struct NodeDriver {
+  struct Done {
+    std::uint64_t cookie;
+    double arrival;
+    double completion;
+  };
+
+  ForkNode& node;
+  std::vector<Done> done;
+  std::uint64_t next_cookie = 0;
+
+  NodeDriver(Engine& engine, ForkNode& n) : node(n) {
+    engine.bind(this, &NodeDriver::dispatch);
+    node.bind_completions(this, &NodeDriver::on_completion);
+  }
+
+  static void submit_at(Engine& engine, double time, std::uint64_t tasks = 1) {
+    EventPayload p;
+    p.arrival.index = tasks;
+    engine.schedule_event(time, EventKind::kArrival, p);
+  }
+
+  static void dispatch(void* ctx, Engine&, const Event& ev) {
+    auto* self = static_cast<NodeDriver*>(ctx);
+    if (ev.kind == EventKind::kArrival) {
+      for (std::uint64_t i = 0; i < ev.payload.arrival.index; ++i) {
+        self->node.submit_task(self->next_cookie++);
+      }
+      return;
+    }
+    ASSERT_EQ(ev.kind, EventKind::kTaskComplete);
+    const ForkNode::Completion c = ForkNode::completion_of(ev);
+    self->done.push_back({c.cookie, c.arrival, ev.time});
+  }
+
+  static void on_completion(void* ctx, std::uint64_t cookie, double arrival,
+                            double completion) {
+    static_cast<NodeDriver*>(ctx)->done.push_back(
+        {cookie, arrival, completion});
+  }
+};
+
 TEST(ForkNode, SingleServerCompletesInOrder) {
   Engine e;
   auto service = std::make_shared<dist::Deterministic>(1.0);
   ForkNode node(e, service, 1, DispatchPolicy::kSingle, 10.0, util::Rng(1));
-  std::vector<double> completions;
-  auto submit_at = [&](double t) {
-    e.schedule(t, [&] {
-      node.submit([&](double, double done) { completions.push_back(done); });
-    });
-  };
-  submit_at(0.0);
-  submit_at(0.5);  // queues: starts at 1.0, done 2.0
-  submit_at(5.0);  // idle: done 6.0
+  NodeDriver driver(e, node);
+  NodeDriver::submit_at(e, 0.0);
+  NodeDriver::submit_at(e, 0.5);  // queues: starts at 1.0, done 2.0
+  NodeDriver::submit_at(e, 5.0);  // idle: done 6.0
   e.run();
+  const auto& completions = driver.done;
   ASSERT_EQ(completions.size(), 3u);
-  EXPECT_DOUBLE_EQ(completions[0], 1.0);
-  EXPECT_DOUBLE_EQ(completions[1], 2.0);
-  EXPECT_DOUBLE_EQ(completions[2], 6.0);
+  EXPECT_DOUBLE_EQ(completions[0].completion, 1.0);
+  EXPECT_DOUBLE_EQ(completions[1].completion, 2.0);
+  EXPECT_DOUBLE_EQ(completions[2].completion, 6.0);
+  // The event payload round-trips the cookie and the arrival time.
+  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(completions[i].cookie, i);
+  EXPECT_DOUBLE_EQ(completions[1].arrival, 0.5);
+  EXPECT_DOUBLE_EQ(completions[2].arrival, 5.0);
 }
 
 TEST(ForkNode, RoundRobinSpreadsAcrossReplicas) {
   Engine e;
   auto service = std::make_shared<dist::Deterministic>(2.0);
   ForkNode node(e, service, 3, DispatchPolicy::kRoundRobin, 10.0, util::Rng(2));
-  std::vector<double> completions;
-  e.schedule(0.0, [&] {
-    for (int i = 0; i < 3; ++i) {
-      node.submit([&](double, double done) { completions.push_back(done); });
-    }
-  });
+  NodeDriver driver(e, node);
+  NodeDriver::submit_at(e, 0.0, 3);
   e.run();
   // Three tasks, three replicas: all finish at 2.0 (no queueing).
-  ASSERT_EQ(completions.size(), 3u);
-  for (double c : completions) EXPECT_DOUBLE_EQ(c, 2.0);
+  ASSERT_EQ(driver.done.size(), 3u);
+  for (const auto& d : driver.done) EXPECT_DOUBLE_EQ(d.completion, 2.0);
 }
 
 TEST(ForkNode, RedundantIssueDoesNotDelayTheStraggler) {
@@ -62,13 +106,12 @@ TEST(ForkNode, RedundantIssueDoesNotDelayTheStraggler) {
   // 30 and the replica is killed there.
   auto service = std::make_shared<dist::Deterministic>(30.0);
   ForkNode node(e, service, 2, DispatchPolicy::kRedundant, 5.0, util::Rng(3));
-  double completion = -1.0;
-  e.schedule(0.0, [&] {
-    node.submit([&](double, double done) { completion = done; });
-  });
+  NodeDriver driver(e, node);
+  NodeDriver::submit_at(e, 0.0);
   e.run();
   node.flush();
-  EXPECT_DOUBLE_EQ(completion, 30.0);
+  ASSERT_EQ(driver.done.size(), 1u);
+  EXPECT_DOUBLE_EQ(driver.done[0].completion, 30.0);
   EXPECT_EQ(node.redundant_issues(), 1u);
 }
 
@@ -76,18 +119,18 @@ TEST(ForkNode, RedundantQueuedReplicasAreDropped) {
   Engine e;
   auto service = std::make_shared<dist::Deterministic>(10.0);
   ForkNode node(e, service, 2, DispatchPolicy::kRedundant, 3.0, util::Rng(4));
-  std::vector<double> completions;
-  auto cb = [&](double, double done) { completions.push_back(done); };
+  NodeDriver driver(e, node);
   // Task 0 (t=0) runs on server 0 until 10; its replica (t=3) queues on
   // server 1 behind task 1's primary and is dropped when task 0 finishes.
   // Symmetrically for task 1 (t=1, done 11).
-  e.schedule(0.0, [&] { node.submit(cb); });
-  e.schedule(1.0, [&] { node.submit(cb); });
+  NodeDriver::submit_at(e, 0.0);
+  NodeDriver::submit_at(e, 1.0);
   e.run();
   node.flush();
+  const auto& completions = driver.done;
   ASSERT_EQ(completions.size(), 2u);
-  EXPECT_DOUBLE_EQ(completions[0], 10.0);
-  EXPECT_DOUBLE_EQ(completions[1], 11.0);
+  EXPECT_DOUBLE_EQ(completions[0].completion, 10.0);
+  EXPECT_DOUBLE_EQ(completions[1].completion, 11.0);
   EXPECT_EQ(node.redundant_issues(), 2u);
 }
 
@@ -100,15 +143,15 @@ TEST(ForkNode, RedundantKillFreesTheStragglersServer) {
   // again after 30), completing at 70.
   auto service = std::make_shared<dist::Deterministic>(30.0);
   ForkNode node(e, service, 2, DispatchPolicy::kRedundant, 5.0, util::Rng(5));
-  std::vector<double> completions;
-  auto cb = [&](double, double done) { completions.push_back(done); };
-  e.schedule(0.0, [&] { node.submit(cb); });
-  e.schedule(40.0, [&] { node.submit(cb); });
+  NodeDriver driver(e, node);
+  NodeDriver::submit_at(e, 0.0);
+  NodeDriver::submit_at(e, 40.0);
   e.run();
   node.flush();
+  const auto& completions = driver.done;
   ASSERT_EQ(completions.size(), 2u);
-  EXPECT_DOUBLE_EQ(completions[0], 30.0);
-  EXPECT_DOUBLE_EQ(completions[1], 70.0);
+  EXPECT_DOUBLE_EQ(completions[0].completion, 30.0);
+  EXPECT_DOUBLE_EQ(completions[1].completion, 70.0);
 }
 
 TEST(ForkNode, ValidatesConfiguration) {

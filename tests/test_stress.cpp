@@ -22,29 +22,104 @@ namespace forktail {
 namespace {
 
 TEST(EngineStress, RandomizedScheduleProcessesInOrder) {
-  sim::Engine engine;
-  util::Rng rng(123);
-  std::vector<double> fired;
-  fired.reserve(20000);
-  // Seed events at random times; each handler occasionally schedules more
-  // events in its own future.
-  std::function<void()> handler = [&] {
-    fired.push_back(engine.now());
-    if (fired.size() < 20000 && rng.bernoulli(0.4)) {
-      engine.schedule_in(rng.exponential(1.0), handler);
-      engine.schedule_in(rng.exponential(2.0), handler);
+  struct Run {
+    sim::Engine engine;
+    util::Rng rng{123};
+    std::vector<double> fired;
+  } run;
+  run.fired.reserve(20000);
+  // Seed events at random times; each fired event occasionally schedules
+  // more events in its own future.
+  run.engine.bind(&run, +[](void* ctx, sim::Engine& engine, const sim::Event&) {
+    auto& r = *static_cast<Run*>(ctx);
+    r.fired.push_back(engine.now());
+    if (r.fired.size() < 20000 && r.rng.bernoulli(0.4)) {
+      engine.schedule_event_in(r.rng.exponential(1.0), sim::EventKind::kTimer,
+                               sim::EventPayload{});
+      engine.schedule_event_in(r.rng.exponential(2.0), sim::EventKind::kTimer,
+                               sim::EventPayload{});
     }
-  };
+  });
   for (int i = 0; i < 2000; ++i) {
-    engine.schedule(rng.uniform(0.0, 100.0), handler);
+    run.engine.schedule_event(run.rng.uniform(0.0, 100.0),
+                              sim::EventKind::kTimer, sim::EventPayload{});
   }
-  engine.run();
+  run.engine.run();
+  const auto& fired = run.fired;
   ASSERT_GE(fired.size(), 2000u);
   for (std::size_t i = 1; i < fired.size(); ++i) {
     ASSERT_GE(fired[i], fired[i - 1]) << "out-of-order at " << i;
   }
-  EXPECT_EQ(engine.events_processed(), fired.size());
+  EXPECT_EQ(run.engine.events_processed(), fired.size());
 }
+
+/// The hedging-race script, written once against a per-engine port with
+/// `primary_at(time)`, `hedge_at(time) -> id` and an `engine` member.
+struct HedgeScript {
+  util::Rng rng{77};
+  std::vector<double> fired;
+  std::vector<std::uint64_t> hedges;
+
+  template <typename Port>
+  void seed(Port& port) {
+    for (int i = 0; i < 64; ++i) port.primary_at(rng.uniform(0.0, 10.0));
+  }
+
+  template <typename Port>
+  void primary(Port& port) {
+    fired.push_back(port.engine.now());
+    // Retract the most recent still-pending hedge (it may already have
+    // been consumed -- cancel is harmlessly false then).
+    if (!hedges.empty()) {
+      port.engine.cancel(hedges.back());
+      hedges.pop_back();
+    }
+    if (fired.size() < 50000) {
+      const double dt = rng.exponential(1.0);
+      port.primary_at(port.engine.now() + dt);
+      // The hedge twin launches strictly later than the primary, so the
+      // primary always wins the race and the hedge is pure tombstone
+      // load: a steady ~50% cancel rate.
+      hedges.push_back(port.hedge_at(port.engine.now() + dt + 1000.0));
+    }
+  }
+};
+
+/// Calendar engine port: primaries are kArrival events, hedges no-op
+/// cancellable kTimer events, both fired through the bound dispatcher.
+struct CalendarHedgePort {
+  sim::Engine engine;
+  HedgeScript script;
+
+  CalendarHedgePort() { engine.bind(this, &CalendarHedgePort::dispatch); }
+  CalendarHedgePort(const CalendarHedgePort&) = delete;
+  CalendarHedgePort& operator=(const CalendarHedgePort&) = delete;
+
+  static void dispatch(void* ctx, sim::Engine&, const sim::Event& ev) {
+    auto* self = static_cast<CalendarHedgePort*>(ctx);
+    if (ev.kind == sim::EventKind::kArrival) self->script.primary(*self);
+  }
+  void primary_at(double time) {
+    engine.schedule_event(time, sim::EventKind::kArrival, sim::EventPayload{});
+  }
+  std::uint64_t hedge_at(double time) {
+    return engine.schedule_cancellable_event(time, sim::EventKind::kTimer,
+                                             sim::EventPayload{});
+  }
+};
+
+/// The frozen heap engine's port: its own closure-per-event API.
+struct HeapHedgePort {
+  sim::HeapEngine engine;
+  HedgeScript script;
+
+  void primary_at(double time) {
+    engine.schedule(time, [this] { script.primary(*this); });
+  }
+  std::uint64_t hedge_at(double time) {
+    return engine.schedule_cancellable(time, [] {});
+  }
+};
 
 TEST(EngineStress, CancelHeavyHedgingRaceCompactsAndStaysOrdered) {
   // ~50% of scheduled events are hedging-style cancellables that get
@@ -53,40 +128,12 @@ TEST(EngineStress, CancelHeavyHedgingRaceCompactsAndStaysOrdered) {
   // schedules the next pair.  Tombstones must be compacted (bounded
   // memory), firing stays time-ordered, and the calendar engine's final
   // state matches the frozen binary-heap reference bit for bit.
-  const auto drive = [](auto& engine) {
-    util::Rng rng(77);
-    std::vector<double> fired;
-    fired.reserve(60000);
-    using Id = typename std::decay_t<decltype(engine)>::EventId;
-    std::vector<Id> hedges;
-    std::function<void()> primary = [&] {
-      fired.push_back(engine.now());
-      // Retract the most recent still-pending hedge (it may already have
-      // been consumed -- cancel is harmlessly false then).
-      if (!hedges.empty()) {
-        engine.cancel(hedges.back());
-        hedges.pop_back();
-      }
-      if (fired.size() < 50000) {
-        const double dt = rng.exponential(1.0);
-        engine.schedule_in(dt, primary);
-        // The hedge twin launches strictly later than the primary, so the
-        // primary always wins the race and the hedge is pure tombstone
-        // load: a steady ~50% cancel rate.
-        hedges.push_back(
-            engine.schedule_cancellable(engine.now() + dt + 1000.0, [] {}));
-      }
-    };
-    for (int i = 0; i < 64; ++i) {
-      engine.schedule(rng.uniform(0.0, 10.0), primary);
-    }
-    engine.run();
-    return std::pair<std::vector<double>, std::uint64_t>(
-        std::move(fired), engine.events_cancelled());
-  };
-
-  sim::Engine calendar;
-  const auto [fired, cancelled] = drive(calendar);
+  CalendarHedgePort calendar;
+  calendar.script.fired.reserve(60000);
+  calendar.script.seed(calendar);
+  calendar.engine.run();
+  const auto& fired = calendar.script.fired;
+  const std::uint64_t cancelled = calendar.engine.events_cancelled();
   ASSERT_GE(fired.size(), 50000u);
   for (std::size_t i = 1; i < fired.size(); ++i) {
     ASSERT_GE(fired[i], fired[i - 1]) << "out-of-order at " << i;
@@ -94,22 +141,25 @@ TEST(EngineStress, CancelHeavyHedgingRaceCompactsAndStaysOrdered) {
   // Roughly half of all scheduled events were cancelled hedges...
   EXPECT_GT(cancelled, fired.size() / 3);
   // ...and the tombstone sweep actually ran, keeping the calendar bounded.
-  EXPECT_GE(calendar.compactions(), 1u);
+  EXPECT_GE(calendar.engine.compactions(), 1u);
   // Every primary firing was processed; at most a stray end-of-run hedge
   // (never cancelled because no primary fired after it) adds no-op events.
-  EXPECT_GE(calendar.events_processed(), fired.size());
+  EXPECT_GE(calendar.engine.events_processed(), fired.size());
 
   // The frozen heap engine replays the identical script: bit-identical
   // firing schedule and matching cancel/process accounting.
-  sim::HeapEngine heap;
-  const auto [fired_heap, cancelled_heap] = drive(heap);
+  HeapHedgePort heap;
+  heap.script.fired.reserve(60000);
+  heap.script.seed(heap);
+  heap.engine.run();
+  const auto& fired_heap = heap.script.fired;
   ASSERT_EQ(fired.size(), fired_heap.size());
   for (std::size_t i = 0; i < fired.size(); ++i) {
     ASSERT_EQ(fired[i], fired_heap[i]) << "diverged at " << i;
   }
-  EXPECT_EQ(cancelled, cancelled_heap);
-  EXPECT_EQ(calendar.events_processed(), heap.events_processed());
-  EXPECT_EQ(calendar.now(), heap.now());
+  EXPECT_EQ(cancelled, heap.engine.events_cancelled());
+  EXPECT_EQ(calendar.engine.events_processed(), heap.engine.events_processed());
+  EXPECT_EQ(calendar.engine.now(), heap.engine.now());
 }
 
 TEST(SimStress, NearSaturationStaysFiniteAndOrdered) {

@@ -117,46 +117,5 @@ TEST(WindowedMoments, AdvanceHeavyChurnStaysAccurate) {
   EXPECT_LT(w.variance(), 3.0);
 }
 
-TEST(RollingMoments, LargeOffsetVarianceSurvivesCancellation) {
-  RollingMoments r(1024);
-  const double offset = 1e9;
-  for (int i = 0; i < 4096; ++i) {
-    r.add(offset + ((i % 2 == 0) ? -1.0 : 1.0));
-  }
-  EXPECT_NEAR(r.mean(), offset, 1e-3);
-  EXPECT_NEAR(r.variance(), 1.0, 1e-9);
-}
-
-TEST(RollingMoments, KeepsExactlyCapacity) {
-  RollingMoments r(3);
-  for (double x : {1.0, 2.0, 3.0, 4.0}) r.add(x);
-  EXPECT_EQ(r.count(), 3u);
-  EXPECT_DOUBLE_EQ(r.mean(), 3.0);  // window is {2,3,4}
-  EXPECT_TRUE(r.full());
-}
-
-TEST(RollingMoments, PartiallyFilled) {
-  RollingMoments r(10);
-  r.add(4.0);
-  r.add(6.0);
-  EXPECT_FALSE(r.full());
-  EXPECT_DOUBLE_EQ(r.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(r.variance(), 1.0);
-}
-
-TEST(RollingMoments, RejectsZeroCapacity) {
-  EXPECT_THROW(RollingMoments(0), std::invalid_argument);
-}
-
-TEST(RollingMoments, LongChurnStaysAccurate) {
-  RollingMoments r(100);
-  util::Rng rng(5);
-  for (int i = 0; i < 200000; ++i) r.add(rng.uniform());
-  // Uniform window: mean 0.5, var 1/12, estimated from 100 points.
-  EXPECT_NEAR(r.mean(), 0.5, 0.15);
-  EXPECT_NEAR(r.variance(), 1.0 / 12.0, 0.05);
-  ASSERT_GE(r.variance(), 0.0);
-}
-
 }  // namespace
 }  // namespace forktail::stats
