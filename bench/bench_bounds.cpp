@@ -17,21 +17,18 @@
 //   * forktail_contained  -- ForkTail's black-box prediction lies inside
 //                            the bracket: the paper's model is consistent
 //                            with what is provable about the system.
-// The tracked BENCH_bounds.json pins both at 100% for these rows;
-// tools/perf_gate.py fails CI when either claim regresses or brackets
-// widen materially at the same scale.
+// Both are report checks on every row, next to `certified` and
+// `bracket_ordered` (lower <= upper); a false one exits 1, and
+// tools/perf_gate.py fails CI when it does or when a bracket's relative
+// width grows by more than 10% at the same scale.
 //
 // Row selection is deliberate: the association bound is near-tight for
 // exponential homogeneous systems, so those rows run at moderate load
 // where ForkTail's GE fit sits safely inside; heavy-tailed services only
 // admit Chernoff-grade bounds whose generous slack makes containment
 // structural rather than statistical.
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,27 +67,6 @@ struct RowResult {
   bool forktail_contained = false;
   double seconds = 0.0;
 };
-
-/// 99% distribution-free confidence interval for the q-quantile from order
-/// statistics: indices m*q -+ z*sqrt(m q (1-q)), z = 2.576.
-void quantile_ci(std::vector<double>& sorted, double q, double* lo,
-                 double* hi) {
-  std::sort(sorted.begin(), sorted.end());
-  const double m = static_cast<double>(sorted.size());
-  const double half = 2.576 * std::sqrt(m * q * (1.0 - q));
-  const auto clamp_index = [&](double j) {
-    return static_cast<std::size_t>(
-        std::min(m - 1.0, std::max(0.0, std::round(j))));
-  };
-  *lo = sorted[clamp_index(m * q - half - 1.0)];
-  *hi = sorted[clamp_index(m * q + half)];
-}
-
-std::string json_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 RowResult run_row(const RowSpec& row, const BenchOptions& options) {
   scenario::ScenarioSpec spec;
@@ -134,63 +110,29 @@ RowResult run_row(const RowSpec& row, const BenchOptions& options) {
   return out;
 }
 
-void write_json(const std::string& path, const BenchOptions& options,
-                const std::string& scale_name,
-                const std::vector<RowResult>& results) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("bench_bounds: cannot write " + path);
-  std::size_t contained = 0;
-  std::size_t ft_contained = 0;
-  for (const RowResult& r : results) {
-    contained += r.contained ? 1 : 0;
-    ft_contained += r.forktail_contained ? 1 : 0;
-  }
-  os << "{\n";
-  os << "  \"benchmark\": \"bench_bounds\",\n";
-  os << "  \"scale\": \"" << scale_name << "\",\n";
-  os << "  \"seed\": " << options.seed << ",\n";
-  os << "  \"percentile\": 99.0,\n";
-  os << "  \"ground_truth\": \"perfect sampler (exact stationary draws; "
-        "fjsim/perfect_sampler.hpp)\",\n";
-  os << "  \"containment_rate\": "
-     << json_num(static_cast<double>(contained) /
-                 static_cast<double>(results.size()))
-     << ",\n";
-  os << "  \"forktail_containment_rate\": "
-     << json_num(static_cast<double>(ft_contained) /
-                 static_cast<double>(results.size()))
-     << ",\n";
-  os << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RowResult& r = results[i];
-    os << "    {\n";
-    os << "      \"name\": \"" << r.spec.name << "\",\n";
-    os << "      \"topology\": \""
-       << scenario::topology_name(r.spec.topology) << "\",\n";
-    os << "      \"dist\": \"" << r.spec.dist << "\",\n";
-    os << "      \"nodes\": " << r.spec.nodes << ",\n";
-    os << "      \"k\": " << r.spec.k << ",\n";
-    os << "      \"load\": " << json_num(r.spec.load) << ",\n";
-    os << "      \"draws\": " << r.draws << ",\n";
-    os << "      \"measured_ms\": " << json_num(r.measured) << ",\n";
-    os << "      \"ci_lo_ms\": " << json_num(r.ci_lo) << ",\n";
-    os << "      \"ci_hi_ms\": " << json_num(r.ci_hi) << ",\n";
-    os << "      \"forktail_ms\": " << json_num(r.forktail) << ",\n";
-    os << "      \"lower_ms\": " << json_num(r.lower) << ",\n";
-    os << "      \"upper_ms\": " << json_num(r.upper) << ",\n";
-    os << "      \"width_rel\": "
-       << json_num((r.upper - r.lower) / r.upper) << ",\n";
-    os << "      \"certified\": " << (r.certified ? "true" : "false")
-       << ",\n";
-    os << "      \"contained\": " << (r.contained ? "true" : "false")
-       << ",\n";
-    os << "      \"forktail_contained\": "
-       << (r.forktail_contained ? "true" : "false") << ",\n";
-    os << "      \"seconds\": " << json_num(r.seconds) << "\n";
-    os << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n";
-  os << "}\n";
+void add_row(BenchReport& report, const RowResult& r) {
+  BenchRow& row = report.row(r.spec.name);
+  row.info.set("topology", scenario::topology_name(r.spec.topology));
+  row.info.set("dist", r.spec.dist);
+  row.info.set("nodes", r.spec.nodes);
+  row.info.set("k", r.spec.k);
+  row.info.set("load", r.spec.load);
+  row.info.set("draws", r.draws);
+  row.info.set("measured_ms", r.measured);
+  row.info.set("ci_lo_ms", r.ci_lo);
+  row.info.set("ci_hi_ms", r.ci_hi);
+  row.info.set("forktail_ms", r.forktail);
+  row.info.set("lower_ms", r.lower);
+  row.info.set("upper_ms", r.upper);
+  row.info.set("seconds", r.seconds);
+  row.checks["certified"] = r.certified;
+  row.checks["bracket_ordered"] = r.lower <= r.upper;
+  row.checks["contained"] = r.contained;
+  row.checks["forktail_contained"] = r.forktail_contained;
+  // Wider brackets are weaker certificates.  At the same scale and seed
+  // the bounds are deterministic, so growth is a real weakening, not noise.
+  row.metric("width_rel", (r.upper - r.lower) / r.upper, "ratio",
+             Better::kLower, 0.10);
 }
 
 }  // namespace
@@ -243,8 +185,10 @@ int main(int argc, char** argv) {
         .str(r.spec.name)
         .integer(static_cast<long long>(r.draws))
         .num(r.measured, 2)
-        .str("[" + util::format_fixed(r.ci_lo, 2) + ", " +
-             util::format_fixed(r.ci_hi, 2) + "]")
+        .str(std::string("[").append(util::format_fixed(r.ci_lo, 2))
+                 .append(", ")
+                 .append(util::format_fixed(r.ci_hi, 2))
+                 .append("]"))
         .num(r.forktail, 2)
         .num(r.lower, 2)
         .num(r.upper, 2)
@@ -254,9 +198,22 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, options);
 
-  if (!out.empty()) {
-    bench::write_json(out, options, flags.get_string("scale"), results);
-    std::printf("wrote %s\n", out.c_str());
+  std::size_t contained = 0;
+  std::size_t ft_contained = 0;
+  bench::BenchReport report("bench_bounds", flags.get_string("scale"));
+  for (const bench::RowResult& r : results) {
+    contained += r.contained ? 1 : 0;
+    ft_contained += r.forktail_contained ? 1 : 0;
+    bench::add_row(report, r);
   }
-  return 0;
+  const auto n = static_cast<double>(results.size());
+  report.info.set("seed", options.seed);
+  report.info.set("percentile", 99.0);
+  report.info.set("ground_truth",
+                  "perfect sampler (exact stationary draws; "
+                  "fjsim/perfect_sampler.hpp)");
+  report.info.set("containment_rate", static_cast<double>(contained) / n);
+  report.info.set("forktail_containment_rate",
+                  static_cast<double>(ft_contained) / n);
+  return report.finish(out);
 }

@@ -3,7 +3,7 @@
 // std::function engine (tests/support/heap_engine.hpp) it replaced.
 //
 //   bench_cluster [--scale smoke|default|full] [--seed N] [--reps N]
-//                 [--csv true] [--min-speedup X] [--out BENCH_cluster.json]
+//                 [--csv true] [--out BENCH_cluster.json]
 //                 [--metrics-out BENCH_cluster.metrics.json]
 //
 // Rows (see docs/performance.md, part 3):
@@ -23,24 +23,21 @@
 //     calendar engine compacts tombstones (compactions > 0); the heap
 //     engine carries them to pop.
 //
-// Every row asserts bit-identity between its two paths at runtime (exit 1
-// on divergence) and across repetitions; --min-speedup fails the run when
-// the acceptance row comes in under the bar (0 disables, the default --
-// CI smoke runs are too noisy/small to gate on a ratio).
+// The report (bench/common.hpp's forktail.bench.v1 envelope) has one row
+// per (workload, path) with the median event rate as its gated metric.
+// Every candidate row checks bit-identity with its baseline path
+// (`identical_to_baseline`); at --scale full the acceptance row also
+// checks the >= 3x speedup bar (`speedup_at_least_3x` -- smaller runs are
+// too short to gate on a ratio).  A false check exits 1, and a run that is
+// not deterministic across repetitions throws.
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 #include "common.hpp"
 #include "dist/factory.hpp"
@@ -134,26 +131,6 @@ class PathAccumulator {
   std::vector<double> rates_;
   std::vector<double> seconds_;
 };
-
-long peak_rss_kib() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-#if defined(__APPLE__)
-    return usage.ru_maxrss / 1024;  // bytes on macOS
-#else
-    return usage.ru_maxrss;  // KiB on Linux
-#endif
-  }
-#endif
-  return -1;
-}
-
-std::string json_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 /// Schedule one cancellable no-op event through each engine's own API: a
 /// typed event on the calendar engine (whose bound dispatcher ignores it),
@@ -337,67 +314,20 @@ std::vector<Workload> build_workloads(const BenchOptions& options,
   return workloads;
 }
 
-struct WorkloadResult {
-  const Workload* workload = nullptr;
-  PathResult baseline;
-  PathResult candidate;
-  bool identical = false;  ///< baseline == candidate fingerprint (bitwise)
-  double speedup() const { return candidate.rate_p50 / baseline.rate_p50; }
-};
+/// The acceptance row's events/sec p50 must beat the heap engine by this
+/// factor at --scale full (1000 nodes / 10M requests).
+constexpr double kAcceptanceSpeedup = 3.0;
 
-void write_json(const std::string& path, const BenchOptions& options,
-                const std::string& scale_name, std::size_t reps,
-                std::uint64_t compactions,
-                const std::vector<WorkloadResult>& results) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("bench_cluster: cannot write " + path);
-  os << "{\n";
-  os << "  \"benchmark\": \"bench_cluster\",\n";
-  os << "  \"scale\": \"" << scale_name << "\",\n";
-  os << "  \"seed\": " << options.seed << ",\n";
-  os << "  \"reps\": " << reps << ",\n";
-  os << "  \"baseline_engine\": \"binary heap + std::function handlers "
-        "(tests/support/heap_engine.hpp, pre-change driver)\",\n";
-  os << "  \"candidate_engine\": \"two-level calendar queue + typed POD "
-        "events (sim/engine.hpp)\",\n";
-  os << "  \"cancel_heavy_compactions\": " << compactions << ",\n";
-  os << "  \"peak_rss_kib\": " << peak_rss_kib() << ",\n";
-  os << "  \"workloads\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const WorkloadResult& r = results[i];
-    const auto path_json = [&](const char* label, const PathResult& p) {
-      os << "      \"" << label << "\": {\n";
-      os << "        \"seconds_p50\": " << json_num(p.seconds_p50) << ",\n";
-      os << "        \"events_per_sec_p50\": " << json_num(p.rate_p50)
-         << ",\n";
-      os << "        \"events_per_sec_p95\": " << json_num(p.rate_p95)
-         << "\n";
-      os << "      }";
-    };
-    os << "    {\n";
-    os << "      \"name\": \"" << r.workload->name << "\",\n";
-    os << "      \"kind\": \"" << r.workload->kind << "\",\n";
-    os << "      \"unit\": \"" << r.workload->unit << "\",\n";
-    os << "      \"acceptance\": "
-       << (r.workload->acceptance ? "true" : "false") << ",\n";
-    os << "      \"nodes\": " << r.workload->nodes << ",\n";
-    os << "      \"requests\": " << r.workload->requests << ",\n";
-    os << "      \"events_per_run\": " << r.candidate.count << ",\n";
-    os << "      \"baseline_label\": \"" << r.workload->baseline_label
-       << "\",\n";
-    os << "      \"candidate_label\": \"" << r.workload->candidate_label
-       << "\",\n";
-    os << "      \"identical\": " << (r.identical ? "true" : "false")
-       << ",\n";
-    path_json("baseline", r.baseline);
-    os << ",\n";
-    path_json("candidate", r.candidate);
-    os << ",\n";
-    os << "      \"speedup_p50\": " << json_num(r.speedup()) << "\n";
-    os << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n";
-  os << "}\n";
+/// One report row per (workload, path), gated on the median event rate.
+BenchRow& path_row(BenchReport& report, const Workload& w, const char* path,
+                   const std::string& label, const PathResult& r) {
+  BenchRow& row = report.row(w.name + "/" + path);
+  row.info.set("label", label);
+  row.info.set("seconds_p50", r.seconds_p50);
+  row.info.set("events_per_sec_p95", r.rate_p95);
+  row.metric("events_per_sec_p50", r.rate_p50, w.unit + "/s",
+             Better::kHigher, 0.10);
+  return row;
 }
 
 }  // namespace
@@ -407,9 +337,6 @@ int main(int argc, char** argv) {
   using namespace forktail;
   util::CliFlags flags;
   flags.declare("reps", "3", "timed repetitions per (workload, path)");
-  flags.declare("min-speedup", "0",
-                "fail unless the acceptance row speedup is >= this "
-                "(0 disables)");
   flags.declare("out", "BENCH_cluster.json",
                 "output JSON path (empty disables the file)");
   flags.declare("metrics-out", "BENCH_cluster.metrics.json",
@@ -420,8 +347,7 @@ int main(int argc, char** argv) {
   const auto reps_flag = flags.get_int("reps");
   if (reps_flag < 1) throw std::invalid_argument("--reps must be >= 1");
   const auto reps = static_cast<std::size_t>(reps_flag);
-  const double min_speedup = flags.get_double("min-speedup");
-  const std::string out = flags.get_string("out");
+  const std::string scale = flags.get_string("scale");
   const std::string metrics_out = flags.get_string("metrics-out");
 
   bench::print_banner("bench_cluster",
@@ -432,12 +358,20 @@ int main(int argc, char** argv) {
   std::uint64_t compactions = 0;
   const auto workloads = bench::build_workloads(options, &compactions);
 
-  std::vector<bench::WorkloadResult> results;
-  results.reserve(workloads.size());
-  bool all_identical = true;
+  bench::BenchReport report("bench_cluster", scale);
+  report.info.set("seed", options.seed);
+  report.info.set("reps", reps);
+  report.info.set("baseline_engine",
+                  "binary heap + std::function handlers "
+                  "(tests/support/heap_engine.hpp, pre-change driver)");
+  report.info.set("candidate_engine",
+                  "two-level calendar queue + typed POD events "
+                  "(sim/engine.hpp)");
+  report.info.set("cancel_heavy_compactions", compactions);
+
+  util::Table table({"workload", "unit", "count/run", "base_Mev/s",
+                     "cand_Mev/s", "speedup", "identical"});
   for (const bench::Workload& w : workloads) {
-    bench::WorkloadResult r;
-    r.workload = &w;
     bench::PathAccumulator baseline(w, bench::Path::kBaseline, reps);
     bench::PathAccumulator candidate(w, bench::Path::kCandidate, reps);
     // Interleave the reps so clock / turbo drift hits both paths equally:
@@ -449,59 +383,48 @@ int main(int argc, char** argv) {
     // Bitwise cross-check: the calendar engine must reproduce the heap
     // engine's outputs exactly (== on the doubles, no tolerance) -- the
     // determinism contract of the rewrite.
-    r.identical = baseline.warm().fingerprint == candidate.warm().fingerprint;
-    r.baseline = baseline.finish();
-    r.candidate = candidate.finish();
-    all_identical = all_identical && r.identical;
-    results.push_back(r);
-  }
+    const bool identical =
+        baseline.warm().fingerprint == candidate.warm().fingerprint;
+    const bench::PathResult b = baseline.finish();
+    const bench::PathResult c = candidate.finish();
+    const double speedup = c.rate_p50 / b.rate_p50;
 
-  util::Table table({"workload", "unit", "count/run", "base_Mev/s",
-                     "cand_Mev/s", "speedup", "identical"});
-  for (const bench::WorkloadResult& r : results) {
+    bench::BenchRow& base_row =
+        bench::path_row(report, w, "baseline", w.baseline_label, b);
+    base_row.info.set("kind", w.kind);
+    base_row.info.set("acceptance", w.acceptance);
+    base_row.info.set("nodes", w.nodes);
+    base_row.info.set("requests", w.requests);
+    base_row.info.set("events_per_run", c.count);
+    bench::BenchRow& cand_row =
+        bench::path_row(report, w, "candidate", w.candidate_label, c);
+    cand_row.info.set("speedup_p50", speedup);
+    cand_row.checks["identical_to_baseline"] = identical;
+    if (w.acceptance && scale == "full") {
+      cand_row.checks["speedup_at_least_3x"] =
+          speedup >= bench::kAcceptanceSpeedup;
+    }
+
     table.row()
-        .str(r.workload->name)
-        .str(r.workload->unit)
-        .integer(static_cast<long long>(r.candidate.count))
-        .num(r.baseline.rate_p50 / 1e6, 2)
-        .num(r.candidate.rate_p50 / 1e6, 2)
-        .num(r.speedup(), 2)
-        .str(r.identical ? "yes" : "NO");
+        .str(w.name)
+        .str(w.unit)
+        .integer(static_cast<long long>(c.count))
+        .num(b.rate_p50 / 1e6, 2)
+        .num(c.rate_p50 / 1e6, 2)
+        .num(speedup, 2)
+        .str(identical ? "yes" : "NO");
   }
+  report.row("process").metric("peak_rss_kib",
+                               static_cast<double>(bench::peak_rss_kib()),
+                               "KiB", bench::Better::kLower, 0.25);
   bench::emit(table, options);
 
-  if (!out.empty()) {
-    bench::write_json(out, options, flags.get_string("scale"), reps,
-                      compactions, results);
-    std::printf("wrote %s (peak RSS %ld KiB, %llu compactions in the "
-                "cancel-heavy probe)\n",
-                out.c_str(), bench::peak_rss_kib(),
-                static_cast<unsigned long long>(compactions));
-  }
   if (!metrics_out.empty()) {
-    const obs::RunReport report =
+    const obs::RunReport telemetry =
         obs::RunReport::capture(obs::Registry::global(), "bench_cluster");
-    report.write(metrics_out);
+    telemetry.write(metrics_out);
     std::printf("wrote %s (run telemetry%s)\n", metrics_out.c_str(),
                 obs::enabled() ? "" : ", observability compiled out");
   }
-
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "bench_cluster: a workload diverged between the heap and "
-                 "calendar paths -- determinism regression\n");
-    return 1;
-  }
-  if (min_speedup > 0.0) {
-    for (const bench::WorkloadResult& r : results) {
-      if (r.workload->acceptance && r.speedup() < min_speedup) {
-        std::fprintf(stderr,
-                     "bench_cluster: acceptance row %s speedup %.2fx is "
-                     "under the %.2fx bar\n",
-                     r.workload->name.c_str(), r.speedup(), min_speedup);
-        return 1;
-      }
-    }
-  }
-  return 0;
+  return report.finish(flags.get_string("out"));
 }

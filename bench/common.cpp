@@ -1,9 +1,16 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <stdexcept>
+#include <utility>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
+#endif
 
 namespace forktail::bench {
 
@@ -49,6 +56,108 @@ void emit(const util::Table& table, const BenchOptions& options) {
     std::fputs(table.to_text().c_str(), stdout);
     std::fputs("\n", stdout);
   }
+}
+
+long peak_rss_kib() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+#if defined(__APPLE__)
+    return usage.ru_maxrss / 1024;  // bytes on macOS
+#else
+    return usage.ru_maxrss;  // KiB on Linux
+#endif
+  }
+#endif
+  return -1;
+}
+
+void quantile_ci(std::vector<double>& values, double q, double* lo,
+                 double* hi) {
+  std::sort(values.begin(), values.end());
+  const double m = static_cast<double>(values.size());
+  const double half = 2.576 * std::sqrt(m * q * (1.0 - q));
+  const auto clamp_index = [&](double j) {
+    return static_cast<std::size_t>(
+        std::min(m - 1.0, std::max(0.0, std::round(j))));
+  };
+  *lo = values[clamp_index(m * q - half - 1.0)];
+  *hi = values[clamp_index(m * q + half)];
+}
+
+namespace {
+
+util::Json checks_json(const std::map<std::string, bool>& checks) {
+  util::Json out = util::Json::object();
+  for (const auto& [name, ok] : checks) out.set(name, ok);
+  return out;
+}
+
+}  // namespace
+
+void BenchRow::metric(const std::string& metric_name, double value,
+                      const std::string& unit, Better better, double bound,
+                      bool absolute) {
+  util::Json m = util::Json::object();
+  m.set("value", value);
+  m.set("unit", unit);
+  m.set("better", better == Better::kHigher ? "higher" : "lower");
+  m.set("bound", bound);
+  if (absolute) m.set("absolute", true);
+  metrics.set(metric_name, std::move(m));
+}
+
+BenchReport::BenchReport(std::string benchmark, const std::string& scale)
+    : benchmark_(std::move(benchmark)) {
+  shape.set("scale", scale);
+}
+
+BenchRow& BenchReport::row(std::string name) {
+  BenchRow& r = rows_.emplace_back();
+  r.name = std::move(name);
+  return r;
+}
+
+util::Json BenchReport::to_json() const {
+  util::Json rows = util::Json::array();
+  for (const BenchRow& r : rows_) {
+    util::Json row = util::Json::object();
+    row.set("name", r.name);
+    row.set("info", r.info);
+    row.set("checks", checks_json(r.checks));
+    row.set("metrics", r.metrics);
+    rows.push_back(std::move(row));
+  }
+  util::Json doc = util::Json::object();
+  doc.set("schema", "forktail.bench.v1");
+  doc.set("benchmark", benchmark_);
+  doc.set("shape", shape);
+  doc.set("info", info);
+  doc.set("checks", checks_json(checks));
+  doc.set("rows", std::move(rows));
+  return doc;
+}
+
+int BenchReport::finish(const std::string& path) const {
+  if (!path.empty()) {
+    std::ofstream os(path);
+    os << to_json().dump(2) << "\n";
+    if (!os) throw std::runtime_error(benchmark_ + ": cannot write " + path);
+    std::printf("wrote %s\n", path.c_str());
+  }
+  int status = 0;
+  const auto report = [&](const std::string& scope,
+                          const std::map<std::string, bool>& checks) {
+    for (const auto& [name, ok] : checks) {
+      if (ok) continue;
+      std::fprintf(stderr, "%s: check failed: %s%s\n", benchmark_.c_str(),
+                   scope.c_str(), name.c_str());
+      status = 1;
+    }
+  };
+  report("", checks);
+  for (const BenchRow& r : rows_) report(r.name + ": ", r.checks);
+  return status;
 }
 
 }  // namespace forktail::bench

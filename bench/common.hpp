@@ -10,9 +10,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace forktail::bench {
@@ -53,5 +57,67 @@ void print_banner(const std::string& exhibit, const std::string& description,
 
 /// Print a table in the selected format.
 void emit(const util::Table& table, const BenchOptions& options);
+
+/// Peak resident set size of this process in KiB (-1 when unavailable).
+long peak_rss_kib();
+
+/// 99% distribution-free confidence interval [*lo, *hi] for the q-quantile
+/// from order statistics: indices m*q -+ z*sqrt(m q (1-q)), z = 2.576.
+/// Sorts `values`.
+void quantile_ci(std::vector<double>& values, double q, double* lo,
+                 double* hi);
+
+/// Which direction of a metric is an improvement.
+enum class Better { kHigher, kLower };
+
+/// One row of a BenchReport: free-form info, named checks, gated metrics.
+struct BenchRow {
+  std::string name;
+  util::Json info = util::Json::object();
+  std::map<std::string, bool> checks;
+  util::Json metrics = util::Json::object();
+
+  /// A metric tools/perf_gate.py compares against the baseline when the
+  /// report shapes match: it may worsen (in the `better` direction) by at
+  /// most `bound` times the baseline value, or by `bound` itself when
+  /// `absolute` is set.
+  void metric(const std::string& metric_name, double value,
+              const std::string& unit, Better better, double bound,
+              bool absolute = false);
+};
+
+/// A benchmark report in the one envelope every tracked BENCH_*.json uses
+/// (schema "forktail.bench.v1", docs/performance.md "The CI perf gate"):
+///
+///   {"schema", "benchmark", "shape", "info", "checks",
+///    "rows": [{"name", "info", "checks",
+///              "metrics": {m: {"value", "unit", "better", "bound"}}}]}
+///
+/// `shape` holds what must match before two reports' metrics compare
+/// (scale, and anything else that changes the numbers' meaning); `checks`
+/// are the invariants the run itself asserts.  A run whose checks are not
+/// all true exits 1, and the gate refuses it too.
+class BenchReport {
+ public:
+  BenchReport(std::string benchmark, const std::string& scale);
+
+  util::Json shape = util::Json::object();
+  util::Json info = util::Json::object();
+  std::map<std::string, bool> checks;
+
+  /// Append a row; the reference stays valid for the report's lifetime.
+  BenchRow& row(std::string name);
+
+  /// Write the report to `path` (skipped when empty), name every false
+  /// check on stderr, and return the process exit status: 0 when every
+  /// check holds, 1 otherwise.
+  int finish(const std::string& path) const;
+
+ private:
+  util::Json to_json() const;
+
+  std::string benchmark_;
+  std::deque<BenchRow> rows_;
+};
 
 }  // namespace forktail::bench

@@ -25,7 +25,7 @@ inline constexpr int kRunReportVersion = 1;
 class RunReport {
  public:
   /// Snapshot `registry` now.  `tool` identifies the producing command
-  /// (e.g. "forktail bench") in the emitted document; `scenario` optionally
+  /// (e.g. "bench_replay") in the emitted document; `scenario` optionally
   /// names the scenario the run executed (`forktail run` passes the spec's
   /// name).  An empty scenario is omitted from the document, so documents
   /// without one keep the exact v1 key set.  `degraded` marks runs whose

@@ -1,5 +1,5 @@
-// Trace record types shared by the generator, the CSV reader/writer, and
-// the consolidated simulator.
+// Trace record types shared by the generator and the consolidated
+// simulator.
 #pragma once
 
 #include <cstdint>

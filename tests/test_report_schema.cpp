@@ -1,6 +1,7 @@
-// Schema regression tests for the two JSON artifacts downstream tooling
-// parses: the tracked BENCH_replay.json performance baseline and the
-// observability RunReport (forktail.run_report.v1).  A key disappearing or
+// Schema regression tests for the JSON artifacts downstream tooling
+// parses: the tracked BENCH_*.json reports (forktail.bench.v1, the
+// envelope tools/perf_gate.py reads) and the observability RunReport
+// (forktail.run_report.v1).  A key disappearing or
 // being renamed is an API break for dashboards -- these tests pin the key
 // sets so such a change has to be made deliberately (and versioned).
 //
@@ -8,7 +9,6 @@
 // in-test reader this file used to carry was promoted to src/util/json).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <string>
 
@@ -27,58 +27,61 @@ namespace {
 using test_support::parse_json_file;
 using util::Json;
 
-// ------------------------------------------------ BENCH_replay.json schema
+// ------------------------------------------- tracked BENCH_*.json envelope
+
+/// Every check in `checks` (an object of named booleans) holds.
+void expect_all_true(const Json& checks, const std::string& where) {
+  ASSERT_TRUE(checks.is_object()) << where;
+  for (const auto& [name, ok] : checks.fields()) {
+    EXPECT_TRUE(ok.as_bool()) << where << ": check " << name;
+  }
+}
 
 TEST(ReportSchema, BenchReplayBaselineKeySet) {
-  const Json doc = parse_json_file(std::string(FORKTAIL_SOURCE_DIR) +
-                                   "/BENCH_replay.json");
   const std::set<std::string> expected_top = {
-      "benchmark",       "scale",          "seed",
-      "reps",            "threads",        "default_batch",
-      "scalar_pipeline", "batched_pipeline", "vector_pipeline",
-      "simd_dispatch",   "peak_rss_kib",   "workloads"};
-  EXPECT_EQ(doc.keys(), expected_top);
-  EXPECT_EQ(doc.at("benchmark").as_string(), "bench_replay");
+      "schema", "benchmark", "shape", "info", "checks", "rows"};
+  const std::set<std::string> expected_row = {"name", "info", "checks",
+                                              "metrics"};
+  const std::set<std::string> expected_metric = {"value", "unit", "better",
+                                                 "bound"};
+  for (const std::string bench : {"replay", "cluster", "bounds", "heavy"}) {
+    const std::string file = "BENCH_" + bench + ".json";
+    const Json doc =
+        parse_json_file(std::string(FORKTAIL_SOURCE_DIR) + "/" + file);
+    EXPECT_EQ(doc.keys(), expected_top) << file;
+    EXPECT_EQ(doc.at("schema").as_string(), "forktail.bench.v1") << file;
+    EXPECT_TRUE(doc.at("shape").contains("scale")) << file;
+    expect_all_true(doc.at("checks"), file);
 
-  const Json& workloads = doc.at("workloads");
-  ASSERT_TRUE(workloads.is_array());
-  ASSERT_FALSE(workloads.items().empty());
-  const std::set<std::string> expected_workload = {
-      "name",
-      "kind",
-      "tasks_per_run",
-      "p99_response",
-      "paths_identical",
-      "vector_paths_identical",
-      "vector_vs_batched_p99_rel",
-      "scalar",
-      "batched",
-      "vector",
-      "vector_t2",
-      "speedup_p50",
-      "speedup_vector_p50",
-      "speedup_vector_t2_p50"};
-  const std::set<std::string> expected_path = {
-      "seconds_p50", "tasks_per_sec_p50", "tasks_per_sec_p95"};
-  for (const Json& w : workloads.items()) {
-    EXPECT_EQ(w.keys(), expected_workload) << "workload " << w.at("name").as_string();
-    EXPECT_EQ(w.at("scalar").keys(), expected_path);
-    EXPECT_EQ(w.at("batched").keys(), expected_path);
-    EXPECT_EQ(w.at("vector").keys(), expected_path);
-    EXPECT_EQ(w.at("vector_t2").keys(), expected_path);
-    // The contracts the benchmark enforces at runtime must hold in the
-    // tracked baseline too: scalar == batched bitwise, vector threads=1 ==
-    // threads=2 bitwise, and the vector tail within the golden-change band
-    // of the batched tail.
-    EXPECT_TRUE(w.at("paths_identical").as_bool())
-        << "workload " << w.at("name").as_string();
-    EXPECT_TRUE(w.at("vector_paths_identical").as_bool())
-        << "workload " << w.at("name").as_string();
-    EXPECT_LE(std::abs(w.at("vector_vs_batched_p99_rel").as_number()), 0.15)
-        << "workload " << w.at("name").as_string();
-    EXPECT_GT(w.at("speedup_p50").as_number(), 0.0);
-    EXPECT_GT(w.at("speedup_vector_p50").as_number(), 0.0);
-    EXPECT_GT(w.at("speedup_vector_t2_p50").as_number(), 0.0);
+    std::set<std::string> names;
+    ASSERT_FALSE(doc.at("rows").items().empty()) << file;
+    for (const Json& row : doc.at("rows").items()) {
+      const std::string where = file + " " + row.at("name").as_string();
+      EXPECT_EQ(row.keys(), expected_row) << where;
+      names.insert(row.at("name").as_string());
+      expect_all_true(row.at("checks"), where);
+      for (const auto& [metric, m] : row.at("metrics").fields()) {
+        // "absolute" marks a bound that is a difference, not a fraction.
+        std::set<std::string> keys = m.keys();
+        keys.erase("absolute");
+        EXPECT_EQ(keys, expected_metric) << where << " " << metric;
+        const std::string better = m.at("better").as_string();
+        EXPECT_TRUE(better == "higher" || better == "lower") << where;
+        EXPECT_GT(m.at("bound").as_number(), 0.0) << where;
+      }
+    }
+    if (bench != "replay") continue;
+    // The replay envelope: every workload has a row for each of the four
+    // paths, and the shape names the SIMD dispatch level.
+    EXPECT_TRUE(doc.at("shape").contains("simd_dispatch"));
+    for (const std::string& name : names) {
+      const std::string workload = name.substr(0, name.find('/'));
+      if (workload == "process") continue;
+      for (const char* path : {"scalar", "batched", "vector", "vector_t2"}) {
+        EXPECT_EQ(names.count(workload + "/" + path), 1u)
+            << workload << " lacks its " << path << " row";
+      }
+    }
   }
 }
 

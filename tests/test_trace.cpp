@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <sstream>
-
 #include "trace/facebook.hpp"
-#include "trace/io.hpp"
 #include "fjsim/consolidated.hpp"
 #include "util/rng.hpp"
 
@@ -132,121 +128,6 @@ TEST(TraceSynthesis, RecordsHaveExpectedShape) {
   }
 }
 
-TEST(TraceIo, RoundTripPreservesRecords) {
-  FacebookWorkload w(default_params());
-  const auto records = synthesize_trace(w, 100, 5.0, 0.05, 8);
-  std::stringstream ss;
-  write_trace(ss, records);
-  const auto loaded = read_trace(ss);
-  ASSERT_EQ(loaded.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_NEAR(loaded[i].arrival_time, records[i].arrival_time, 1e-9);
-    EXPECT_EQ(loaded[i].num_tasks, records[i].num_tasks);
-    EXPECT_NEAR(loaded[i].mean_task_time, records[i].mean_task_time, 1e-9);
-    ASSERT_EQ(loaded[i].task_times.size(), records[i].task_times.size());
-    for (std::size_t t = 0; t < records[i].task_times.size(); ++t) {
-      EXPECT_NEAR(loaded[i].task_times[t], records[i].task_times[t], 1e-6);
-    }
-  }
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  FacebookWorkload w(default_params());
-  const auto records = synthesize_trace(w, 20, 5.0, 0.05, 9);
-  const std::string path = "/tmp/forktail_trace_test.csv";
-  write_trace_file(path, records);
-  const auto loaded = read_trace_file(path);
-  EXPECT_EQ(loaded.size(), records.size());
-  std::remove(path.c_str());
-}
-
-TEST(TraceIo, MalformedLineRejected) {
-  std::stringstream ss("not,a,valid\n");
-  EXPECT_THROW(read_trace(ss), std::exception);
-}
-
-TEST(TraceIo, TaskCountMismatchRejected) {
-  std::stringstream ss("1.0,3,2.0,1.0;2.0\n");  // claims 3 tasks, lists 2
-  EXPECT_THROW(read_trace(ss), std::runtime_error);
-}
-
-TEST(TraceIo, MissingFileRejected) {
-  EXPECT_THROW(read_trace_file("/nonexistent/forktail.csv"), std::runtime_error);
-}
-
-TEST(TraceIo, TypedErrorCarriesLineNumber) {
-  std::stringstream ss("1.0,1,2.0,2.0\nnot,a,valid\n");
-  try {
-    read_trace(ss);
-    FAIL() << "expected TraceError";
-  } catch (const TraceError& e) {
-    EXPECT_EQ(e.line(), 2u);
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
-}
-
-TEST(TraceIo, TrailingGarbageInNumberRejected) {
-  std::stringstream ss("1.0abc,1,2.0,2.0\n");
-  EXPECT_THROW(read_trace(ss), TraceError);
-}
-
-TEST(TraceIo, NegativeTaskCountRejected) {
-  // stoul would silently wrap -3 modulo 2^64; the reader must reject it.
-  std::stringstream ss("1.0,-3,2.0,\n");
-  EXPECT_THROW(read_trace(ss), TraceError);
-}
-
-TEST(TraceIo, PartialReadRecoversPrefixOfTruncatedFile) {
-  // A collector killed mid-write leaves the last record cut off mid-field;
-  // the partial reader must keep everything before it and report the error.
-  const std::string text =
-      "0.5,2,1.0,1.25;2.5\n"
-      "1.5,3,1.0,1.0;2.0;3.0\n"
-      "2.5,3,1.0,1.0;2.\n";  // third record truncated mid task-time list
-  std::stringstream truncated(text);
-
-  const TraceReadResult result = read_trace_partial(truncated);
-  EXPECT_FALSE(result.complete);
-  ASSERT_EQ(result.records.size(), 2u);
-  EXPECT_EQ(result.error_line, 3u);
-  EXPECT_FALSE(result.error.empty());
-  EXPECT_EQ(result.records[0].num_tasks, 2u);
-  EXPECT_DOUBLE_EQ(result.records[0].task_times[1], 2.5);
-  EXPECT_EQ(result.records[1].num_tasks, 3u);
-  // The strict reader rejects the same stream outright.
-  std::stringstream again(text);
-  EXPECT_THROW(read_trace(again), TraceError);
-}
-
-TEST(TraceIo, PartialReadOfRecordCutMidNumber) {
-  // Truncation can also land inside a digit run, leaving a field like
-  // "3.1" that still parses: the count mismatch must catch it, and a
-  // dangling comma ("1.0,") must be caught as a bad field.
-  std::stringstream mid("0.5,1,1.0,1.25\n1.0,2,2.0,1.5\n");
-  const TraceReadResult a = read_trace_partial(mid);
-  EXPECT_FALSE(a.complete);
-  EXPECT_EQ(a.records.size(), 1u);
-  EXPECT_EQ(a.error_line, 2u);
-
-  std::stringstream dangling("0.5,1,1.0,1.25\n1.0,\n");
-  const TraceReadResult b = read_trace_partial(dangling);
-  EXPECT_FALSE(b.complete);
-  EXPECT_EQ(b.records.size(), 1u);
-  EXPECT_EQ(b.error_line, 2u);
-}
-
-TEST(TraceIo, PartialReadOfCleanStreamIsComplete) {
-  FacebookWorkload w(default_params());
-  const auto records = synthesize_trace(w, 5, 5.0, 0.05, 14);
-  std::stringstream ss;
-  write_trace(ss, records);
-  const TraceReadResult result = read_trace_partial(ss);
-  EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.records.size(), 5u);
-  EXPECT_EQ(result.error_line, 0u);
-  EXPECT_TRUE(result.error.empty());
-}
-
 TEST(TraceReplay, CyclesRecordsInOrder) {
   std::vector<JobRecord> records(3);
   for (std::uint32_t i = 0; i < 3; ++i) {
@@ -301,23 +182,20 @@ TEST(TraceMeanWork, MeanBasedAppliesTruncationInflation) {
 }
 
 TEST(TraceReplay, DrivesConsolidatedSimulator) {
-  // End-to-end: synthesize a trace, write/read it, replay it through the
-  // consolidated simulator at a fixed load.
+  // End-to-end: synthesize a trace and replay it through the consolidated
+  // simulator at a fixed load.
   FacebookWorkload::Params params = default_params();
   params.max_tasks = 16;
   params.target_fraction = 0.0;  // pure background trace
   FacebookWorkload workload(params);
-  auto records = synthesize_trace(workload, 2000, 5.0, 0.05, 11);
-  std::stringstream ss;
-  write_trace(ss, records);
-  const auto loaded = read_trace(ss);
+  const auto records = synthesize_trace(workload, 2000, 5.0, 0.05, 11);
 
   fjsim::ConsolidatedConfig cfg;
   cfg.num_nodes = 16;
   cfg.replicas = 3;
   cfg.load = 0.6;
-  cfg.generator = make_replay_generator(loaded, 16);
-  cfg.mean_work_per_job = trace_mean_work(loaded, 0.05, 16);
+  cfg.generator = make_replay_generator(records, 16);
+  cfg.mean_work_per_job = trace_mean_work(records, 0.05, 16);
   cfg.num_jobs = 20000;
   cfg.seed = 12;
   const auto r = fjsim::run_consolidated(cfg);

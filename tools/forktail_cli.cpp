@@ -13,7 +13,6 @@
 //                     --loads 0.5,0.9 --replicas 3 --threads 4
 //   forktail run      examples/homogeneous.json [--predict all] [--p 95,99]
 //                     [--scale smoke] [--metrics-out report.json]
-//   forktail bench    [--scale smoke] [--reps 5] [--out BENCH_replay.json]
 //
 // All times are in whatever unit the inputs use; the tool is unit-agnostic.
 #include <chrono>
@@ -28,7 +27,6 @@
 #include "core/forktail.hpp"
 #include "fjsim/config.hpp"
 #include "obs/report.hpp"
-#include "replay_bench.hpp"
 #include "scenario/run.hpp"
 #include "serve/server.hpp"
 #include "sweep.hpp"
@@ -496,39 +494,6 @@ int cmd_serve(int argc, const char* const* argv) {
   return 0;
 }
 
-int cmd_bench(int argc, const char* const* argv) {
-  // The batched replay throughput benchmark (bench/replay_bench.hpp),
-  // exposed on the CLI so the tracked BENCH_replay.json baseline can be
-  // refreshed without hunting for the bench binary.
-  util::CliFlags flags;
-  flags.declare("reps", "5", "timed repetitions per (workload, path)");
-  flags.declare("out", "BENCH_replay.json",
-                "output JSON path (empty disables the file)");
-  flags.declare("metrics-out", "BENCH_replay.metrics.json",
-                "run-telemetry report path (.prom for Prometheus text; "
-                "empty disables)");
-  bench::BenchOptions options;
-  if (!bench::parse_options(argc, argv, flags, options)) return 0;
-
-  bench::ReplayBenchOptions replay;
-  replay.scale = options.scale;
-  replay.scale_name = flags.get_string("scale");
-  replay.seed = options.seed;
-  replay.csv = options.csv;
-  const auto reps = flags.get_int("reps");
-  if (reps < 1) throw std::invalid_argument("--reps must be >= 1");
-  replay.reps = static_cast<std::size_t>(reps);
-  replay.threads = options.threads == 0 ? 1 : options.threads;
-  replay.out = flags.get_string("out");
-  replay.metrics_out = flags.get_string("metrics-out");
-
-  bench::print_banner("bench",
-                      "Batched replay engine: throughput vs the scalar "
-                      "reference path",
-                      options);
-  return bench::run_replay_bench(replay);
-}
-
 void usage() {
   std::fputs(
       "usage: forktail <command> [flags]\n"
@@ -543,8 +508,6 @@ void usage() {
       "            grid; --threads parallelizes cells deterministically\n"
       "  run       execute a declarative scenario JSON (examples/*.json):\n"
       "            simulate, measure percentiles, evaluate --predict models\n"
-      "  bench     batched replay throughput benchmark; writes the\n"
-      "            BENCH_replay.json performance baseline\n"
       "  serve     always-on prediction daemon for a scenario: UDP sample\n"
       "            ingest (forktail.wire.v1), TCP queries + Prometheus\n"
       "            scrape; clean drain on SIGTERM with a final RunReport\n"
@@ -576,7 +539,6 @@ int main(int argc, char** argv) {
     if (command == "samples") return cmd_samples(argc - 1, argv + 1);
     if (command == "sweep") return cmd_sweep(argc - 1, argv + 1);
     if (command == "run") return cmd_run(argc - 1, argv + 1);
-    if (command == "bench") return cmd_bench(argc - 1, argv + 1);
     if (command == "serve") return cmd_serve(argc - 1, argv + 1);
     std::fprintf(stderr, "forktail: unknown command: %s\n", command.c_str());
     return 1;

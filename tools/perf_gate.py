@@ -1,49 +1,34 @@
 #!/usr/bin/env python3
 """Performance-regression gate over the tracked benchmark reports.
 
-Understands five report schemas, detected from the "benchmark" field:
+Every tracked BENCH_*.json, and every fresh run of the bench that wrote
+it, uses one envelope (schema "forktail.bench.v1", written by
+bench/common.hpp):
 
-* BENCH_replay.json  ("bench_replay")  -- batched-vs-scalar replay paths.
-* BENCH_cluster.json ("bench_cluster") -- calendar-queue engine vs the
-  frozen binary-heap baseline (baseline/candidate paths per workload).
-* BENCH_bounds.json  ("bench_bounds")  -- certified (n, k) brackets vs
-  perfect-sampling ground truth.  Structural gate: every row must be
-  certified with lower <= upper, the measured CI must overlap the bracket,
-  and ForkTail's prediction must sit inside it (100% containment on both
-  counts).  Same-scale runs additionally gate relative bracket width
-  (wider brackets = weaker certificates = a regression).
-* BENCH_heavy.json   ("bench_heavy")   -- plain ForkTail vs the EVT
-  predictor on regularly-varying services.  Structural gate
-  (envelope-recovery): at least one row must be out of the accuracy
-  envelope for plain ForkTail, the EVT error must be strictly below the
-  plain error on EVERY out-of-envelope row, and at least one such row must
-  be pulled back inside the envelope.  Same-scale runs additionally gate
-  per-row EVT error growth.
-* BENCH_serve.json   ("bench_serve")   -- the serve daemon under UDP load
-  (tools/serve_loadgen.cpp).  Structural gate: load was actually sent and
-  ingested, predictions were served with a finite staleness distribution,
-  a nonzero malformed fraction moved the typed rejection counters, and
-  the daemon reported a bounded RSS.  Same-scale runs additionally gate
-  ingest throughput and peak RSS.
+  {"schema", "benchmark", "shape", "info", "checks",
+   "rows": [{"name", "info", "checks",
+             "metrics": {m: {"value", "unit", "better", "bound"}}}]}
 
-Compares a candidate report against the tracked baseline and fails
-(exit 1) when any (workload, path) throughput regresses by more than the
-allowed fraction, or when peak RSS grows by more than --max-rss-growth.
-Structural invariants -- the determinism flags the benchmarks assert at
-runtime -- are enforced unconditionally on the candidate, so a run that
-silently lost bit-identity fails the gate even if it got faster.  For
-bench_cluster that includes the acceptance row's speedup bar (>= 3x over
-the heap engine) whenever the candidate was produced at full scale.
+The bench computes its invariants itself, as named booleans in "checks",
+and exits 1 when one is false.  This gate compares a candidate report with
+the tracked baseline by four rules:
 
-Throughput and RSS comparisons are only meaningful between runs of the
-same shape: if the baseline and candidate differ in scale or SIMD dispatch
-level (CI runners rarely match the machine that produced the tracked
-baseline), the relative checks are SKIPPED with a note and only the
-structural checks apply.
+1. both use this schema and name the same benchmark;
+2. every check in the candidate is true;
+3. every row and metric of the baseline is present in the candidate, and,
+   when the shapes match, so is every check of the baseline;
+4. when the shapes match, no metric worsens -- in its "better" direction
+   ("higher" or "lower") -- by more than its "bound": a fraction of the
+   baseline value, or an absolute amount when the metric says
+   "absolute": true.
+
+"shape" holds what must be equal before numbers compare (the scale, and
+e.g. the SIMD dispatch level of a replay run).  CI runners rarely match the
+machine that produced a tracked file, so on a shape mismatch the metric
+comparison is skipped with a note and only rules 1-3 apply.
 
 Usage:
-  python3 tools/perf_gate.py BASELINE.json CANDIDATE.json \
-      [--max-regression 0.10] [--max-rss-growth 0.25]
+  python3 tools/perf_gate.py BASELINE.json CANDIDATE.json
 """
 
 from __future__ import annotations
@@ -52,9 +37,7 @@ import argparse
 import json
 import sys
 
-REPLAY_PATHS = ("scalar", "batched", "vector", "vector_t2")
-CLUSTER_PATHS = ("baseline", "candidate")
-CLUSTER_ACCEPTANCE_SPEEDUP = 3.0
+SCHEMA = "forktail.bench.v1"
 
 
 def load(path: str) -> dict:
@@ -62,352 +45,73 @@ def load(path: str) -> dict:
         return json.load(fh)
 
 
-def schema_of(doc: dict, label: str) -> str:
-    name = doc.get("benchmark")
-    if name not in ("bench_replay", "bench_cluster", "bench_bounds",
-                    "bench_heavy", "bench_serve"):
-        raise SystemExit(f"FAIL {label}: unknown benchmark schema {name!r}")
-    return name
+def gate(base: dict, cand: dict) -> list[str]:
+    """Return the rule violations of `cand` against `base`, printing the
+    metric comparisons as it goes."""
+    for label, doc in (("baseline", base), ("candidate", cand)):
+        if doc.get("schema") != SCHEMA:
+            return [f"{label}: schema {doc.get('schema')!r}, want {SCHEMA!r}"]
+    if base.get("benchmark") != cand.get("benchmark"):
+        return [f"baseline benchmark {base.get('benchmark')!r} != "
+                f"candidate benchmark {cand.get('benchmark')!r}"]
 
-
-def rate_field(schema: str) -> str:
-    return "tasks_per_sec_p50" if schema == "bench_replay" else "events_per_sec_p50"
-
-
-def paths_for(schema: str) -> tuple[str, ...]:
-    return REPLAY_PATHS if schema == "bench_replay" else CLUSTER_PATHS
-
-
-def replay_structural_errors(doc: dict, label: str) -> list[str]:
     errors = []
-    for w in doc.get("workloads", []):
-        name = w.get("name", "<unnamed>")
-        if not w.get("paths_identical", False):
-            errors.append(f"{label}: {name}: scalar/batched paths not bit-identical")
-        if not w.get("vector_paths_identical", False):
-            errors.append(
-                f"{label}: {name}: vector threads=1 vs threads=2 not bit-identical")
-        rel = w.get("vector_vs_batched_p99_rel")
-        if rel is None:
-            errors.append(f"{label}: {name}: missing vector_vs_batched_p99_rel")
-        elif abs(rel) > 0.15:
-            errors.append(
-                f"{label}: {name}: vector p99 deviates {rel:+.3f} from batched "
-                "(golden-change band is +/-15%)")
-        for p in REPLAY_PATHS:
-            if p not in w:
-                errors.append(f"{label}: {name}: missing path '{p}'")
-    return errors
+    cand_rows = {r["name"]: r for r in cand["rows"]}
+    scopes = [("", cand["checks"])]
+    scopes += [(f"{r['name']}: ", r["checks"]) for r in cand["rows"]]
+    for scope, checks in scopes:
+        errors += [f"{scope}check {name} is false"
+                   for name, ok in checks.items() if ok is not True]
 
+    same_shape = base["shape"] == cand["shape"]
+    if not same_shape:
+        print(f"SKIP metric comparison: shape differs "
+              f"(baseline={base['shape']}, candidate={cand['shape']})")
+    else:
+        errors += [f"check {name} missing"
+                   for name in base["checks"] if name not in cand["checks"]]
 
-def cluster_structural_errors(doc: dict, label: str) -> list[str]:
-    errors = []
-    saw_acceptance = False
-    for w in doc.get("workloads", []):
-        name = w.get("name", "<unnamed>")
-        if not w.get("identical", False):
-            errors.append(
-                f"{label}: {name}: heap and calendar paths not bit-identical")
-        for p in CLUSTER_PATHS:
-            if p not in w:
-                errors.append(f"{label}: {name}: missing path '{p}'")
-        if w.get("acceptance", False):
-            saw_acceptance = True
-            # The >= 3x bar is defined at the acceptance configuration
-            # (1000 nodes / 10M requests == --scale full); smaller runs are
-            # too short to gate on a ratio.
-            if doc.get("scale") == "full":
-                speedup = w.get("speedup_p50", 0.0)
-                if speedup < CLUSTER_ACCEPTANCE_SPEEDUP:
-                    errors.append(
-                        f"{label}: {name}: acceptance speedup {speedup:.2f}x is "
-                        f"under the {CLUSTER_ACCEPTANCE_SPEEDUP:.0f}x bar")
-    if not saw_acceptance:
-        errors.append(f"{label}: no acceptance workload in report")
-    return errors
-
-
-def bounds_structural_errors(doc: dict, label: str) -> list[str]:
-    errors = []
-    rows = doc.get("rows", [])
-    if not rows:
-        errors.append(f"{label}: no rows in report")
-    for r in rows:
-        name = r.get("name", "<unnamed>")
-        if not r.get("certified", False):
-            errors.append(f"{label}: {name}: bracket is not certified")
-        lower, upper = r.get("lower_ms"), r.get("upper_ms")
-        if lower is None or upper is None or not lower <= upper:
-            errors.append(
-                f"{label}: {name}: degenerate bracket [{lower}, {upper}]")
-        if not r.get("contained", False):
-            errors.append(
-                f"{label}: {name}: measured CI misses the certified bracket "
-                "-- the bounds (or the perfect sampler) are wrong")
-        if not r.get("forktail_contained", False):
-            errors.append(
-                f"{label}: {name}: ForkTail prediction "
-                f"{r.get('forktail_ms')} outside [{lower}, {upper}]")
-    for key in ("containment_rate", "forktail_containment_rate"):
-        if doc.get(key) != 1.0:
-            errors.append(f"{label}: {key} = {doc.get(key)!r}, want 1.0")
-    return errors
-
-
-def heavy_structural_errors(doc: dict, label: str) -> list[str]:
-    errors = []
-    rows = doc.get("rows", [])
-    if not rows:
-        errors.append(f"{label}: no rows in report")
-    out_rows = 0
-    recovered = 0
-    for r in rows:
-        name = r.get("name", "<unnamed>")
-        ft_err, evt_err = r.get("forktail_err"), r.get("evt_err")
-        if ft_err is None or evt_err is None:
-            errors.append(f"{label}: {name}: missing forktail_err/evt_err")
+    for ref in base["rows"]:
+        name = ref["name"]
+        row = cand_rows.get(name)
+        if row is None:
+            errors.append(f"{name}: row missing")
             continue
-        if r.get("forktail_within", False):
-            continue
-        out_rows += 1
-        if evt_err >= ft_err:
-            errors.append(
-                f"{label}: {name}: out of envelope but EVT error {evt_err:.3f}"
-                f" does not beat plain error {ft_err:.3f}")
-        if r.get("evt_within", False):
-            recovered += 1
-    if rows and out_rows == 0:
-        errors.append(
-            f"{label}: no out-of-envelope row -- the sweep no longer reaches "
-            "the breakdown boundary")
-    if rows and out_rows > 0 and recovered == 0:
-        errors.append(
-            f"{label}: no out-of-envelope row is recovered by the EVT "
-            "predictor")
-    if rows and not doc.get("envelope_recovered", False):
-        errors.append(f"{label}: envelope_recovered flag is not set")
+        if same_shape:
+            errors += [f"{name}: check {c} missing"
+                       for c in ref["checks"] if c not in row["checks"]]
+        for metric, b in ref["metrics"].items():
+            c = row["metrics"].get(metric)
+            if c is None:
+                errors.append(f"{name}: metric {metric} missing")
+                continue
+            if not same_shape:
+                continue
+            bv, cv = b["value"], c["value"]
+            worse = bv - cv if b["better"] == "higher" else cv - bv
+            allowed = b["bound"] * (1.0 if b.get("absolute") else abs(bv))
+            status = "FAIL" if worse > allowed else "ok  "
+            print(f"{status} {name:36s} {metric:20s} {bv:.6g} -> {cv:.6g} "
+                  f"{b['unit']} (worse by {worse:+.4g}, "
+                  f"allowed {allowed:.4g})")
+            if worse > allowed:
+                errors.append(f"{name}: {metric} worsened beyond its bound")
     return errors
-
-
-def serve_structural_errors(doc: dict, label: str) -> list[str]:
-    errors = []
-    if doc.get("sent_datagrams", 0) <= 0:
-        errors.append(f"{label}: no datagrams were sent")
-    if doc.get("ingested_samples", 0) <= 0:
-        errors.append(f"{label}: the daemon ingested nothing")
-    if doc.get("queries", 0) <= 0:
-        errors.append(f"{label}: no predict queries completed")
-    if not doc.get("served", False):
-        errors.append(f"{label}: the final prediction was not served")
-    staleness = doc.get("staleness_ms", {})
-    if staleness.get("count", 0) <= 0:
-        errors.append(f"{label}: no served staleness samples collected")
-    elif staleness.get("p99", -1.0) < 0.0:
-        errors.append(f"{label}: staleness p99 is negative")
-    if doc.get("malformed_fraction", 0.0) > 0.0:
-        if doc.get("malformed_sent", 0) <= 0:
-            errors.append(
-                f"{label}: malformed fraction set but nothing malformed sent")
-        if doc.get("rejected_total", 0) <= 0:
-            errors.append(
-                f"{label}: malformed datagrams sent but no typed rejection "
-                "counter moved")
-    if doc.get("peak_rss_kib", 0) <= 0:
-        errors.append(f"{label}: daemon RSS was not reported")
-    # Loopback delivery accounting: the daemon can never ingest more than
-    # was sent (a violation means double-counting somewhere).  Malformed
-    # datagrams mostly bounce, but a stale-timestamp one that happens to be
-    # a node's first batch legitimately lands, so they count toward the
-    # bound too.
-    sent = doc.get("sent_samples", 0)
-    sent += doc.get("malformed_sent", 0) * doc.get("batch", 0)
-    ingested = doc.get("ingested_samples", 0)
-    if sent > 0 and ingested > sent:
-        errors.append(
-            f"{label}: ingested {ingested} > sent {sent} -- counters "
-            "double-count")
-    return errors
-
-
-def structural_errors(doc: dict, label: str) -> list[str]:
-    schema = schema_of(doc, label)
-    if schema == "bench_replay":
-        return replay_structural_errors(doc, label)
-    if schema == "bench_bounds":
-        return bounds_structural_errors(doc, label)
-    if schema == "bench_heavy":
-        return heavy_structural_errors(doc, label)
-    if schema == "bench_serve":
-        return serve_structural_errors(doc, label)
-    return cluster_structural_errors(doc, label)
-
-
-def comparable_keys(schema: str) -> tuple[str, ...]:
-    # SIMD dispatch only shapes the replay benchmark; the event engines are
-    # scalar code.
-    if schema == "bench_replay":
-        return ("scale", "simd_dispatch")
-    return ("scale",)
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("baseline")
     ap.add_argument("candidate")
-    ap.add_argument("--max-regression", type=float, default=0.10,
-                    help="allowed fractional throughput drop per (workload, path)")
-    ap.add_argument("--max-rss-growth", type=float, default=0.25,
-                    help="allowed fractional peak-RSS growth vs the baseline")
     args = ap.parse_args()
 
-    base = load(args.baseline)
-    cand = load(args.candidate)
-
-    schema = schema_of(cand, "candidate")
-    if schema_of(base, "baseline") != schema:
-        print(f"FAIL baseline schema {base.get('benchmark')!r} != "
-              f"candidate schema {schema!r}")
-        return 1
-
-    errors = structural_errors(cand, "candidate")
+    errors = gate(load(args.baseline), load(args.candidate))
+    for e in errors:
+        print(f"FAIL {e}")
     if errors:
-        for e in errors:
-            print(f"FAIL {e}")
         return 1
-
-    comparable = True
-    for key in comparable_keys(schema):
-        if base.get(key) != cand.get(key):
-            print(f"SKIP rate comparison: {key} differs "
-                  f"(baseline={base.get(key)!r}, candidate={cand.get(key)!r})")
-            comparable = False
-    if not comparable:
-        print("OK   structural invariants hold; throughput not compared")
-        return 0
-
-    failures = []
-
-    if schema == "bench_bounds":
-        # Bracket-width regression: at the same scale and seed the bounds
-        # are deterministic, so any widening is a real weakening of the
-        # certificates, not noise.  The threshold still leaves room for
-        # intentional row retuning (which replaces the tracked file).
-        base_rows = {r["name"]: r for r in base.get("rows", [])}
-        for r in cand.get("rows", []):
-            name = r["name"]
-            ref = base_rows.get(name)
-            if ref is None:
-                print(f"NOTE {name}: not in baseline, skipping width")
-                continue
-            b, c = ref.get("width_rel", 0.0), r.get("width_rel", 0.0)
-            if b <= 0:
-                continue
-            growth = (c - b) / b
-            status = "FAIL" if growth > args.max_regression else "ok  "
-            print(f"{status} {name:30s} width_rel {b:.4f} -> {c:.4f} "
-                  f"({growth:+.1%})")
-            if growth > args.max_regression:
-                failures.append((name, "width_rel", growth))
-        if failures:
-            print(f"\n{len(failures)} regression(s) beyond threshold")
-            return 1
-        print("\nOK   no regressions beyond threshold; "
-              "containment 100% on every row")
-        return 0
-
-    if schema == "bench_heavy":
-        # Per-row EVT accuracy: at the same scale and seed the sweep is
-        # deterministic, so error growth beyond a small absolute band means
-        # the predictor (or an engine it depends on) changed behaviour.
-        band = 0.05
-        base_rows = {r["name"]: r for r in base.get("rows", [])}
-        for r in cand.get("rows", []):
-            name = r["name"]
-            ref = base_rows.get(name)
-            if ref is None:
-                print(f"NOTE {name}: not in baseline, skipping error band")
-                continue
-            b, c = ref.get("evt_err", 0.0), r.get("evt_err", 0.0)
-            growth = c - b
-            status = "FAIL" if growth > band else "ok  "
-            print(f"{status} {name:30s} evt_err {b:.3f} -> {c:.3f} "
-                  f"({growth:+.3f})")
-            if growth > band:
-                failures.append((name, "evt_err", growth))
-        if failures:
-            print(f"\n{len(failures)} regression(s) beyond threshold")
-            return 1
-        print("\nOK   no regressions beyond threshold; envelope recovery "
-              "holds on every out-of-envelope row")
-        return 0
-
-    if schema == "bench_serve":
-        # Ingest throughput and daemon RSS: at the same scale (agents /
-        # batch / malformed mix) a rate drop means the ingest plane got
-        # slower and RSS growth means a buffer stopped being bounded.
-        b_rate = base.get("ingest_rate_per_s", 0.0)
-        c_rate = cand.get("ingest_rate_per_s", 0.0)
-        if b_rate > 0:
-            drop = (b_rate - c_rate) / b_rate
-            status = "FAIL" if drop > args.max_regression else "ok  "
-            print(f"{status} ingest_rate_per_s {b_rate / 1e6:8.2f} -> "
-                  f"{c_rate / 1e6:8.2f} M/s ({-drop:+.1%})")
-            if drop > args.max_regression:
-                failures.append(("ingest_rate_per_s", "-", drop))
-        b_rss = base.get("peak_rss_kib", 0)
-        c_rss = cand.get("peak_rss_kib", 0)
-        if b_rss > 0 and c_rss > 0:
-            growth = (c_rss - b_rss) / b_rss
-            status = "FAIL" if growth > args.max_rss_growth else "ok  "
-            print(f"{status} peak_rss_kib {b_rss} -> {c_rss} ({growth:+.1%})")
-            if growth > args.max_rss_growth:
-                failures.append(("peak_rss_kib", "-", growth))
-        if failures:
-            print(f"\n{len(failures)} regression(s) beyond threshold")
-            return 1
-        print("\nOK   no regressions beyond threshold; rejection matrix "
-              "and staleness structure hold")
-        return 0
-
-    # Peak RSS: same scale means same working set by construction, so
-    # growth beyond the band is a memory regression (an unbounded buffer or
-    # a leaked arena), not noise.
-    base_rss = base.get("peak_rss_kib", -1)
-    cand_rss = cand.get("peak_rss_kib", -1)
-    if base_rss and cand_rss and base_rss > 0 and cand_rss > 0:
-        growth = (cand_rss - base_rss) / base_rss
-        status = "FAIL" if growth > args.max_rss_growth else "ok  "
-        print(f"{status} peak_rss_kib {base_rss} -> {cand_rss} ({growth:+.1%})")
-        if growth > args.max_rss_growth:
-            failures.append(("peak_rss_kib", "-", growth))
-
-    field = rate_field(schema)
-    base_rows = {w["name"]: w for w in base.get("workloads", [])}
-    for w in cand.get("workloads", []):
-        name = w["name"]
-        ref = base_rows.get(name)
-        if ref is None:
-            print(f"NOTE {name}: not in baseline, skipping rates")
-            continue
-        for p in paths_for(schema):
-            if p not in ref:
-                # Baseline predates this path family; nothing to regress from.
-                continue
-            b = ref[p][field]
-            c = w[p][field]
-            if b <= 0:
-                continue
-            drop = (b - c) / b
-            status = "FAIL" if drop > args.max_regression else "ok  "
-            print(f"{status} {name:28s} {p:10s} "
-                  f"{b / 1e6:8.2f} -> {c / 1e6:8.2f} M/s ({-drop:+.1%})")
-            if drop > args.max_regression:
-                failures.append((name, p, drop))
-
-    if failures:
-        print(f"\n{len(failures)} regression(s) beyond threshold")
-        return 1
-    print("\nOK   no regressions beyond threshold; structural invariants hold")
+    print("OK   every check holds; no metric beyond its bound")
     return 0
 
 

@@ -11,18 +11,24 @@
 //      exercised (and gated) from outside the process.
 //   2. Measure: a query client polls the TCP predict op during the run and
 //      collects the served staleness_ms distribution; at the end it pulls
-//      the daemon's RunReport (report op) and folds the serve.* counters
-//      into a BENCH_serve.json document for tools/perf_gate.py.
+//      the daemon's RunReport (report op), folds the serve.* counters into
+//      a JSON report (--out), and checks it: load was sent and ingested,
+//      predictions were served with a staleness distribution, a nonzero
+//      malformed fraction moved the typed rejection counters, the daemon
+//      reported its RSS, and it never ingested more than was sent.  A
+//      failed check exits 1.
 //   3. Probe (--probe): one predict query, response JSON on stdout.  The
 //      soak harness uses this to assert the daemon still serves -- with
 //      stated degradation reasons -- after its agents were kill -9'd.
 //
 // With --spawn the daemon runs in-process on ephemeral ports (still over
-// real loopback sockets), so one command produces a self-contained
-// benchmark run; with --udp-port/--tcp-port it targets an external
-// `forktail serve` daemon.
+// real loopback sockets), so one command produces a self-contained run;
+// with --udp-port/--tcp-port it targets an external `forktail serve`
+// daemon.  One sender thread drives an exponential(5) service 0 from seed
+// 1, and the query client asks for p99 every 50 ms.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -34,9 +40,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/server.hpp"
@@ -49,6 +55,11 @@ namespace {
 using forktail::serve::WireBatch;
 using forktail::util::Json;
 
+constexpr double kQueryIntervalMs = 50.0;
+constexpr double kPercentile = 99.0;
+constexpr std::uint16_t kService = 0;
+constexpr std::uint64_t kSeed = 1;
+
 struct Options {
   std::uint16_t udp_port = 0;
   std::uint16_t tcp_port = 0;
@@ -56,13 +67,7 @@ struct Options {
   std::size_t agents = 1000;
   std::size_t batch = 64;    ///< samples per datagram (<= wire cap)
   double seconds = 2.0;
-  std::size_t threads = 1;   ///< sender threads
   double malformed_fraction = 0.0;
-  double query_interval_ms = 50.0;
-  double p = 99.0;
-  std::uint16_t service = 0;
-  std::uint64_t seed = 1;
-  std::string scale = "smoke";
   std::string out;
   bool probe = false;
 };
@@ -70,11 +75,9 @@ struct Options {
 [[noreturn]] void usage_error(const std::string& why) {
   std::cerr << "serve_loadgen: " << why << "\n"
             << "usage: forktail_serve_loadgen (--spawn | --udp-port P --tcp-port P)\n"
-            << "         [--agents N] [--batch M] [--seconds S] [--threads T]\n"
-            << "         [--malformed-fraction F] [--query-interval-ms MS]\n"
-            << "         [--p P] [--service ID] [--seed S] [--scale NAME]\n"
-            << "         [--out BENCH_serve.json]\n"
-            << "       forktail_serve_loadgen --probe --tcp-port P [--p P]\n";
+            << "         [--agents N] [--batch M] [--seconds S]\n"
+            << "         [--malformed-fraction F] [--out report.json]\n"
+            << "       forktail_serve_loadgen --probe --tcp-port P\n";
   std::exit(1);
 }
 
@@ -114,20 +117,8 @@ Options parse_options(int argc, char** argv) {
       opt.batch = parse_u64(arg, value());
     } else if (arg == "--seconds") {
       opt.seconds = parse_double(arg, value());
-    } else if (arg == "--threads") {
-      opt.threads = parse_u64(arg, value());
     } else if (arg == "--malformed-fraction") {
       opt.malformed_fraction = parse_double(arg, value());
-    } else if (arg == "--query-interval-ms") {
-      opt.query_interval_ms = parse_double(arg, value());
-    } else if (arg == "--p") {
-      opt.p = parse_double(arg, value());
-    } else if (arg == "--service") {
-      opt.service = static_cast<std::uint16_t>(parse_u64(arg, value()));
-    } else if (arg == "--seed") {
-      opt.seed = parse_u64(arg, value());
-    } else if (arg == "--scale") {
-      opt.scale = value();
     } else if (arg == "--out") {
       opt.out = value();
     } else if (arg == "--probe") {
@@ -147,7 +138,6 @@ Options parse_options(int argc, char** argv) {
   if (opt.batch == 0 || opt.batch > forktail::serve::kMaxSamplesPerDatagram) {
     usage_error("--batch must be in [1, 256]");
   }
-  if (opt.threads == 0) usage_error("--threads must be >= 1");
   if (opt.seconds <= 0.0) usage_error("--seconds must be > 0");
   if (opt.malformed_fraction < 0.0 || opt.malformed_fraction > 1.0) {
     usage_error("--malformed-fraction must be in [0, 1]");
@@ -175,7 +165,11 @@ class QueryClient {
     do {
       rc = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
     } while (rc < 0 && errno == EINTR);
-    if (rc < 0) {
+    // Each query is one small frame that waits for its reply: with Nagle
+    // on, it would sit out the peer's delayed ACK (~40 ms) first.
+    const int one = 1;
+    if (rc < 0 ||
+        ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
       close_fd();
       return false;
     }
@@ -235,16 +229,17 @@ class QueryClient {
     return true;
   }
 
+  /// Header and body go out in one buffer, so one send() carries the
+  /// whole frame.
   bool send_frame(const std::string& body) {
-    std::uint8_t header[4];
     const std::uint32_t len = static_cast<std::uint32_t>(body.size());
-    header[0] = static_cast<std::uint8_t>(len >> 24);
-    header[1] = static_cast<std::uint8_t>(len >> 16);
-    header[2] = static_cast<std::uint8_t>(len >> 8);
-    header[3] = static_cast<std::uint8_t>(len);
-    return send_all(header, 4) &&
-           send_all(reinterpret_cast<const std::uint8_t*>(body.data()),
-                    body.size());
+    std::vector<std::uint8_t> frame(4 + body.size());
+    frame[0] = static_cast<std::uint8_t>(len >> 24);
+    frame[1] = static_cast<std::uint8_t>(len >> 16);
+    frame[2] = static_cast<std::uint8_t>(len >> 8);
+    frame[3] = static_cast<std::uint8_t>(len);
+    std::memcpy(frame.data() + 4, body.data(), body.size());
+    return send_all(frame.data(), frame.size());
   }
 
   bool recv_frame(std::string& body) {
@@ -355,8 +350,7 @@ void corrupt(std::vector<std::uint8_t>& dgram, Corruption kind,
 }
 
 void sender_loop(const Options& opt, std::uint16_t udp_port,
-                 std::size_t thread_index, std::atomic<bool>& stop,
-                 SenderStats& stats) {
+                 std::atomic<bool>& stop, SenderStats& stats) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) {
     stats.send_errors += 1;
@@ -367,28 +361,19 @@ void sender_loop(const Options& opt, std::uint16_t udp_port,
   addr.sin_port = htons(udp_port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
 
-  forktail::util::Rng rng =
-      forktail::util::Rng(opt.seed).split(thread_index + 1);
-  // This thread owns a contiguous agent range; round-robin inside it so
-  // every agent's window keeps filling and its liveness stays fresh.
-  const std::size_t per = (opt.agents + opt.threads - 1) / opt.threads;
-  const std::size_t lo = thread_index * per;
-  const std::size_t hi = std::min(opt.agents, lo + per);
-  if (lo >= hi) {
-    ::close(fd);
-    return;
-  }
-
+  forktail::util::Rng rng = forktail::util::Rng(kSeed).split(1);
   WireBatch batch;
-  batch.service = opt.service;
+  batch.service = kService;
   batch.count = static_cast<std::uint16_t>(opt.batch);
   std::vector<std::uint8_t> dgram;
-  std::size_t agent = lo;
-  std::uint64_t corruption_cycle = thread_index;  // desynchronise threads
+  // Round-robin over the fleet so every agent's window keeps filling and
+  // its liveness stays fresh.
+  std::size_t agent = 0;
+  std::uint64_t corruption_cycle = 0;
 
   while (!stop.load(std::memory_order_acquire)) {
     batch.node = static_cast<std::uint32_t>(agent);
-    if (++agent >= hi) agent = lo;
+    if (++agent >= opt.agents) agent = 0;
     batch.timestamp_ns = steady_now_ns();
     for (std::size_t i = 0; i < opt.batch; ++i) {
       batch.samples[i] = 5.0 * -std::log(rng.uniform_pos());
@@ -400,7 +385,7 @@ void sender_loop(const Options& opt, std::uint16_t udp_port,
     if (mangle) {
       corrupt(dgram,
               static_cast<Corruption>(corruption_cycle++ % kCorruptionKinds),
-              opt.agents, opt.service);
+              opt.agents, kService);
     }
 
     ssize_t n;
@@ -451,11 +436,11 @@ double gauge_of(const Json& report, const std::string& name) {
   return gauges.at(name).as_number();
 }
 
-int run_probe(const Options& opt, std::uint16_t tcp_port) {
+int run_probe(std::uint16_t tcp_port) {
   QueryClient client;
   Json request = Json::object();
   request.set("op", "predict");
-  request.set("p", opt.p);
+  request.set("p", kPercentile);
   const std::string reply = client.call(tcp_port, request.dump(0));
   if (reply.empty()) {
     std::cerr << "serve_loadgen: probe: no response from port " << tcp_port
@@ -474,7 +459,7 @@ int run_load(const Options& opt) {
   if (opt.spawn) {
     forktail::serve::ServeConfig config;
     config.nodes = opt.agents;
-    config.service = opt.service;
+    config.service = kService;
     config.shards = 2;
     config.min_samples = 8;
     config.scenario_name = "serve-loadgen";
@@ -484,17 +469,13 @@ int run_load(const Options& opt) {
     tcp_port = local->tcp_port();
   }
 
-  if (opt.probe) return run_probe(opt, tcp_port);
+  if (opt.probe) return run_probe(tcp_port);
 
   std::atomic<bool> stop{false};
-  std::vector<SenderStats> stats(opt.threads);
-  std::vector<std::thread> senders;
-  senders.reserve(opt.threads);
+  SenderStats total;
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t t = 0; t < opt.threads; ++t) {
-    senders.emplace_back(sender_loop, std::cref(opt), udp_port, t,
-                         std::ref(stop), std::ref(stats[t]));
-  }
+  std::thread sender(sender_loop, std::cref(opt), udp_port, std::ref(stop),
+                     std::ref(total));
 
   // Query plane: poll predict while the load runs, collecting the served
   // staleness distribution the acceptance criteria gate on.
@@ -505,7 +486,7 @@ int run_load(const Options& opt) {
   bool last_served = false;
   Json predict_request = Json::object();
   predict_request.set("op", "predict");
-  predict_request.set("p", opt.p);
+  predict_request.set("p", kPercentile);
   const std::string predict_body = predict_request.dump(0);
 
   const auto deadline =
@@ -513,7 +494,7 @@ int run_load(const Options& opt) {
                std::chrono::duration<double>(opt.seconds));
   while (std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(opt.query_interval_ms));
+        std::chrono::duration<double, std::milli>(kQueryIntervalMs));
     const std::string reply = client.call(tcp_port, predict_body);
     if (reply.empty()) continue;
     try {
@@ -532,7 +513,7 @@ int run_load(const Options& opt) {
   }
 
   stop.store(true, std::memory_order_release);
-  for (auto& thread : senders) thread.join();
+  sender.join();
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -550,14 +531,6 @@ int run_load(const Options& opt) {
     } catch (const std::exception&) {
       report = Json();
     }
-  }
-
-  SenderStats total;
-  for (const auto& s : stats) {
-    total.datagrams += s.datagrams;
-    total.samples += s.samples;
-    total.malformed += s.malformed;
-    total.send_errors += s.send_errors;
   }
 
   static const char* kReasons[] = {"truncated",      "bad_magic",
@@ -588,14 +561,10 @@ int run_load(const Options& opt) {
                                         staleness_ms.end()));
 
   Json doc = Json::object();
-  doc.set("benchmark", "bench_serve");
-  doc.set("scale", opt.scale);
   doc.set("agents", static_cast<std::uint64_t>(opt.agents));
   doc.set("batch", static_cast<std::uint64_t>(opt.batch));
-  doc.set("threads", static_cast<std::uint64_t>(opt.threads));
   doc.set("seconds", opt.seconds);
   doc.set("malformed_fraction", opt.malformed_fraction);
-  doc.set("seed", opt.seed);
   doc.set("sent_datagrams", total.datagrams);
   doc.set("sent_samples", total.samples);
   doc.set("malformed_sent", total.malformed);
@@ -613,7 +582,8 @@ int run_load(const Options& opt) {
   doc.set("queries_degraded", queries_degraded);
   doc.set("served", last_served);
   doc.set("rss_kib", gauge_of(report, "serve.rss_kib"));
-  doc.set("peak_rss_kib", gauge_of(report, "serve.peak_rss_kib"));
+  const double peak_rss_kib = gauge_of(report, "serve.peak_rss_kib");
+  doc.set("peak_rss_kib", peak_rss_kib);
 
   if (local) local->stop();
 
@@ -636,7 +606,34 @@ int run_load(const Options& opt) {
     out << doc.dump(2) << "\n";
     std::cout << "serve_loadgen: wrote " << opt.out << "\n";
   }
-  return 0;
+
+  // Malformed datagrams mostly bounce, but a stale-timestamp one that
+  // happens to be a node's first batch legitimately lands, so they count
+  // toward the ingest bound too: more than that means double-counting.
+  const double sent_bound =
+      static_cast<double>(total.samples + total.malformed * opt.batch);
+  const bool malformed = opt.malformed_fraction > 0.0;
+  const std::pair<bool, const char*> checks[] = {
+      {total.datagrams > 0, "no datagrams were sent"},
+      {ingested > 0.0, "the daemon ingested nothing"},
+      {queries > 0, "no predict queries completed"},
+      {last_served, "the final prediction was not served"},
+      {!staleness_ms.empty(), "no served staleness samples collected"},
+      {percentile(staleness_ms, 99.0) >= 0.0, "staleness p99 is negative"},
+      {!malformed || total.malformed > 0,
+       "malformed fraction set but nothing malformed sent"},
+      {!malformed || rejected_total > 0.0,
+       "malformed datagrams sent but no typed rejection counter moved"},
+      {peak_rss_kib > 0.0, "the daemon reported no peak RSS"},
+      {ingested <= sent_bound, "ingested more samples than were sent"},
+  };
+  int status = 0;
+  for (const auto& [ok, what] : checks) {
+    if (ok) continue;
+    std::cerr << "serve_loadgen: check failed: " << what << "\n";
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace
