@@ -1,8 +1,6 @@
 #include "core/online.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -58,21 +56,20 @@ OnlineTailPredictor::OnlineTailPredictor(std::size_t num_nodes,
   for (std::size_t i = 0; i < num_nodes; ++i) {
     windows_.emplace_back(window_seconds);
   }
-  last_now_.assign(num_nodes, std::numeric_limits<double>::quiet_NaN());
 }
 
 RecordOutcome OnlineTailPredictor::record(std::size_t node, double now,
                                           double response) {
   auto& window = windows_.at(node);
-  double& mark = last_now_[node];
-  RecordOutcome outcome = RecordOutcome::kAccepted;
-  if (std::isnan(now)) {
-    // A NaN timestamp compares false with everything and would slip past
-    // the monotonicity check into the window; treat it as an unbounded jump.
+  if (!std::isfinite(now)) {
+    // NaN slips past every comparison and an infinite clock would leave
+    // every later finite sample "too old"; treat both as unbounded jumps.
     OnlineMetrics::get().clock_rejected.add(1);
     return RecordOutcome::kRejected;
   }
-  if (!std::isnan(mark) && now < mark) {
+  RecordOutcome outcome = RecordOutcome::kAccepted;
+  const double mark = window.now();
+  if (now < mark) {
     if (mark - now <= skew_tolerance_) {
       now = mark;  // absorb the jump: record at the high-water mark
       outcome = RecordOutcome::kClamped;
@@ -83,32 +80,24 @@ RecordOutcome OnlineTailPredictor::record(std::size_t node, double now,
     }
   }
   window.add(now, response);
-  mark = std::isnan(mark) ? now : std::max(mark, now);
   return outcome;
 }
 
 void OnlineTailPredictor::advance(std::size_t node, double now) {
-  auto& window = windows_.at(node);
-  if (std::isnan(now)) return;
-  double& mark = last_now_[node];
-  // Eviction with an older `now` is a harmless no-op, but the high-water
-  // mark must still cover every advance so later record() calls see a
-  // consistent clock.
-  window.advance(now);
-  mark = std::isnan(mark) ? now : std::max(mark, now);
+  windows_.at(node).advance(now);
 }
 
 std::optional<double> OnlineTailPredictor::last_timestamp(
     std::size_t node) const {
-  const double mark = last_now_.at(node);
-  if (std::isnan(mark)) return std::nullopt;
+  const double mark = windows_.at(node).now();
+  if (!std::isfinite(mark)) return std::nullopt;
   return mark;
 }
 
 std::optional<TaskStats> OnlineTailPredictor::node_stats(std::size_t node) const {
-  const auto& w = windows_.at(node);
-  if (w.count() < min_samples_ || !(w.variance() > 0.0)) return std::nullopt;
-  return TaskStats{w.mean(), w.variance()};
+  const stats::MomentSketch m = windows_.at(node).moments();
+  if (m.count < min_samples_ || !(m.variance() > 0.0)) return std::nullopt;
+  return TaskStats{m.mean, m.variance()};
 }
 
 OnlineTailPredictor::PooledStats OnlineTailPredictor::pooled_stats() const {

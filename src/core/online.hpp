@@ -11,8 +11,9 @@
 // agent restarts).  A backwards timestamp fed straight into the window
 // would corrupt eviction, so record() clamps small backwards jumps (up to
 // `skew_tolerance` seconds) onto the node's high-water mark and rejects
-// larger ones with a typed outcome -- it never throws on bad clocks and
-// never lets them corrupt the window.
+// larger ones, and any non-finite timestamp, with a typed outcome -- it
+// never throws on bad clocks and never lets them corrupt the window.  The
+// high-water mark is the window's own clock (stats::WindowedMoments::now).
 #pragma once
 
 #include <cstddef>
@@ -30,7 +31,7 @@ namespace forktail::core {
 enum class RecordOutcome : std::uint8_t {
   kAccepted,  ///< timestamp was monotone; recorded as given
   kClamped,   ///< small backwards jump; recorded at the node's high-water mark
-  kRejected,  ///< backwards jump beyond the skew tolerance; dropped
+  kRejected,  ///< non-finite, or backwards beyond the skew tolerance; dropped
 };
 
 class OnlineTailPredictor {
@@ -49,15 +50,17 @@ class OnlineTailPredictor {
 
   /// Record a completed task at `node`: response time `response` observed
   /// at wall-clock time `now` (seconds).  Backwards `now` values are
-  /// clamped within the skew tolerance and rejected beyond it -- see
-  /// RecordOutcome; the window is never corrupted and nothing throws for
-  /// bad clocks (out-of-range `node` still throws std::out_of_range).
+  /// clamped within the skew tolerance and rejected beyond it, and
+  /// non-finite ones are rejected -- see RecordOutcome; the window is never
+  /// corrupted and nothing throws for bad clocks (out-of-range `node`
+  /// still throws std::out_of_range).
   RecordOutcome record(std::size_t node, double now, double response);
 
   /// Evict samples older than the window without recording (call before
   /// reading stats from a node that may have gone idle -- otherwise its
   /// window freezes with its last, possibly congested, samples).  Advances
   /// the node's high-water mark, so it also bounds future backwards jumps.
+  /// A non-finite `now` is ignored.
   void advance(std::size_t node, double now);
 
   /// The node's timestamp high-water mark (latest record/advance time);
@@ -109,8 +112,6 @@ class OnlineTailPredictor {
   std::optional<TaskStats> pooled_fit_input() const;
 
   std::vector<stats::WindowedMoments> windows_;
-  /// Per-node timestamp high-water mark; NaN = no sample yet.
-  std::vector<double> last_now_;
   std::size_t min_samples_;
   double skew_tolerance_;
 };

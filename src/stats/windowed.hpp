@@ -7,127 +7,90 @@
 // tens of milliseconds."  This module provides exactly that primitive:
 // count/mean/variance over the trailing time window, updatable per sample.
 //
-// Variance is computed on SHIFTED data: incremental sums are kept of
-// (v - shift) and (v - shift)^2 where `shift` is pinned near the window
-// mean at each resync.  The naive E[X^2] - E[X]^2 form cancels
-// catastrophically when mean >> stddev (millisecond-scale responses with
-// microsecond jitter silently clamp to zero variance, corrupting the GE
-// moment fit downstream); shifting makes the subtraction operate on
-// same-magnitude quantities.
+// Layout: a fixed ring of kBuckets = 64 MomentSketch buckets, each
+// `window / 64` wide.  A sample at time t goes into bucket
+// idx(t) = floor(t / width).  The window's clock `now` is the newest
+// add()/advance() time, and the live buckets are idx(now) - 63 .. idx(now):
+// exactly the buckets that start inside (now - window, now].
+//
+// Eviction policy ("evict early"): expiry drops whole buckets as the head
+// rolls.  No sample older than `window` is ever counted; up to `window / 64`
+// of the oldest samples leave the window before they are `window` old.  For
+// a 2 s window that granularity is 31 ms, inside the paper's "tens of
+// milliseconds".
+//
+// Nothing is ever subtracted.  The window's moments are the Chan merge
+// (MomentSketch::merge) of the live buckets, so there are no running power
+// sums whose differences cancel (millisecond means with microsecond jitter
+// keep their variance) and no drift that needs a periodic re-sum.  The merge
+// of the closed buckets is cached and recomputed only when the head rolls
+// (at most 63 merges per bucket width); add() is one Welford update on the
+// open head bucket and a read is one merge.
+//
+// State: 66 MomentSketch of 24 B each (a ring of 64 bucket slots, the open
+// head bucket and the closed-bucket merge) and three scalars, 1664 B with
+// the cache-line padding.  There is no heap and no per-sample storage, so a
+// node's footprint is the same at any ingest rate.  The two sketches a read
+// needs share the object's first cache line with the clock, so a snapshot
+// over many nodes touches one line per node.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <stdexcept>
+#include <limits>
 
 #include "stats/welford.hpp"
-#include "util/kahan.hpp"
 
 namespace forktail::stats {
 
-/// Running sums of (v - shift) and (v - shift)^2: the shifted-data core of
-/// the time-window estimator below.  The shift is pinned at the first value
-/// of a fresh window and re-pinned at the window mean on every resync
-/// (each kResyncInterval add/remove operations), which re-sums the window
-/// exactly (Kahan) to bound the drift of the add/subtract pattern.
-class ShiftedSums {
+/// Moments over a sliding *time* window of (timestamp, value) samples with
+/// non-decreasing timestamps (see the file comment for the bucket policy).
+class alignas(64) WindowedMoments {
  public:
-  /// Start a fresh window whose first value is `first`.
-  void restart(double first) noexcept {
-    shift_ = first;
-    sum_ = 0.0;
-    sum_sq_ = 0.0;
-  }
-  void add(double v) noexcept {
-    const double c = v - shift_;
-    sum_ += c;
-    sum_sq_ += c * c;
-    ++ops_;
-  }
-  void remove(double v) noexcept {
-    const double c = v - shift_;
-    sum_ -= c;
-    sum_sq_ -= c * c;
-    ++ops_;
-  }
-  void clear() noexcept {
-    sum_ = 0.0;
-    sum_sq_ = 0.0;
-  }
-  /// Resync from `window` (values via `value_of`) once the drift budget is
-  /// spent.
-  template <typename Window, typename ValueOf>
-  void maybe_resync(const Window& window, ValueOf value_of);
+  static constexpr std::size_t kBuckets = 64;
 
-  double mean(double n) const noexcept { return shift_ + sum_ / n; }
-  double variance(double n) const noexcept {
-    const double m = sum_ / n;
-    const double v = sum_sq_ / n - m * m;
-    return v > 0.0 ? v : 0.0;
-  }
-
- private:
-  static constexpr std::uint64_t kResyncInterval = 1u << 16;
-
-  double shift_ = 0.0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  std::uint64_t ops_ = 0;
-};
-
-template <typename Window, typename ValueOf>
-void ShiftedSums::maybe_resync(const Window& window, ValueOf value_of) {
-  if (ops_ < kResyncInterval) return;
-  util::KahanSum raw;
-  for (const auto& item : window) raw.add(value_of(item));
-  shift_ = window.empty() ? 0.0
-                          : raw.value() / static_cast<double>(window.size());
-  util::KahanSum s;
-  util::KahanSum s2;
-  for (const auto& item : window) {
-    const double c = value_of(item) - shift_;
-    s.add(c);
-    s2.add(c * c);
-  }
-  sum_ = s.value();
-  sum_sq_ = s2.value();
-  ops_ = 0;
-}
-
-/// Moments over a sliding *time* window.  Samples are (timestamp, value)
-/// with non-decreasing timestamps; samples older than `window` relative to
-/// the most recent insertion (or an explicit advance) are evicted.
-class WindowedMoments {
- public:
+  /// Throws std::invalid_argument unless `window_seconds / kBuckets` > 0.
   explicit WindowedMoments(double window_seconds);
 
+  /// Add a sample at `timestamp`, which must be finite and no older than
+  /// now(); otherwise throws std::invalid_argument.
   void add(double timestamp, double value);
 
-  /// Evict samples older than `now - window` without adding a sample.
-  void advance(double now);
+  /// Move the clock to `now` and expire buckets without adding a sample.
+  /// A non-finite or older `now` is ignored.
+  void advance(double now) noexcept;
 
-  std::uint64_t count() const noexcept { return samples_.size(); }
-  double mean() const noexcept;
-  double variance() const noexcept;
-  double window() const noexcept { return window_; }
+  /// The newest add()/advance() time; -infinity before the first.
+  double now() const noexcept { return now_; }
 
-  /// The window's (count, mean, variance) as a mergeable sketch.
+  std::uint64_t count() const noexcept {
+    return closed_.count + open_.count;
+  }
+  double mean() const noexcept { return moments().mean; }
+  double variance() const noexcept { return moments().variance(); }
+
+  /// The window's (count, mean, M2) as a mergeable sketch.
   MomentSketch moments() const noexcept {
-    return MomentSketch::of(count(), mean(), variance());
+    MomentSketch m = closed_;
+    m.merge(open_);
+    return m;
   }
 
  private:
-  struct Sample {
-    double t;
-    double v;
-  };
+  static std::size_t slot(std::int64_t index) noexcept {
+    return static_cast<std::size_t>(index) & (kBuckets - 1);
+  }
+  std::int64_t index(double t) const noexcept;
+  void roll(std::int64_t head) noexcept;
 
-  void evict(double now);
-  void maybe_resync();
-
-  double window_;
-  std::deque<Sample> samples_;
-  ShiftedSums sums_;
+  MomentSketch closed_;  ///< merge of the live buckets older than the head
+  MomentSketch open_;    ///< the head bucket, idx(now())
+  std::int64_t head_;
+  double now_ = -std::numeric_limits<double>::infinity();
+  double width_;
+  /// Closed buckets by slot(index); slot(head_) is unused while open_ is.
+  std::array<MomentSketch, kBuckets> buckets_{};
 };
 
 }  // namespace forktail::stats

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "obs/metrics.hpp"
 #include "stats/welford.hpp"
 #include "util/rng.hpp"
 
@@ -163,6 +166,30 @@ TEST(OnlineTailPredictor, NanTimestampRejected) {
   EXPECT_EQ(p.record(0, 1.0, 1.0), RecordOutcome::kAccepted);
   EXPECT_EQ(p.record(0, std::nan(""), 1.0), RecordOutcome::kRejected);
   EXPECT_DOUBLE_EQ(*p.last_timestamp(0), 1.0);
+}
+
+// An infinite clock must be rejected (record) or ignored (advance): taken
+// as the high-water mark, it would make every later finite sample a
+// beyond-tolerance backwards jump.
+TEST(OnlineTailPredictor, InfiniteTimestampRejectedAndIgnored) {
+  const double inf = std::numeric_limits<double>::infinity();
+  OnlineTailPredictor p(1, 100.0, 1, 1.0);
+  auto& rejected = obs::Registry::global().counter("online.clock_rejected");
+  const std::uint64_t before = rejected.value();
+  EXPECT_EQ(p.record(0, inf, 1.0), RecordOutcome::kRejected);
+  EXPECT_EQ(p.record(0, -inf, 1.0), RecordOutcome::kRejected);
+  if (obs::enabled()) {
+    EXPECT_EQ(rejected.value(), before + 2);
+  }
+  EXPECT_FALSE(p.last_timestamp(0).has_value());
+  EXPECT_EQ(p.record(0, 1.0, 1.0), RecordOutcome::kAccepted);
+  p.advance(0, inf);  // ignored: does not poison the node's clock
+  p.advance(0, -inf);
+  EXPECT_DOUBLE_EQ(*p.last_timestamp(0), 1.0);
+  EXPECT_EQ(p.record(0, 2.0, 3.0), RecordOutcome::kAccepted);
+  const auto s = p.node_stats(0);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_DOUBLE_EQ(s->mean, 2.0);
 }
 
 TEST(OnlineTailPredictor, AdvanceMovesHighWaterMark) {

@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <type_traits>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace forktail::stats {
 namespace {
+
+// The window is a fixed array of sketches: no heap, no per-sample storage.
+static_assert(std::is_trivially_copyable_v<WindowedMoments>);
 
 TEST(WindowedMoments, EvictsOldSamples) {
   WindowedMoments w(10.0);
@@ -64,7 +73,7 @@ TEST(WindowedMoments, VarianceNonNegativeUnderChurn) {
 
 TEST(WindowedMoments, LargeOffsetVarianceSurvivesCancellation) {
   // mean ~ 1e9, stddev ~ 1: the naive E[X^2] - E[X]^2 form loses all 16
-  // significant digits and clamps to zero; the shifted-data form is exact.
+  // significant digits and clamps to zero; the bucket sketches do not.
   WindowedMoments w(1e12);
   const double offset = 1e9;
   const int n = 4096;
@@ -89,8 +98,8 @@ TEST(WindowedMoments, LargeOffsetVarianceAfterEvictionChurn) {
 }
 
 TEST(WindowedMoments, AdvanceHeavyChurnStaysAccurate) {
-  // An advance()-heavy idle phase must hit the resync threshold too: every
-  // eviction counts as an incremental op even when no sample is added.
+  // Repeated fill / idle-drain cycles: draining a window one advance() at
+  // a time must leave nothing behind that skews the next fill.
   WindowedMoments w(10.0);
   const double offset = 1e9;
   util::Rng rng(12);
@@ -115,6 +124,125 @@ TEST(WindowedMoments, AdvanceHeavyChurnStaysAccurate) {
   EXPECT_NEAR(w.mean(), offset, 1.0);
   EXPECT_GT(w.variance(), 0.3);
   EXPECT_LT(w.variance(), 3.0);
+}
+
+TEST(WindowedMoments, RejectsNonFiniteTimestamps) {
+  const double inf = std::numeric_limits<double>::infinity();
+  WindowedMoments w(10.0);
+  EXPECT_THROW(w.add(std::nan(""), 1.0), std::invalid_argument);
+  EXPECT_THROW(w.add(inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(w.add(-inf, 1.0), std::invalid_argument);
+  w.advance(inf);  // ignored: the clock stays unset
+  w.advance(std::nan(""));
+  EXPECT_EQ(w.now(), -inf);
+  w.add(1.0, 2.0);
+  w.advance(inf);
+  EXPECT_EQ(w.now(), 1.0);
+  EXPECT_EQ(w.count(), 1u);
+}
+
+TEST(WindowedMoments, ExtremeFiniteTimestampsSaturateTheBucketIndex) {
+  // t / width overflows every integer type here; the index must saturate
+  // rather than hit the undefined float->int conversion.
+  WindowedMoments w(1e-6);
+  w.add(-std::numeric_limits<double>::max(), 1.0);
+  EXPECT_EQ(w.count(), 1u);
+  w.add(1e308, 2.0);  // rolls the whole ring
+  EXPECT_EQ(w.count(), 1u);
+  w.add(std::numeric_limits<double>::max(), 4.0);
+  EXPECT_EQ(w.count(), 2u);
+  EXPECT_DOUBLE_EQ(w.mean(), 3.0);
+}
+
+// Brute-force reference for the bucket policy: every sample is kept, and
+// the window holds those whose bucket index is >= idx(now) - 63.
+struct BruteWindow {
+  explicit BruteWindow(double w) : width(w) {}
+
+  double width;
+  double now = -std::numeric_limits<double>::infinity();
+  std::vector<std::pair<double, double>> samples;
+
+  double index(double t) const { return std::floor(t / width); }
+
+  void add(double t, double v) {
+    now = t;
+    samples.emplace_back(t, v);
+  }
+  void advance(double t) {
+    if (t > now) now = t;
+  }
+  std::vector<double> live() const {
+    std::vector<double> out;
+    const double oldest = index(now) -
+                          static_cast<double>(WindowedMoments::kBuckets - 1);
+    for (const auto& [t, v] : samples) {
+      if (index(t) >= oldest) out.push_back(v);
+    }
+    return out;
+  }
+};
+
+void expect_matches_brute_force(double window, std::uint64_t seed) {
+  WindowedMoments w(window);
+  BruteWindow ref(window / static_cast<double>(WindowedMoments::kBuckets));
+  util::Rng rng(seed);
+  double t = 0.0;
+  for (int step = 0; step < 4000; ++step) {
+    const double u = rng.uniform();
+    if (u < 0.15) {
+      // equal timestamp: another sample at the current clock
+    } else if (u < 0.18) {
+      t += window * (1.0 + 2.0 * rng.uniform());  // gap longer than the window
+    } else {
+      t += window * 0.02 * rng.uniform();
+    }
+    if (rng.uniform() < 0.1) {
+      // Idle run: several advance() calls and no sample.
+      const int idle = 1 + static_cast<int>(rng.uniform() * 20.0);
+      for (int i = 0; i < idle; ++i) {
+        t += window * 0.01 * rng.uniform();
+        w.advance(t);
+        ref.advance(t);
+      }
+    } else {
+      const double v = 5.0 + rng.exponential(2.0);
+      w.add(t, v);
+      ref.add(t, v);
+    }
+    const std::vector<double> live = ref.live();
+    ASSERT_EQ(w.count(), live.size()) << "step " << step;
+    if (live.empty()) continue;
+    double mean = 0.0;
+    for (const double v : live) mean += v;
+    mean /= static_cast<double>(live.size());
+    double var = 0.0;
+    for (const double v : live) var += (v - mean) * (v - mean);
+    var /= static_cast<double>(live.size());
+    ASSERT_NEAR(w.mean(), mean, 1e-9 * std::abs(mean)) << "step " << step;
+    ASSERT_NEAR(w.variance(), var, 1e-9 * var) << "step " << step;
+  }
+}
+
+TEST(WindowedMoments, EvictionMatchesBruteForceBucketWindow) {
+  expect_matches_brute_force(2.0, 21);
+  expect_matches_brute_force(0.7, 22);
+  expect_matches_brute_force(20.0, 23);
+}
+
+TEST(WindowedMoments, NeverCountsASampleOlderThanTheWindow) {
+  // Evict early: at most window / 64 of the oldest samples leave before
+  // they are `window` old, and none stays past it.
+  const double window = 2.0;
+  WindowedMoments w(window);
+  for (int i = 0; i < 1000; ++i) w.add(i * 0.01, 1.0);
+  const double now = 999 * 0.01;
+  // Samples in (now - window, now] number 200; the bucket window keeps at
+  // most those and drops at most one bucket width (3.125 samples) of them.
+  EXPECT_LE(w.count(), 200u);
+  EXPECT_GE(w.count(), 196u);
+  w.advance(now + window);
+  EXPECT_EQ(w.count(), 0u);
 }
 
 }  // namespace
