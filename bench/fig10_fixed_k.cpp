@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
         cell.requests = samples_for(k, load, options.scale);
         cell.warmup_fraction = load >= 0.9 ? 0.3 : 0.25;
         cell.seed = rng.next_u64();
+        cell.max_parallelism = 1;  // cell-level parallelism only
         auto sim = scenario::SimulatorRegistry::global().run(cell);
         const double measured = stats::percentile_inplace(sim.responses, 99.0);
         // Eq. 13 with the black-box measured task moments.

@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
             bench::scaled(15000, options.scale * bench::load_boost(load));
         cell.warmup_fraction = load >= 0.9 ? 0.3 : 0.25;
         cell.seed = rng.next_u64();
+        cell.max_parallelism = 1;  // cell-level parallelism only
         auto sim = scenario::SimulatorRegistry::global().run(cell);
         const double measured = stats::percentile_inplace(sim.responses, 99.0);
         // Mixture model (Eqs. 8-9 / 14) with K ~ U[lo, hi].

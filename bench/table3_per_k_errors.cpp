@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
                                     options.scale * bench::load_boost(0.9));
       cell.warmup_fraction = 0.3;
       cell.seed = options.seed;
+      cell.max_parallelism = 1;  // one replay thread, as in the sweep cells
       auto sim = scenario::SimulatorRegistry::global().run(cell);
       const double measured = stats::percentile_inplace(sim.responses, 99.0);
       const double predicted =

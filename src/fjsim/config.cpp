@@ -6,6 +6,10 @@
 
 namespace forktail::fjsim {
 
+const char* engine_name(Engine engine) {
+  return engine == Engine::kVector ? "vector" : "legacy";
+}
+
 void validate_node_group(const NodeGroupConfig& group, const std::string& where) {
   if (group.replicas < 1) {
     throw ConfigError(where + ".replicas", "must be >= 1");

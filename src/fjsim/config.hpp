@@ -20,18 +20,27 @@ namespace forktail::fjsim {
 
 /// Which replay implementation a simulator config selects.
 ///
-///  * kLegacy -- the scalar/batched engines that have carried every golden
-///    so far.  Bit-identical for any batch size; the default.
+///  * kLegacy -- the scalar/batched engines.  Bit-identical for any batch
+///    size; the default of a config built by hand (direct fjsim::run_*
+///    callers and their goldens), and the only engine for the configs the
+///    vector engine rejects (redundant policy, subset replicas != 1 or
+///    early_k > 0) and for the fault, consolidated and perfect-sampling
+///    simulators.
 ///  * kVector -- the SIMD engine (fjsim/vector_engine.hpp): lockstep
 ///    xoshiro lanes, batched inverse-CDF sampling, sharded whole-replay
-///    execution.  Internally deterministic (bit-identical for any thread
-///    count, batch size, and dispatch ISA level) but NOT bit-identical to
-///    kLegacy -- its polynomial log/exp kernels differ from libm in the
-///    last ulp.  Every deviation is documented in docs/performance.md.
+///    execution.  The scenario layer (and so `forktail run` and the bench
+///    sweeps) selects it for every config fjsim::vector_supports() accepts.
+///    Internally deterministic (bit-identical for any thread count, batch
+///    size, and dispatch ISA level) but NOT bit-identical to kLegacy -- its
+///    polynomial log/exp kernels differ from libm in the last ulp.  Every
+///    deviation is documented in docs/performance.md.
 enum class Engine : std::uint8_t {
   kLegacy = 0,
   kVector = 1,
 };
+
+/// "legacy" or "vector": the engine's name in reports and CLI output.
+const char* engine_name(Engine engine);
 
 /// How one fork node's servers are organised: how many replica servers it
 /// has, how tasks are dispatched to them, and (for the redundant-issue

@@ -46,7 +46,7 @@ struct HomogeneousConfig : NodeGroupConfig {
   std::size_t batch = 0;
   /// Replay implementation: kLegacy (scalar/batched, all historical
   /// goldens) or kVector (SIMD engine; see fjsim/config.hpp::Engine and
-  /// docs/performance.md).  kVector rejects Policy::kRedundant.
+  /// docs/performance.md).  kVector accepts what vector_supports() does.
   Engine engine = Engine::kLegacy;
 };
 

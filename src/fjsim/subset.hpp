@@ -50,7 +50,7 @@ struct SubsetConfig : NodeGroupConfig {
   /// bit-identical to the pre-knob engine.
   int early_k = 0;
   /// Replay implementation (see fjsim/config.hpp::Engine).  kVector
-  /// requires replicas == 1, Policy::kSingle, early_k == 0.
+  /// accepts what vector_supports() does: replicas == 1, early_k == 0.
   Engine engine = Engine::kLegacy;
   /// Accepted for API uniformity with the other simulators: the vector
   /// subset engine replays request-major over shared node state, which is

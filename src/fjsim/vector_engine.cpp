@@ -94,6 +94,19 @@ const Level& active_level() {
 
 }  // namespace
 
+bool vector_supports(const HomogeneousConfig& config) {
+  return config.policy != Policy::kRedundant;
+}
+
+bool vector_supports(const SubsetConfig& config) {
+  return config.policy != Policy::kRedundant && config.replicas == 1 &&
+         config.early_k == 0;
+}
+
+bool vector_supports(const HeterogeneousConfig& /*config*/) { return true; }
+
+bool vector_supports(const PipelineConfig& /*config*/) { return true; }
+
 HomogeneousResult run_homogeneous_vector(const HomogeneousConfig& config) {
   return active_level().homogeneous(config);
 }

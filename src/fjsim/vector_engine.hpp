@@ -1,6 +1,7 @@
 // SIMD replay engine: public entry points and runtime ISA dispatch.
 //
-// Selected per run with Engine::kVector on a simulator config.  The engine
+// Selected per run with Engine::kVector on a simulator config; the scenario
+// layer selects it for every config vector_supports() accepts.  The engine
 // replays the same fork-join models as the legacy scalar/batched paths but
 // generates service demands in 8-lane lockstep xoshiro256++ blocks with
 // batched inverse-CDF transforms (dist/vec_sampler.hpp), runs the Lindley
@@ -43,6 +44,18 @@
 #endif
 
 namespace forktail::fjsim {
+
+/// The vector engine's preconditions, written once: true when
+/// Engine::kVector accepts `config`.  The run_*_vector entry points throw
+/// ConfigError for any config these reject, and the scenario layer asks
+/// them before selecting the engine.  Homogeneous: any policy but
+/// kRedundant (kill-on-win cancellation breaks the lockstep Lindley
+/// replay).  Subset: additionally replicas == 1 and early_k == 0.
+/// Heterogeneous and pipeline: every config.
+bool vector_supports(const HomogeneousConfig& config);
+bool vector_supports(const SubsetConfig& config);
+bool vector_supports(const HeterogeneousConfig& config);
+bool vector_supports(const PipelineConfig& config);
 
 HomogeneousResult run_homogeneous_vector(const HomogeneousConfig& config);
 HeterogeneousResult run_heterogeneous_vector(const HeterogeneousConfig& config);

@@ -643,7 +643,7 @@ ShardedReplay replay_sharded(const std::vector<GroupDef>& groups,
 
 HomogeneousResult homogeneous_impl(const HomogeneousConfig& config) {
   validate(config);
-  if (config.policy == Policy::kRedundant) {
+  if (!vector_supports(config)) {
     throw ConfigError("HomogeneousConfig.engine",
                       "Engine::kVector does not support Policy::kRedundant "
                       "(use Engine::kLegacy)");
@@ -1088,20 +1088,10 @@ FORKTAIL_VE_TARGET void subset_loop(SubsetLoopState& st, DemandStream& ds,
 SubsetResult subset_impl(const SubsetConfig& config) {
   const obs::ScopedSpan run_span(ReplayMetrics::get().run_seconds);
   validate(config);
-  if (config.policy == Policy::kRedundant) {
+  if (!vector_supports(config)) {
     throw ConfigError("SubsetConfig.engine",
-                      "Engine::kVector does not support Policy::kRedundant "
-                      "(use Engine::kLegacy)");
-  }
-  if (config.replicas != 1) {
-    throw ConfigError("SubsetConfig.engine",
-                      "Engine::kVector requires replicas == 1 "
-                      "(use Engine::kLegacy)");
-  }
-  if (config.early_k > 0) {
-    throw ConfigError("SubsetConfig.engine",
-                      "Engine::kVector does not support early_k > 0 "
-                      "(use Engine::kLegacy)");
+                      "Engine::kVector requires replicas == 1, early_k == 0 "
+                      "and no Policy::kRedundant (use Engine::kLegacy)");
   }
   const double mean_k =
       config.k_mode == KMode::kFixed

@@ -74,6 +74,7 @@ class HomogeneousSimulator final : public Simulator {
     outcome.task_stats = to_task_stats(result.task_stats);
     outcome.lambda = result.lambda;
     outcome.total_tasks = result.total_tasks;
+    outcome.engine = config.engine;
     return outcome;
   }
 };
@@ -96,6 +97,7 @@ class HeterogeneousSimulator final : public Simulator {
     outcome.mean_k = static_cast<double>(spec.nodes);
     outcome.total_tasks =
         spec.requests * static_cast<std::uint64_t>(spec.nodes);
+    outcome.engine = config.engine;
     return outcome;
   }
 };
@@ -117,6 +119,7 @@ class SubsetSimulator final : public Simulator {
     outcome.lambda = result.lambda;
     outcome.mean_k = result.mean_k;
     outcome.total_tasks = result.total_tasks;
+    outcome.engine = config.engine;
     if (spec.faults.mitigation.early_k > 0) {
       // Early return is aggregation-only: tasks run unchanged, so the
       // pooled task moments double as the attempt telemetry.  Redundancy-d
@@ -172,6 +175,7 @@ class PipelineSimulator final : public Simulator {
     outcome.mean_k = mean_k;
     outcome.total_tasks =
         spec.requests * static_cast<std::uint64_t>(mean_k);
+    outcome.engine = config.engine;
     return outcome;
   }
 };

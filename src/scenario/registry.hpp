@@ -22,6 +22,7 @@
 #include "dist/distribution.hpp"
 #include "fault/predict.hpp"
 #include "fault/sim.hpp"
+#include "fjsim/config.hpp"
 #include "scenario/spec.hpp"
 
 namespace forktail::scenario {
@@ -45,6 +46,10 @@ struct Outcome {
   double lambda = 0.0;    ///< request/job arrival rate the engine derived
   double mean_k = 0.0;    ///< expected fan-out per request
   std::uint64_t total_tasks = 0;
+  /// Replay engine that produced the responses: the one the spec's config
+  /// selected (see to_homogeneous_config), kLegacy for the fault,
+  /// consolidated and perfect-sampling simulators.
+  fjsim::Engine engine = fjsim::Engine::kLegacy;
 
   // Fault layer (spec.faults non-inert; src/fault).  `faulty` marks an
   // outcome produced under an active FaultPlan; the telemetry below feeds

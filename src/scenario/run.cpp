@@ -94,6 +94,7 @@ util::Json to_json(const ScenarioReport& report) {
   sim.set("total_tasks", report.outcome.total_tasks);
   sim.set("task_mean_ms", report.outcome.task_stats.mean);
   sim.set("task_variance", report.outcome.task_stats.variance);
+  sim.set("engine", fjsim::engine_name(report.outcome.engine));
   doc.set("simulation", std::move(sim));
 
   util::Json percentiles = util::Json::array();

@@ -51,7 +51,8 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
                             const std::vector<double>& percentiles);
 
 /// Serialize a report (forktail.scenario_report.v1): the spec, sample
-/// counts, measured percentiles, and each predictor's values and errors.
+/// counts and the replay engine that ran ("simulation"), measured
+/// percentiles, and each predictor's values and errors.
 util::Json to_json(const ScenarioReport& report);
 
 }  // namespace forktail::scenario

@@ -6,6 +6,7 @@
 #include "dist/basic.hpp"
 #include "dist/factory.hpp"
 #include "dist/transforms.hpp"
+#include "fjsim/vector_engine.hpp"
 #include "trace/facebook.hpp"
 #include "util/rng.hpp"
 
@@ -723,6 +724,14 @@ void require_topology(const ScenarioSpec& spec, Topology expected,
   }
 }
 
+/// The replay engine a converted config runs on: the vector engine
+/// wherever it accepts the config, the legacy engine otherwise.
+template <typename Config>
+fjsim::Engine pick_engine(const Config& config) {
+  return fjsim::vector_supports(config) ? fjsim::Engine::kVector
+                                        : fjsim::Engine::kLegacy;
+}
+
 }  // namespace
 
 fjsim::HomogeneousConfig to_homogeneous_config(const ScenarioSpec& spec) {
@@ -737,6 +746,10 @@ fjsim::HomogeneousConfig to_homogeneous_config(const ScenarioSpec& spec) {
   config.seed = spec.seed;
   config.max_parallelism = spec.max_parallelism;
   config.batch = spec.batch;
+  // An active fault plan runs the scalar mitigated engine, which reads no
+  // engine field: the config says so.
+  config.engine = spec.faults.inert() ? pick_engine(config)
+                                      : fjsim::Engine::kLegacy;
   return config;
 }
 
@@ -756,12 +769,14 @@ fjsim::SubsetConfig to_subset_config(const ScenarioSpec& spec) {
   config.warmup_fraction = spec.warmup_fraction;
   config.seed = spec.seed;
   config.group_by_k = spec.group_by_k;
+  config.max_parallelism = spec.max_parallelism;
   config.batch = spec.batch;
   // Redundancy-d issues d replicas and takes the first finisher: the
   // subset engine expresses min-of-d as fan-out d with early return at 1.
   config.early_k = spec.k.mode == KSpec::Mode::kRedundant
                        ? 1
                        : spec.faults.mitigation.early_k;
+  config.engine = pick_engine(config);
   return config;
 }
 
@@ -799,6 +814,7 @@ fjsim::HeterogeneousConfig to_heterogeneous_config(const ScenarioSpec& spec) {
   config.seed = spec.seed;
   config.max_parallelism = spec.max_parallelism;
   config.batch = spec.batch;
+  config.engine = pick_engine(config);
   return config;
 }
 
@@ -839,7 +855,9 @@ fjsim::PipelineConfig to_pipeline_config(const ScenarioSpec& spec) {
   config.num_requests = spec.requests;
   config.warmup_fraction = spec.warmup_fraction;
   config.seed = spec.seed;
+  config.max_parallelism = spec.max_parallelism;
   config.batch = spec.batch;
+  config.engine = pick_engine(config);
   return config;
 }
 

@@ -204,7 +204,10 @@ std::vector<dist::DistPtr> make_services(const ScenarioSpec& spec);
 /// Each converter checks that the spec's topology matches and returns the
 /// engine config the hand-wired benches used to assemble by hand.  The
 /// mapping is value-for-value: a spec-built config runs bit-identically to
-/// the equivalent hand-wired one.
+/// the equivalent hand-wired one.  The homogeneous, subset, heterogeneous
+/// and pipeline converters also pick the replay engine: Engine::kVector
+/// wherever fjsim::vector_supports() accepts the config (and, homogeneous,
+/// the fault plan is inert), Engine::kLegacy otherwise.
 fjsim::HomogeneousConfig to_homogeneous_config(const ScenarioSpec& spec);
 fjsim::SubsetConfig to_subset_config(const ScenarioSpec& spec);
 /// Perfect-sampler materialisation (spec.sampler == kPerfect); valid for

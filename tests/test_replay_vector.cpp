@@ -505,6 +505,29 @@ TEST(VectorEngine, SubsetAndPipelineMatchLegacyWithinNoise) {
               0.15 * stats::percentile(p_legacy.responses, 99.0));
 }
 
+TEST(VectorEngine, HeterogeneousMatchesLegacyStatistically) {
+  // Nodes replay in VecClass groups on lane streams, so the sample path is
+  // not the legacy one: per-node task means within 10% and the p99 within
+  // 15% at n = 20000, the bands of the subset and pipeline check above.
+  auto xc = hetero_config();
+  xc.num_requests = 20000;
+  auto xl = xc;
+  xl.engine = Engine::kLegacy;
+  const auto legacy = run_heterogeneous(xl);
+  const auto vec = run_heterogeneous(xc);
+  ASSERT_EQ(legacy.responses.size(), vec.responses.size());
+  ASSERT_EQ(legacy.node_stats.size(), vec.node_stats.size());
+  for (std::size_t n = 0; n < legacy.node_stats.size(); ++n) {
+    EXPECT_EQ(vec.node_stats[n].count(), legacy.node_stats[n].count());
+    EXPECT_NEAR(vec.node_stats[n].mean(), legacy.node_stats[n].mean(),
+                0.10 * legacy.node_stats[n].mean())
+        << "node " << n;
+  }
+  EXPECT_NEAR(stats::percentile(vec.responses, 99.0),
+              stats::percentile(legacy.responses, 99.0),
+              0.15 * stats::percentile(legacy.responses, 99.0));
+}
+
 // ------------------------------------------------ unsupported configs
 
 TEST(VectorEngine, RejectsUnsupportedPoliciesLoudly) {
@@ -516,6 +539,42 @@ TEST(VectorEngine, RejectsUnsupportedPoliciesLoudly) {
   auto sc = subset_config();
   sc.replicas = 2;
   EXPECT_THROW((void)run_subset(sc), ConfigError);
+}
+
+TEST(VectorEngine, SupportsPredicateNamesWhatTheEntryPointsAccept) {
+  // vector_supports() is the one statement of the preconditions: the entry
+  // points accept exactly the configs it accepts.
+  const auto accepted = [](const auto& config, auto run) {
+    try {
+      (void)run(config);
+    } catch (const ConfigError&) {
+      return false;
+    }
+    return true;
+  };
+  std::vector<HomogeneousConfig> homog(3, homog_config());
+  homog[1].policy = Policy::kRoundRobin;
+  homog[1].replicas = 3;
+  homog[2].policy = Policy::kRedundant;
+  homog[2].replicas = 2;
+  for (auto& c : homog) {
+    c.num_requests = 200;
+    EXPECT_EQ(vector_supports(c), accepted(c, run_homogeneous));
+  }
+  std::vector<SubsetConfig> subset(4, subset_config());
+  subset[1].policy = Policy::kRoundRobin;
+  subset[1].replicas = 2;
+  subset[2].early_k = 1;
+  subset[3].policy = Policy::kRedundant;
+  for (auto& c : subset) {
+    c.num_requests = 200;
+    EXPECT_EQ(vector_supports(c), accepted(c, run_subset));
+  }
+  EXPECT_TRUE(vector_supports(homog[0]));
+  EXPECT_TRUE(vector_supports(homog[1]));
+  EXPECT_TRUE(vector_supports(subset[0]));
+  EXPECT_TRUE(vector_supports(hetero_config()));
+  EXPECT_TRUE(vector_supports(pipeline_config()));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "scenario/run.hpp"
 #include "support/json_test.hpp"
 #include "util/json.hpp"
 
@@ -166,6 +167,27 @@ TEST(ReportSchema, RunReportDegradedFlag) {
   const obs::RunReport clean =
       obs::RunReport::capture(registry, "forktail run", "plain");
   EXPECT_FALSE(Json::parse(clean.to_json()).contains("degraded"));
+}
+
+// The `forktail run` report (forktail.scenario_report.v1) names the replay
+// engine that produced it: "vector" where fjsim::vector_supports() accepts
+// the config, "legacy" otherwise.  Never the SIMD dispatch level, which
+// would make reports machine-dependent.
+TEST(ReportSchema, ScenarioReportSimulationKeySet) {
+  scenario::ScenarioSpec spec;
+  spec.requests = 200;
+  const Json doc = scenario::to_json(scenario::run_scenario(spec, {}, {99.0}));
+  const std::set<std::string> expected = {
+      "responses",    "lambda",        "mean_k", "total_tasks",
+      "task_mean_ms", "task_variance", "engine"};
+  EXPECT_EQ(doc.at("simulation").keys(), expected);
+  EXPECT_EQ(doc.at("simulation").at("engine").as_string(), "vector");
+
+  spec.group.policy = fjsim::Policy::kRedundant;
+  spec.group.replicas = 2;
+  const Json redundant =
+      scenario::to_json(scenario::run_scenario(spec, {}, {99.0}));
+  EXPECT_EQ(redundant.at("simulation").at("engine").as_string(), "legacy");
 }
 
 TEST(ReportSchema, RunReportJsonIsParseableAfterRealRun) {

@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/evt.hpp"
 #include "core/predictor.hpp"
 #include "dist/factory.hpp"
+#include "fjsim/config.hpp"
 #include "fjsim/homogeneous.hpp"
 #include "fjsim/subset.hpp"
 #include "scenario/registry.hpp"
@@ -54,10 +57,12 @@ TEST(ScenarioRun, HomogeneousSpecIsBitIdenticalToHandWiredConfig) {
   config.num_requests = 2000;
   config.warmup_fraction = 0.25;
   config.seed = 7;
+  config.engine = fjsim::Engine::kVector;  // the scenario layer's pick
   const fjsim::HomogeneousResult direct = fjsim::run_homogeneous(config);
 
   const scenario::Outcome outcome =
       scenario::SimulatorRegistry::global().run(spec);
+  EXPECT_EQ(outcome.engine, fjsim::Engine::kVector);
   EXPECT_EQ(outcome.responses, direct.responses);  // bitwise, not approximate
   EXPECT_EQ(outcome.lambda, direct.lambda);
   EXPECT_EQ(outcome.total_tasks, direct.total_tasks);
@@ -88,10 +93,12 @@ TEST(ScenarioRun, SubsetSpecIsBitIdenticalToHandWiredConfig) {
   config.num_requests = 1500;
   config.warmup_fraction = 0.25;
   config.seed = 21;
+  config.engine = fjsim::Engine::kVector;  // the scenario layer's pick
   const fjsim::SubsetResult direct = fjsim::run_subset(config);
 
   const scenario::Outcome outcome =
       scenario::SimulatorRegistry::global().run(spec);
+  EXPECT_EQ(outcome.engine, fjsim::Engine::kVector);
   EXPECT_EQ(outcome.responses, direct.responses);
   EXPECT_EQ(outcome.lambda, direct.lambda);
   EXPECT_EQ(outcome.mean_k, direct.mean_k);
@@ -262,6 +269,46 @@ TEST(ScenarioRun, EveryTrackedExampleParsesValidatesAndRoundTrips) {
   // The issue pins at least the homogeneous, heterogeneous, subset
   // (fixed + uniform k), and consolidated cases; pipeline rides along.
   EXPECT_GE(found, 6u);
+}
+
+// Every tracked example runs, at a tiny request count, on the engine
+// fjsim::vector_supports() names for it.  A new example must be added here.
+TEST(ScenarioRun, EveryExampleRunsOnTheEngineThePredicateNames) {
+  constexpr fjsim::Engine kLegacy = fjsim::Engine::kLegacy;
+  constexpr fjsim::Engine kVector = fjsim::Engine::kVector;
+  const std::map<std::string, fjsim::Engine> expected = {
+      {"consolidated", kLegacy},  // trace-driven simulator
+      {"faulty_homogeneous", kLegacy},  // active fault plan
+      {"faulty_homogeneous_retry", kLegacy},
+      {"faulty_subset", kLegacy},  // early_k > 0
+      {"heterogeneous", kVector},
+      {"homogeneous", kVector},
+      {"perfect_sampling", kLegacy},  // perfect sampler
+      {"pipeline", kVector},
+      {"redundancy_d", kLegacy},  // min-of-d is early_k = 1
+      {"serve", kVector},
+      {"serve_soak", kVector},
+      {"subset_fixed_k", kVector},
+      {"subset_uniform_k", kVector},
+  };
+  const std::filesystem::path dir =
+      std::filesystem::path(FORKTAIL_SOURCE_DIR) / "examples";
+  std::set<std::string> ran;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    const std::string stem = entry.path().stem().string();
+    SCOPED_TRACE(stem);
+    const auto want = expected.find(stem);
+    ASSERT_NE(want, expected.end()) << "example missing from the table";
+    ScenarioSpec spec = scenario::load_scenario_file(entry.path().string());
+    spec.requests = 200;
+    scenario::Outcome outcome;
+    ASSERT_NO_THROW(outcome = scenario::SimulatorRegistry::global().run(spec));
+    EXPECT_EQ(fjsim::engine_name(outcome.engine),
+              std::string(fjsim::engine_name(want->second)));
+    ran.insert(stem);
+  }
+  EXPECT_EQ(ran.size(), expected.size()) << "a listed example is gone";
 }
 
 TEST(ScenarioRun, ExampleTopologyCoverageIsComplete) {

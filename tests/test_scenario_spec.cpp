@@ -414,6 +414,27 @@ TEST(ScenarioSpec, ServeSectionValidation) {
   });
 }
 
+// execution.max_parallelism -- and so `forktail run --threads` -- must
+// reach every converter whose engine shards work over the thread pool; a
+// dropped cap would let a vector replay fan out over the whole pool.
+TEST(ScenarioSpec, MaxParallelismReachesEveryConverter) {
+  const auto capped = [](ScenarioSpec spec) {
+    spec.max_parallelism = 3;
+    return spec;
+  };
+  EXPECT_EQ(scenario::to_homogeneous_config(capped(homogeneous_spec()))
+                .max_parallelism,
+            3u);
+  EXPECT_EQ(scenario::to_subset_config(capped(subset_spec())).max_parallelism,
+            3u);
+  EXPECT_EQ(scenario::to_heterogeneous_config(capped(heterogeneous_spec()))
+                .max_parallelism,
+            3u);
+  EXPECT_EQ(
+      scenario::to_pipeline_config(capped(pipeline_spec())).max_parallelism,
+      3u);
+}
+
 TEST(ScenarioSpec, MalformedJsonIsAConfigError) {
   // Truncated JSON surfaces the parser's typed error; an unreadable file is
   // wrapped into ConfigError so the CLI maps both to its config exit code.

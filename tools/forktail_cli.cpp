@@ -325,12 +325,14 @@ int cmd_run(int argc, const char* const* argv) {
   const auto report = scenario::run_scenario(
       spec, predictors, parse_percentiles(flags.get_string("p")));
   const auto& outcome = report.outcome;
-  std::printf("scenario %s: %s, N = %zu, load %g%%, %llu requests, seed %llu\n",
-              spec.name.c_str(),
-              scenario::topology_name(spec.topology).c_str(), spec.nodes,
-              spec.load * 100.0,
-              static_cast<unsigned long long>(spec.requests),
-              static_cast<unsigned long long>(spec.seed));
+  std::printf(
+      "scenario %s: %s, N = %zu, load %g%%, %llu requests, seed %llu, "
+      "%s engine\n",
+      spec.name.c_str(), scenario::topology_name(spec.topology).c_str(),
+      spec.nodes, spec.load * 100.0,
+      static_cast<unsigned long long>(spec.requests),
+      static_cast<unsigned long long>(spec.seed),
+      fjsim::engine_name(outcome.engine));
   std::printf("  lambda %.6g, mean fan-out %g, %zu measured responses\n",
               outcome.lambda, outcome.mean_k, outcome.responses.size());
   for (std::size_t i = 0; i < report.percentiles.size(); ++i) {
