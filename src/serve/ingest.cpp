@@ -1,5 +1,7 @@
 #include "serve/ingest.hpp"
 
+#include <utility>
+
 #include "obs/metrics.hpp"
 
 namespace forktail::serve {
@@ -26,7 +28,9 @@ IngestShard::IngestShard(const ShardConfig& config)
     : ring_(config.ring_capacity),
       predictor_(config.local_nodes, config.window_seconds,
                  config.min_samples, config.skew_tolerance),
-      liveness_(config.local_nodes) {}
+      liveness_(config.local_nodes) {
+  publish();
+}
 
 std::size_t IngestShard::submit(std::uint32_t local, const WireBatch& batch) {
   WireBatch queued = batch;
@@ -37,19 +41,21 @@ std::size_t IngestShard::submit(std::uint32_t local, const WireBatch& batch) {
     IngestMetrics::get().shed.add(shed);
     // Steady-clock time is not available here (submit runs on the socket
     // reader's hot path); drain() stamps last_shed_s_ when it observes the
-    // count moved.  Store a sentinel "shed happened" by bumping the atomic
-    // count only -- the stamp below is done by the consumer.
+    // count moved.
   }
   return shed;
 }
 
 std::size_t IngestShard::drain(double now_s) {
+  // At most one ring's worth per call: a producer that keeps pace with the
+  // worker must not postpone the publish below indefinitely.
+  const std::size_t budget = drain_budget();
   std::size_t drained = 0;
+  std::uint64_t samples = 0, batches = 0;
   WireBatch batch;
-  while (ring_.try_pop(batch)) {
+  while (drained < budget && ring_.try_pop(batch)) {
     ++drained;
     const double t_s = static_cast<double>(batch.timestamp_ns) * 1e-9;
-    std::lock_guard<std::mutex> lock(mu_);
     // One timestamp per batch, so the first sample's outcome decides the
     // whole batch: a beyond-tolerance clock jump rejects all of it.
     std::size_t accepted = 0;
@@ -68,11 +74,18 @@ std::size_t IngestShard::drain(double now_s) {
       ++accepted;
     }
     if (accepted > 0) {
-      samples_ingested_.fetch_add(accepted, std::memory_order_relaxed);
-      IngestMetrics::get().samples.add(accepted);
-      IngestMetrics::get().batches.add(1);
+      samples += accepted;
+      ++batches;
       liveness_.observe(batch.node, batch.timestamp_ns, now_s);
     }
+  }
+  if (drained > 0) {
+    publish();
+    // Counted after the publish: a reader that sees these counts sees the
+    // samples in its next snapshot().
+    samples_ingested_.fetch_add(samples, std::memory_order_release);
+    IngestMetrics::get().samples.add(samples);
+    IngestMetrics::get().batches.add(batches);
   }
   // Stamp the shed time whenever this drain observes sheds it has not seen
   // before (sheds happen producer-side, so the consumer back-dates them to
@@ -86,7 +99,6 @@ std::size_t IngestShard::drain(double now_s) {
 }
 
 void IngestShard::sweep(double now_s, double timeout_s) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto newly_stale = liveness_.sweep(now_s, timeout_s);
   for (const std::size_t node : newly_stale) {
     // Roll the dead agent's window forward in its own time base so its
@@ -101,18 +113,39 @@ void IngestShard::sweep(double now_s, double timeout_s) {
       predictor_.advance(node, liveness_.estimated_agent_now_s(node, now_s));
     }
   }
+  publish();
+}
+
+void IngestShard::publish() {
+  // Built (the window merge included) before the lock: readers only ever
+  // wait for the pointer swap.
+  auto epoch = std::make_shared<Epoch>();
+  epoch->pooled = predictor_.pooled_stats();
+  epoch->seen_nodes = liveness_.seen_count();
+  epoch->live_nodes = liveness_.live_count();
+  epoch->stale_nodes = liveness_.stale_count();
+  epoch->oldest_live_seen_s = liveness_.oldest_live_seen_s();
+  std::shared_ptr<const Epoch> retired;
+  {
+    std::lock_guard<std::mutex> lock(epoch_mu_);
+    retired = std::exchange(epoch_, std::move(epoch));
+  }
+  // `retired` is released here, outside the lock, if no reader holds it.
 }
 
 IngestShard::Snapshot IngestShard::snapshot(double now_s) const {
-  Snapshot snap;
+  std::shared_ptr<const Epoch> epoch;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    snap.pooled = predictor_.pooled_stats();
-    snap.seen_nodes = liveness_.seen_count();
-    snap.live_nodes = liveness_.live_count();
-    snap.stale_nodes = liveness_.stale_count();
-    snap.staleness_ms = liveness_.staleness_ms(now_s);
+    std::lock_guard<std::mutex> lock(epoch_mu_);
+    epoch = epoch_;
   }
+  Snapshot snap;
+  snap.pooled = epoch->pooled;
+  snap.seen_nodes = epoch->seen_nodes;
+  snap.live_nodes = epoch->live_nodes;
+  snap.stale_nodes = epoch->stale_nodes;
+  snap.staleness_ms =
+      LivenessTable::staleness_ms_since(epoch->oldest_live_seen_s, now_s);
   snap.batches_shed = batches_shed_.load(std::memory_order_relaxed);
   snap.last_shed_s = last_shed_s_.load(std::memory_order_relaxed);
   snap.queue_depth = ring_.size();

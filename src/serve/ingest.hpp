@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -146,10 +147,20 @@ struct ShardConfig {
 };
 
 /// One ingest shard: bounded ring -> skew-tolerant predictor windows with
-/// liveness tracking.  submit() is called by the single socket-reader
-/// thread, drain()/sweep() by the shard's worker thread, snapshot() by
-/// query threads; the predictor + liveness state is mutex-guarded, the
-/// ring is lock-free.
+/// liveness tracking, read through published epochs.
+///
+/// Threading contract:
+///   * submit() runs on the single socket-reader thread (producer side of
+///     the lock-free ring);
+///   * drain() and sweep() run on the shard's worker thread, which alone
+///     owns the predictor windows and the liveness table -- no lock guards
+///     them;
+///   * snapshot() runs on any thread and never waits for a drain or a
+///     merge: it copies the pointer to the last published Epoch under a
+///     lock that guards only that pointer.
+/// A drain() that drained at least one batch, and every sweep(), ends by
+/// publishing a fresh Epoch, so a snapshot taken after drain() returns (on
+/// the same thread, or one that synchronised with it) sees that drain.
 class IngestShard {
  public:
   explicit IngestShard(const ShardConfig& config);
@@ -159,19 +170,26 @@ class IngestShard {
   /// room (0 = clean).  Never blocks.
   std::size_t submit(std::uint32_t local, const WireBatch& batch);
 
-  /// Consumer side (shard worker): drain everything currently queued into
-  /// the predictor windows.  `now_s` is the receiver's steady-clock time.
+  /// Consumer side (shard worker): drain up to one ring's capacity of
+  /// queued batches into the predictor windows, then publish an epoch if
+  /// any batch was drained.  `now_s` is the receiver's steady-clock time.
   /// Returns the number of batches drained.
   std::size_t drain(double now_s);
+
+  /// Most batches one drain() takes: the ring's capacity.
+  std::size_t drain_budget() const noexcept { return ring_.capacity(); }
 
   /// Liveness sweep: advance windows of nodes idle for > `timeout_s` (in
   /// the agent's own time base) so node_stats can never serve a frozen
   /// congested window; newly-idle nodes are marked stale and counted.
+  /// Publishes an epoch.
   void sweep(double now_s, double timeout_s);
 
-  /// Cumulative counts (thread-safe, monotone).
+  /// Cumulative counts (thread-safe, monotone).  samples_ingested() is
+  /// bumped after the epoch holding those samples is published, so once it
+  /// counts a sample every later snapshot() includes it.
   std::uint64_t samples_ingested() const noexcept {
-    return samples_ingested_.load(std::memory_order_relaxed);
+    return samples_ingested_.load(std::memory_order_acquire);
   }
   std::uint64_t batches_shed() const noexcept {
     return batches_shed_.load(std::memory_order_relaxed);
@@ -181,7 +199,9 @@ class IngestShard {
     return stale_rejected_.load(std::memory_order_relaxed);
   }
 
-  /// Query-side state snapshot at receiver time `now_s`.
+  /// Query-side state snapshot at receiver time `now_s`: the last epoch's
+  /// window and liveness state, staleness evaluated at `now_s`, and the
+  /// live shed counters and ring depth.
   struct Snapshot {
     core::OnlineTailPredictor::PooledStats pooled;
     std::size_t seen_nodes = 0;   ///< nodes that ever sent a sample
@@ -195,13 +215,27 @@ class IngestShard {
   Snapshot snapshot(double now_s) const;
 
  private:
+  /// Immutable shard state as of the end of one drain() or sweep().
+  /// Shared with readers by pointer and never mutated once published, so
+  /// per-node arrays can join it without changing the read side.
+  struct Epoch {
+    core::OnlineTailPredictor::PooledStats pooled;
+    std::size_t seen_nodes = 0;
+    std::size_t live_nodes = 0;
+    std::size_t stale_nodes = 0;
+    /// LivenessTable::oldest_live_seen_s() at publish time.
+    double oldest_live_seen_s = std::numeric_limits<double>::infinity();
+  };
+  void publish();
+
   BoundedQueue<WireBatch> ring_;
   // `local` rides in WireBatch::node through the ring (the reader already
   // resolved the global id); kept explicit in submit()'s signature so the
   // mapping stays at one call site.
-  mutable std::mutex mu_;
-  core::OnlineTailPredictor predictor_;
-  LivenessTable liveness_;
+  core::OnlineTailPredictor predictor_;  ///< worker-owned
+  LivenessTable liveness_;               ///< worker-owned
+  mutable std::mutex epoch_mu_;          ///< guards epoch_ (the pointer) only
+  std::shared_ptr<const Epoch> epoch_;
   std::atomic<std::uint64_t> samples_ingested_{0};
   std::atomic<std::uint64_t> batches_shed_{0};
   std::atomic<std::uint64_t> stale_rejected_{0};

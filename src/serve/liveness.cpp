@@ -1,6 +1,7 @@
 #include "serve/liveness.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace forktail::serve {
@@ -42,13 +43,13 @@ std::vector<std::size_t> LivenessTable::sweep(double now_s, double timeout_s) {
   return newly_stale;
 }
 
-double LivenessTable::staleness_ms(double now_s) const {
-  double worst = 0.0;
+double LivenessTable::oldest_live_seen_s() const {
+  double oldest = std::numeric_limits<double>::infinity();
   for (const Entry& e : entries_) {
     if (!e.seen || e.stale) continue;
-    worst = std::max(worst, (now_s - e.last_seen_s) * 1000.0);
+    oldest = std::min(oldest, e.last_seen_s);
   }
-  return worst;
+  return oldest;
 }
 
 double LivenessTable::estimated_agent_now_s(std::size_t node,

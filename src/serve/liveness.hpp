@@ -15,6 +15,7 @@
 //     agent by definition stops advancing its own clock.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -47,7 +48,20 @@ class LivenessTable {
   /// no node is live.  Stale nodes are excluded -- their absence is
   /// reported through the stale count / degradation reason, not by letting
   /// one dead agent pin staleness at infinity.
-  double staleness_ms(double now_s) const;
+  double staleness_ms(double now_s) const {
+    return staleness_ms_since(oldest_live_seen_s(), now_s);
+  }
+
+  /// Receiver time of the least recent arrival among LIVE nodes; +inf when
+  /// no node is live.  staleness_ms() is a function of this alone, so a
+  /// published copy of it answers staleness at any later query time.
+  double oldest_live_seen_s() const;
+
+  /// Data age in ms at `now_s` of a fleet whose least recent live arrival
+  /// was at `oldest_live_seen_s` (0 when that is +inf, i.e. nothing live).
+  static double staleness_ms_since(double oldest_live_seen_s, double now_s) {
+    return std::max(0.0, (now_s - oldest_live_seen_s) * 1000.0);
+  }
 
   /// The agent-clock "now" estimate for `node`: its last reported
   /// timestamp plus the receiver-side idle time.  This is the eviction

@@ -335,7 +335,9 @@ void Server::reader_loop() {
 
 void Server::worker_loop(std::size_t shard) {
   IngestShard& s = *shards_[shard];
+  const double budget = static_cast<double>(s.drain_budget());
   double next_sweep = 0.0;
+  double last_drain = now_s();
   for (;;) {
     const bool stopping = stop_workers_.load(std::memory_order_acquire);
     const double now = now_s();
@@ -348,10 +350,21 @@ void Server::worker_loop(std::size_t shard) {
       s.sweep(now, config_.liveness_timeout);
       next_sweep = now + config_.sweep_interval;
     }
-    if (drained == 0) {
-      if (stopping) break;  // reader already joined: the ring is flushed
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    if (drained == 0 && stopping) break;  // reader joined: ring flushed
+    // Every drain that takes a batch ends with an epoch publish (a merge
+    // over all the shard's windows), so re-draining a trickle at once would
+    // publish every batch or two and keep the worker busy.  Pause instead,
+    // unless the budget left a backlog: 0.5 ms, or less when the rate just
+    // drained would fill half the ring sooner.
+    if (drained < s.drain_budget()) {
+      double pause_s = 500e-6;
+      if (drained > 0) {
+        pause_s = std::min(pause_s, 0.5 * budget * (now - last_drain) /
+                                        static_cast<double>(drained));
+      }
+      std::this_thread::sleep_for(std::chrono::duration<double>(pause_s));
     }
+    last_drain = now;
   }
 }
 
@@ -364,8 +377,9 @@ Server::Prediction Server::predict(double p, double k) const {
   Prediction pred;
   pred.p = p;
 
+  // Each snapshot is a pointer copy of the shard's last published epoch:
+  // no shard lock is taken and no window is merged here.
   stats::MomentSketch pooled;
-  std::uint64_t shed = 0;
   bool shed_recent = false;
   for (const auto& shard : shards_) {
     const auto snap = shard->snapshot(now);
@@ -374,7 +388,6 @@ Server::Prediction Server::predict(double p, double k) const {
     pred.live_nodes += snap.live_nodes;
     pred.stale_nodes += snap.stale_nodes;
     pred.staleness_ms = std::max(pred.staleness_ms, snap.staleness_ms);
-    shed += snap.batches_shed;
     if (snap.last_shed_s >= now - config_.window_seconds) shed_recent = true;
     pooled.merge(snap.pooled.moments());
   }
@@ -416,7 +429,6 @@ Server::Prediction Server::predict(double p, double k) const {
     }
     if (pred.stale_nodes > 0) pred.reasons.push_back("stale_agents");
     if (shed_recent) pred.reasons.push_back("recent_shed");
-    (void)shed;
     pred.degraded = !pred.reasons.empty();
   }
 
@@ -427,6 +439,45 @@ Server::Prediction Server::predict(double p, double k) const {
   }
   metrics.query_staleness.record(pred.staleness_ms);
   return pred;
+}
+
+std::string predict_reply_json(const Server::Prediction& pred,
+                               std::uint64_t ingested_samples,
+                               std::uint64_t shed_batches) {
+  // Members in util::Json's (sorted) key order; each key literal carries
+  // its separator so the body is one straight run of appends.
+  std::string out;
+  out.reserve(256);
+  const auto number = [&out](const char* key, double v) {
+    out += key;
+    util::write_json_number(out, v);
+  };
+  const auto boolean = [&out](const char* key, bool v) {
+    out += key;
+    out += v ? "true" : "false";
+  };
+  boolean("{\"degraded\":", pred.degraded);
+  number(",\"filled_nodes\":", static_cast<double>(pred.filled_nodes));
+  number(",\"ingested_samples\":", static_cast<double>(ingested_samples));
+  number(",\"k\":", pred.k);
+  number(",\"live_nodes\":", static_cast<double>(pred.live_nodes));
+  number(",\"p\":", pred.p);
+  if (pred.served) number(",\"quantile_ms\":", pred.quantile_ms);
+  out += ",\"reasons\":[";
+  for (std::size_t i = 0; i < pred.reasons.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '"';
+    out += util::json_escape(pred.reasons[i]);
+    out += '"';
+  }
+  out += ']';
+  number(",\"seen_nodes\":", static_cast<double>(pred.seen_nodes));
+  boolean(",\"served\":", pred.served);
+  number(",\"shed_batches\":", static_cast<double>(shed_batches));
+  number(",\"stale_nodes\":", static_cast<double>(pred.stale_nodes));
+  number(",\"staleness_ms\":", pred.staleness_ms);
+  out += '}';
+  return out;
 }
 
 void Server::refresh_gauges() const {
@@ -513,24 +564,8 @@ std::string Server::handle_request(const std::string& body) {
     if (op == "predict") {
       const double p = req.contains("p") ? req.at("p").as_number() : 99.0;
       const double k = req.contains("k") ? req.at("k").as_number() : 0.0;
-      const Prediction pred = predict(p, k);
-      util::Json j = util::Json::object();
-      j.set("served", pred.served);
-      if (pred.served) j.set("quantile_ms", pred.quantile_ms);
-      j.set("p", pred.p);
-      j.set("k", pred.k);
-      j.set("staleness_ms", pred.staleness_ms);
-      j.set("degraded", pred.degraded);
-      util::Json reasons = util::Json::array();
-      for (const auto& reason : pred.reasons) reasons.push_back(reason);
-      j.set("reasons", std::move(reasons));
-      j.set("filled_nodes", static_cast<std::uint64_t>(pred.filled_nodes));
-      j.set("seen_nodes", static_cast<std::uint64_t>(pred.seen_nodes));
-      j.set("live_nodes", static_cast<std::uint64_t>(pred.live_nodes));
-      j.set("stale_nodes", static_cast<std::uint64_t>(pred.stale_nodes));
-      j.set("ingested_samples", samples_ingested());
-      j.set("shed_batches", batches_shed());
-      return j.dump(0);
+      return predict_reply_json(predict(p, k), samples_ingested(),
+                                batches_shed());
     }
     if (op == "report") {
       refresh_gauges();

@@ -8,7 +8,10 @@
 //                bounded ring.  Never blocks on a slow consumer (the ring
 //                sheds, it does not grow) and never crashes on bad input.
 //   workers   -- one per shard; drain the ring into the skew-tolerant
-//                predictor windows and run the periodic liveness sweep.
+//                predictor windows and run the periodic liveness sweep,
+//                publishing an immutable shard epoch after each (see
+//                serve/ingest.hpp).  predict(), the stats op and the
+//                gauges read those epochs and never wait for a drain.
 //   query     -- one poll() loop serving the TCP request protocol
 //                (4-byte big-endian length + JSON request, same framing
 //                back) and plain HTTP GET -> Prometheus text scrape on the
@@ -146,5 +149,13 @@ class Server {
   std::thread watchdog_;
   std::chrono::steady_clock::time_point start_time_{};
 };
+
+/// The TCP "predict" op's reply body for `pred` plus the two live
+/// counters.  Byte-identical to building the same object with util::Json
+/// and calling dump(0) (sorted keys, quantile_ms only when served), but
+/// written straight into one string.
+std::string predict_reply_json(const Server::Prediction& pred,
+                               std::uint64_t ingested_samples,
+                               std::uint64_t shed_batches);
 
 }  // namespace forktail::serve

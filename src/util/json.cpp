@@ -1,8 +1,10 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -231,33 +233,44 @@ class Parser {
     }
     if (pos_ == start) fail("expected number");
     const std::string token = text_.substr(start, pos_ - start);
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(token, &used);
-    } catch (const std::exception&) {
-      // invalid_argument ("--1") and out_of_range ("1e999") both land here.
+    // strtod, not stod: stod throws out_of_range on every subnormal result
+    // (ERANGE), so "4.9e-324" would not parse back.  Overflow still fails
+    // the isfinite check below; underflow rounds like any other literal.
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    // strtod parses the longest valid prefix; "1e+e" must not pass as 1.
+    if (end != token.c_str() + token.size() || !std::isfinite(v)) {
       fail("malformed number");
     }
-    // stod parses the longest valid prefix; "1e+e" must not pass as 1.
-    if (used != token.size() || !std::isfinite(v)) fail("malformed number");
     return Json(v);
   }
 };
 
-void write_number(std::string& out, double v) {
-  // %.17g round-trips every finite double; trim to the shortest form that
-  // still parses back exactly so common values stay readable (1 not
-  // 1.0000000000000000).
+}  // namespace
+
+void write_json_number(std::string& out, double v) {
+  // The shortest %.*g precision that parses back exactly, so common values
+  // stay readable (1 not 1.0000000000000000).  std::to_chars's shortest
+  // scientific form has the fewest significant digits that round-trip, so
+  // no smaller precision can; the search starts there instead of at 1.
+  // Non-finite values fall through to %.17g ("inf", "nan"), as before.
+  int prec = 1;
+  if (std::isfinite(v)) {
+    char sci[32];
+    const auto res =
+        std::to_chars(sci, sci + sizeof(sci), v, std::chars_format::scientific);
+    prec = 0;
+    for (const char* c = sci; c != res.ptr && *c != 'e'; ++c) {
+      if (*c >= '0' && *c <= '9') ++prec;
+    }
+  }
   char buf[40];
-  for (int prec : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}) {
+  for (; prec <= 17; ++prec) {
     std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::stod(buf) == v) break;
+    if (std::strtod(buf, nullptr) == v) break;
   }
   out += buf;
 }
-
-}  // namespace
 
 Json Json::parse(const std::string& text) { return Parser(text).parse(); }
 
@@ -371,7 +384,7 @@ void Json::write(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       return;
     case Kind::kNumber:
-      write_number(out, number_);
+      write_json_number(out, number_);
       return;
     case Kind::kString:
       out.push_back('"');

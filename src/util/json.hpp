@@ -6,8 +6,9 @@
 // (ScenarioSpec files), the observability reports, and the tests all share
 // one implementation instead of ad-hoc readers.  Deliberately small: no
 // third-party dependency, object keys kept in sorted (std::map) order so
-// serialization is deterministic, numbers emitted with round-trip (%.17g)
-// precision so parse(dump(x)) == x for every finite double.
+// serialization is deterministic, numbers emitted at the shortest %.*g
+// precision that round-trips, so parse(dump(x)) == x for every finite
+// double, subnormals included.
 #pragma once
 
 #include <cstdint>
@@ -118,6 +119,11 @@ class Json {
   std::vector<Json> items_;
   std::map<std::string, Json> fields_;
 };
+
+/// Append `v` the way Json::dump writes a number: `%.*g` at the smallest
+/// precision that parses back to exactly `v` (1000 is "1e+03", 0.1 is
+/// "0.1").  Exposed for fixed-schema writers that must match dump's bytes.
+void write_json_number(std::string& out, double v);
 
 /// Escape a string for embedding in a JSON document (without quotes).
 std::string json_escape(const std::string& text);

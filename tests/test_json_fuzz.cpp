@@ -1,11 +1,20 @@
 // Adversarial-input tests for util::Json: every malformed document must
 // raise util::JsonParseError -- never crash, overflow the stack, or parse
 // silently wrong.  Complements the schema-oriented happy-path coverage in
-// test_report_schema.cpp.
+// test_report_schema.cpp, plus the number writer: shortest round-trip
+// output, bit-exact parse(dump(x)) for every finite double including
+// subnormals, and byte equality with the former precision search.
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "util/rng.hpp"
@@ -159,6 +168,87 @@ TEST(JsonFuzz, RandomDocumentsRoundTrip) {
     EXPECT_EQ(Json::parse(doc.dump()), doc);
     EXPECT_EQ(Json::parse(doc.dump(0)), doc);
   }
+}
+
+// ---------------------------------------------------------- number writer
+
+/// The writer's former search, kept as the byte oracle: the first %.*g
+/// precision in 1..17 whose std::stod parses back to `v`.  stod throws
+/// std::out_of_range on subnormal results, so this returns nullopt for
+/// every value whose search touched the subnormal range.
+std::optional<std::string> stod_search_oracle(double v) {
+  char buf[40];
+  try {
+    for (int prec = 1; prec <= 17; ++prec) {
+      std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+      if (std::stod(buf) == v) break;
+    }
+  } catch (const std::out_of_range&) {
+    return std::nullopt;
+  }
+  return std::string(buf);
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double from_bits(std::uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+TEST(JsonFuzz, SubnormalsRoundTrip) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(Json(tiny).dump(), "5e-324");
+  EXPECT_EQ(Json::parse("4.9e-324").as_number(), tiny);
+  EXPECT_EQ(Json::parse("-4.9e-324").as_number(), -tiny);
+  EXPECT_EQ(Json::parse(Json(DBL_MIN / 3.0).dump()).as_number(), DBL_MIN / 3.0);
+  // Below half the smallest subnormal a literal rounds to zero, like any
+  // other decimal that is not exactly representable.
+  EXPECT_EQ(Json::parse("1e-400").as_number(), 0.0);
+}
+
+TEST(JsonFuzz, RandomBitPatternsDumpShortestAndRoundTripBitExact) {
+  // Raw 64-bit patterns (NaN and infinity excluded) with the exponent
+  // field biased toward the subnormal range and the normals just above
+  // DBL_MIN, where the old search's short precisions round into it.
+  util::Rng rng(20261017);
+  int oracle_compared = 0, subnormals = 0;
+  for (int round = 0; round < 40000; ++round) {
+    std::uint64_t bits = rng.next_u64();
+    const int pick = round % 4;
+    if (pick == 1) {
+      bits &= ~(0x7FFULL << 52);  // exponent 0: subnormal (or signed zero)
+    } else if (pick == 2) {
+      bits = (bits & ~(0x7FFULL << 52)) | ((1 + (bits >> 60)) << 52);
+    }
+    const double v = from_bits(bits);
+    if (!std::isfinite(v)) continue;
+    if (std::fpclassify(v) == FP_SUBNORMAL) ++subnormals;
+
+    std::string text;
+    ASSERT_NO_THROW(text = Json(v).dump()) << std::hexfloat << v;
+    double back = 0.0;
+    ASSERT_NO_THROW(back = Json::parse(text).as_number()) << text;
+    ASSERT_EQ(bits_of(back), bits) << text;
+
+    if (const auto oracle = stod_search_oracle(v)) {
+      ASSERT_EQ(text, *oracle) << std::hexfloat << v;
+      ++oracle_compared;
+    }
+  }
+  EXPECT_GT(subnormals, 8000);
+  EXPECT_GT(oracle_compared, 20000);
+}
+
+TEST(JsonFuzz, WriteJsonNumberAppendsDumpBytes) {
+  std::string out = "[";
+  write_json_number(out, 1000.0);
+  EXPECT_EQ(out, "[1e+03");
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Ingest-path tests: the bounded ring's FIFO/drop-oldest contract (single
 // threaded and under a producer/consumer race), and the IngestShard pipeline
 // from submitted wire batches to pooled predictor windows, including
-// batch-level stale-timestamp rejection and overload shedding.
+// batch-level stale-timestamp rejection and overload shedding, and the
+// published-epoch read side: a snapshot after drain() sees it, staleness
+// matches the liveness table, and concurrent snapshots are whole epochs.
 #include "serve/ingest.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -211,6 +215,132 @@ TEST(IngestShard, StalenessTracksLiveNodesOnly) {
   EXPECT_EQ(snap.stale_nodes, 1u);
   // Worst LIVE age is node 0's 1 s, not node 1's 5 s.
   EXPECT_NEAR(snap.staleness_ms, 1000.0, 1e-6);
+}
+
+// ------------------------------------------------------ published epochs
+
+TEST(IngestShard, SnapshotAfterDrainSeesThatDrain) {
+  // The single-threaded contract the in-process replay relies on: drain()
+  // publishes before it returns, so the next snapshot() reflects it.
+  ShardConfig config = small_shard();
+  config.local_nodes = 3;
+  IngestShard shard(config);
+  LivenessTable mirror(config.local_nodes);  // fed the same arrivals
+  EXPECT_EQ(shard.snapshot(0.0).seen_nodes, 0u);
+
+  // Each batch is drained at its own arrival time t, which is the receiver
+  // time the liveness table records for it.
+  const auto feed = [&](std::uint32_t node, double t,
+                        std::initializer_list<double> samples) {
+    shard.submit(node, batch_for(node, t, samples));
+    mirror.observe(node, static_cast<std::uint64_t>(t * 1e9), t);
+    return shard.drain(t);
+  };
+  EXPECT_EQ(feed(0, 1.0, {1.0, 2.0, 3.0}), 1u);
+  auto snap = shard.snapshot(1.0);
+  EXPECT_EQ(snap.pooled.count, 3.0);
+  EXPECT_EQ(snap.seen_nodes, 1u);
+
+  EXPECT_EQ(feed(1, 1.5, {4.0, 5.0, 6.0, 7.0}), 1u);
+  snap = shard.snapshot(1.5);
+  EXPECT_EQ(snap.pooled.count, 7.0);
+  EXPECT_EQ(snap.pooled.filled_nodes, 2u);
+  EXPECT_EQ(snap.seen_nodes, 2u);
+
+  EXPECT_EQ(feed(2, 2.25, {8.0, 9.0, 10.0}), 1u);
+  snap = shard.snapshot(2.25);
+  EXPECT_EQ(snap.pooled.count, 10.0);
+  EXPECT_EQ(snap.pooled.filled_nodes, 3u);
+  EXPECT_EQ(snap.seen_nodes, 3u);
+
+  // Staleness is evaluated at query time from the published epoch and
+  // equals the liveness table's own answer bit for bit, before and after
+  // a sweep marks node 0 stale.
+  for (const double now : {2.25, 2.5, 3.125, 4.0}) {
+    EXPECT_EQ(shard.snapshot(now).staleness_ms, mirror.staleness_ms(now));
+  }
+  shard.sweep(4.0, 2.75);
+  (void)mirror.sweep(4.0, 2.75);
+  snap = shard.snapshot(4.5);
+  EXPECT_EQ(snap.stale_nodes, 1u);
+  EXPECT_EQ(snap.staleness_ms, mirror.staleness_ms(4.5));
+  EXPECT_NEAR(snap.staleness_ms, 3000.0, 1e-9);  // node 1, last seen at 1.5
+}
+
+TEST(IngestShard, ConcurrentSnapshotsSeeWholeEpochs) {
+  // A feeder submits 64-sample batches, the worker drains and sweeps, and
+  // the main thread snapshots in a loop without any coordination.  Every
+  // snapshot must be one consistent published epoch.
+  constexpr std::size_t kBatch = 64;
+  constexpr std::uint32_t kNodes = 8;
+  constexpr int kRounds = 20000;
+  ShardConfig config;
+  config.local_nodes = kNodes;
+  config.window_seconds = 0.5;  // agent seconds: ~60 batches per node
+  config.min_samples = 3 * kBatch;
+  // Revived agents land behind the window their sweep advanced; clamp
+  // them rather than reject, so every batch is ingested or shed.
+  config.skew_tolerance = 1e6;
+  config.ring_capacity = 64;
+  IngestShard shard(config);
+
+  std::atomic<bool> fed{false}, worker_done{false};
+  std::uint64_t submitted = 0;  // read after join
+  std::thread feeder([&] {
+    WireBatch batch;
+    batch.count = kBatch;
+    for (std::size_t i = 0; i < kBatch; ++i) batch.samples[i] = 1.0 + i % 7;
+    for (int r = 0; r < kRounds; ++r) {
+      // The last node falls silent for long stretches, so sweeps mark it
+      // stale and later arrivals revive it.
+      const auto node = static_cast<std::uint32_t>(r % kNodes);
+      if (node == kNodes - 1 && (r / 4000) % 2 == 1) continue;
+      batch.node = node;
+      batch.timestamp_ns = static_cast<std::uint64_t>(r) * 1'000'000;
+      shard.submit(node, batch);
+      ++submitted;
+      if (r % 256 == 0) std::this_thread::yield();
+    }
+    fed.store(true, std::memory_order_release);
+  });
+  std::thread worker([&] {
+    // Receiver time advances 1 ms per pass; the sweep timeout is 20 ms.
+    double now = 0.0;
+    for (;;) {
+      const bool last = fed.load(std::memory_order_acquire);
+      now += 1e-3;
+      const std::size_t drained = shard.drain(now);
+      shard.sweep(now, 0.02);
+      if (drained == 0 && last) break;
+      if (drained == 0) std::this_thread::yield();
+    }
+    worker_done.store(true, std::memory_order_release);
+  });
+
+  std::size_t snapshots = 0, last_seen = 0;
+  std::string violation;
+  while (violation.empty() && !worker_done.load(std::memory_order_acquire)) {
+    const auto snap = shard.snapshot(1.0);
+    ++snapshots;
+    if (std::fmod(snap.pooled.count, double(kBatch)) != 0.0) {
+      violation = "pooled.count " + std::to_string(snap.pooled.count);
+    } else if (snap.pooled.filled_nodes > snap.seen_nodes) {
+      violation = "filled_nodes > seen_nodes";
+    } else if (snap.live_nodes + snap.stale_nodes != snap.seen_nodes) {
+      violation = "live + stale != seen";
+    } else if (snap.seen_nodes < last_seen) {
+      violation = "seen_nodes decreased";
+    }
+    last_seen = snap.seen_nodes;
+  }
+  feeder.join();
+  worker.join();
+  EXPECT_EQ(violation, "");
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(shard.snapshot(1.0).seen_nodes, kNodes);
+  EXPECT_EQ(shard.stale_rejected(), 0u);
+  EXPECT_EQ(shard.samples_ingested() + shard.batches_shed() * kBatch,
+            submitted * kBatch);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // End-to-end daemon tests over real loopback sockets: ingest -> windows ->
 // served predictions, the socket-visible rejection matrix, dead-agent
 // degradation, overload shedding, the HTTP scrape, slow-trickling framed
-// clients, and clean stop/drain.  Slow tier: each test spins up a Server
+// clients, and clean stop/drain, plus the predict reply writer's byte
+// identity with util::Json.  Slow tier: each socket test spins up a Server
 // with ephemeral ports.
 #include "serve/server.hpp"
 
@@ -180,6 +181,76 @@ bool eventually(Pred pred, std::chrono::milliseconds budget = 5000ms) {
 
 std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
+}
+
+/// The predict reply as the query op used to build it: a util::Json tree
+/// dumped compact.  The fixed-schema writer must match it byte for byte.
+std::string predict_reply_oracle(const Server::Prediction& pred,
+                                 std::uint64_t ingested, std::uint64_t shed) {
+  util::Json j = util::Json::object();
+  j.set("served", pred.served);
+  if (pred.served) j.set("quantile_ms", pred.quantile_ms);
+  j.set("p", pred.p);
+  j.set("k", pred.k);
+  j.set("staleness_ms", pred.staleness_ms);
+  j.set("degraded", pred.degraded);
+  util::Json reasons = util::Json::array();
+  for (const auto& reason : pred.reasons) reasons.push_back(reason);
+  j.set("reasons", std::move(reasons));
+  j.set("filled_nodes", static_cast<std::uint64_t>(pred.filled_nodes));
+  j.set("seen_nodes", static_cast<std::uint64_t>(pred.seen_nodes));
+  j.set("live_nodes", static_cast<std::uint64_t>(pred.live_nodes));
+  j.set("stale_nodes", static_cast<std::uint64_t>(pred.stale_nodes));
+  j.set("ingested_samples", ingested);
+  j.set("shed_batches", shed);
+  return j.dump(0);
+}
+
+TEST(ServeServer, PredictReplyBytesMatchJsonDump) {
+  Server::Prediction served;
+  served.served = true;
+  served.quantile_ms = 90.56619872813304;
+  served.p = 99.0;
+  served.k = 1000.0;  // dumps as 1e+03
+  served.staleness_ms = 0.51054100000000003;
+  served.filled_nodes = served.seen_nodes = served.live_nodes = 1000;
+
+  Server::Prediction no_data;
+  no_data.p = 99.9;
+  no_data.degraded = true;
+  no_data.reasons = {"no_data"};
+
+  Server::Prediction invalid;
+  invalid.p = 100.0;
+  invalid.degraded = true;
+  invalid.reasons = {"invalid_percentile"};
+  invalid.staleness_ms = 12.25;
+  invalid.filled_nodes = 3;
+  invalid.seen_nodes = invalid.live_nodes = 4;
+
+  Server::Prediction degraded;
+  degraded.served = true;
+  degraded.quantile_ms = 1.0 / 3.0;
+  degraded.p = 95.5;
+  degraded.k = 37.0;
+  degraded.staleness_ms = 61234.5678;
+  degraded.degraded = true;
+  degraded.reasons = {"zero_variance", "underfilled_windows", "stale_agents",
+                      "recent_shed"};
+  degraded.filled_nodes = 30;
+  degraded.seen_nodes = 64;
+  degraded.live_nodes = 61;
+  degraded.stale_nodes = 3;
+
+  const std::uint64_t ingested = 123456789012ULL, shed = 6022;
+  for (const auto* pred : {&served, &no_data, &invalid, &degraded}) {
+    EXPECT_EQ(predict_reply_json(*pred, ingested, shed),
+              predict_reply_oracle(*pred, ingested, shed));
+    EXPECT_EQ(predict_reply_json(*pred, 0, 0),
+              predict_reply_oracle(*pred, 0, 0));
+  }
+  EXPECT_NE(predict_reply_json(served, 0, 0).find("\"k\":1e+03"),
+            std::string::npos);
 }
 
 TEST(ServeServer, IngestsAndServesPredictions) {
