@@ -14,10 +14,11 @@
 //     by in-flight concurrency, not the request count.
 //   * fj-n100-all-load70   -- all-nodes fork-join (k = N) on the same pair.
 //   * closed-loop-n1000-k16 -- the SLO admission loop at cluster scale;
-//     baseline = 1 stats shard + per-request response vector, candidate =
-//     16 shards + histogram-only.  The speedup is expected near 1x; the row
-//     exists for the bit-identity flag (sharding must not change a single
-//     output bit) and the bounded-memory mode's throughput.
+//     baseline = per-request response vector (record_responses = true),
+//     candidate = histogram only (record_responses = false).  The speedup
+//     is expected near 1x; the row exists for the bit-identity flag (the
+//     bounded-memory mode must not change a single other output bit) and
+//     that mode's throughput.
 //   * engine-cancel-heavy  -- engine microbenchmark, ~50% hedging-style
 //     cancels: rounds of schedule-cancellable / cancel-half / drain.  The
 //     calendar engine compacts tombstones (compactions > 0); the heap
@@ -57,10 +58,10 @@ namespace {
 
 /// Which implementation a run exercises:
 ///  * kBaseline  -- the pre-change path (binary-heap engine, std::function
-///    handlers, O(total_requests) driver state; for the closed loop: one
-///    stats shard + full response vector).
+///    handlers, O(total_requests) driver state; for the closed loop: the
+///    full per-request response vector).
 ///  * kCandidate -- the calendar-queue engine with typed POD events (for
-///    the closed loop: 16 stats shards + histogram-only responses).
+///    the closed loop: histogram-only responses).
 enum class Path { kBaseline, kCandidate };
 
 /// One timed run: wall seconds, the throughput numerator, and a bitwise
@@ -253,7 +254,6 @@ std::vector<Workload> build_workloads(const BenchOptions& options,
       cfg.num_requests = requests;
       cfg.seed = seed;
       cfg.record_responses = path == Path::kBaseline;
-      cfg.stats_shards = path == Path::kBaseline ? 1 : 16;
       util::Stopwatch watch;
       const sched::ClosedLoopResult res = sched::run_closed_loop(cfg);
       RunOutcome out;
@@ -265,16 +265,16 @@ std::vector<Workload> build_workloads(const BenchOptions& options,
                          res.violation_rate,
                          res.mean_predicted_latency,
                          res.response_histogram.percentile(99.0),
-                         res.node_tasks.pooled.mean(),
-                         res.node_tasks.pooled.variance(),
-                         static_cast<double>(res.node_tasks.samples)};
+                         res.pooled_task_stats.mean(),
+                         res.pooled_task_stats.variance(),
+                         static_cast<double>(res.pooled_task_stats.count())};
       return out;
     };
     workloads.push_back(Workload{"closed-loop-n1000-k16",
                                  "closed_loop",
                                  "requests",
-                                 "1 stats shard + response vector",
-                                 "16 stats shards + histogram only",
+                                 "response vector + histogram",
+                                 "histogram only",
                                  /*acceptance=*/false,
                                  1000,
                                  requests,

@@ -121,9 +121,6 @@ MitigatedResult run_mitigated_homogeneous(const fjsim::HomogeneousConfig& config
   if (mit.early_k > 0) arena.emplace(total, mit.early_k);
 
   FaultCounters& counters = result.counters;
-  // Sharded per-node registry for the mitigated task times; the node-major
-  // replay touches exactly one shard per outer iteration.
-  sim::ClusterStats cluster(config.num_nodes);
   std::vector<AttemptRec> attempts;
   attempts.reserve(static_cast<std::size_t>(mit.max_retries) + 1);
 
@@ -235,7 +232,6 @@ MitigatedResult run_mitigated_homogeneous(const fjsim::HomogeneousConfig& config
 
       if (measured && std::isfinite(completion)) {
         result.task_stats.add(completion - arrival);
-        cluster.record(n, completion - arrival);
       }
       if (arena) {
         arena->insert(j, completion);
@@ -268,7 +264,6 @@ MitigatedResult run_mitigated_homogeneous(const fjsim::HomogeneousConfig& config
   reg.counter("fault.retries").add(counters.retries);
   reg.counter("fault.timeouts").add(counters.timeouts);
   reg.counter("fault.dropped_requests").add(counters.dropped_requests);
-  result.node_tasks = cluster.summary();
   return result;
 }
 

@@ -23,7 +23,6 @@
 
 #include "fault/plan.hpp"
 #include "fjsim/homogeneous.hpp"
-#include "sim/cluster_stats.hpp"
 #include "stats/welford.hpp"
 
 namespace forktail::fault {
@@ -64,11 +63,6 @@ struct MitigatedResult {
   double hedge_delay = 0.0;
   std::uint64_t total_tasks = 0;
   FaultCounters counters;
-  /// Per-node mitigated task-time moments (same samples as `task_stats`,
-  /// keyed by node) rolled up from the sharded sim::ClusterStats registry:
-  /// pinpoints which nodes a fault window actually hurt.  Purely additive
-  /// -- every pre-existing field above is untouched.
-  sim::ClusterSummary node_tasks;
 };
 
 /// Run the homogeneous scenario under `plan`.  Requires the single-server

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "fjsim/node.hpp"
-#include "sim/cluster_stats.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::sched {
@@ -46,11 +45,8 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
       config.warmup_fraction * static_cast<double>(config.num_requests));
 
   ClosedLoopResult result;
+  result.node_task_stats.resize(config.num_nodes);
   double predicted_acc = 0.0;
-
-  // Sharded per-node task-time registry (measured tasks): feeds the
-  // node_tasks summary without touching any pre-existing output.
-  sim::ClusterStats cluster(config.num_nodes, config.stats_shards);
 
   // Scratch permutation for random placement (bootstrap / baseline).
   std::vector<std::size_t> fallback(config.num_nodes);
@@ -168,7 +164,9 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
           t, j, [&](std::uint64_t, double arrival, double completion) {
             completion_max = std::max(completion_max, completion);
             monitors.record(node_id, completion, completion - arrival);
-            if (measured) cluster.record(node_id, completion - arrival);
+            if (measured) {
+              result.node_task_stats[node_id].add(completion - arrival);
+            }
           });
     }
     if (measured) {
@@ -191,7 +189,9 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
     result.admit_rate = static_cast<double>(result.admitted) /
                         static_cast<double>(result.offered);
   }
-  result.node_tasks = cluster.summary();
+  for (const stats::Welford& node : result.node_task_stats) {
+    result.pooled_task_stats.merge(node);
+  }
   return result;
 }
 

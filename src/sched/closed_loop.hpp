@@ -22,7 +22,8 @@
 
 #include "core/forktail.hpp"
 #include "dist/distribution.hpp"
-#include "sim/cluster_stats.hpp"
+#include "stats/log2_histogram.hpp"
+#include "stats/welford.hpp"
 
 namespace forktail::sched {
 
@@ -44,10 +45,6 @@ struct ClosedLoopConfig {
   /// Cluster-scale runs (>= 10M requests) set this false and read the
   /// response histogram instead; every other output is unchanged.
   bool record_responses = true;
-  /// Shard count for the per-node task-stats registry (sim::ClusterStats);
-  /// 0 picks one shard per 64 nodes.  Every output is bit-identical for
-  /// every value -- pinned by the determinism suite.
-  std::size_t stats_shards = 0;
 };
 
 struct ClosedLoopResult {
@@ -62,10 +59,9 @@ struct ClosedLoopResult {
   /// Admitted (measured) responses pooled into the fixed log2-linear grid:
   /// tail percentiles without keeping every sample.
   stats::LatencyHistogram response_histogram;
-  /// Deterministic roll-up of the sharded per-node task-time registry
-  /// (measured tasks only): exact per-node moments, node-order pooled
-  /// merge, pooled task-time histogram.
-  sim::ClusterSummary node_tasks;
+  /// Exact per-node task response-time moments (measured tasks only).
+  std::vector<stats::Welford> node_task_stats;
+  stats::Welford pooled_task_stats;  ///< node-order merge of node_task_stats
 };
 
 ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config);

@@ -63,7 +63,6 @@ class FjDriver {
         arrival_rng_(master_.split(0)),
         pick_rng_(master_.split(1)),
         k_rng_(master_.split(2)),
-        cluster_(config.num_nodes, config.stats_shards),
         mean_interarrival_(1.0 / config.lambda) {
     nodes_.reserve(config.num_nodes);
     for (std::size_t i = 0; i < config.num_nodes; ++i) {
@@ -80,6 +79,7 @@ class FjDriver {
     for (std::size_t i = 0; i < config.num_nodes; ++i) {
       node_index_[i] = static_cast<std::uint32_t>(i);
     }
+    result_.node_task_stats.resize(config.num_nodes);
     if (config.record_responses) {
       result_.request_responses.reserve(config.num_requests);
     }
@@ -94,10 +94,6 @@ class FjDriver {
 
     for (const auto& node : nodes_) {
       result_.redundant_issues += node->redundant_issues();
-    }
-    result_.node_task_stats.reserve(config_.num_nodes);
-    for (std::size_t n = 0; n < config_.num_nodes; ++n) {
-      result_.node_task_stats.push_back(cluster_.node(n));
     }
     result_.sim_end_time = engine_.now();
     result_.events_processed = engine_.events_processed();
@@ -200,7 +196,7 @@ class FjDriver {
     if (req.measured) {
       const double response = completion - arrival;
       result_.pooled_task_stats.add(response);
-      cluster_.record_moments(node, response);
+      result_.node_task_stats[node].add(response);
     }
     if (completion > req.max_completion) req.max_completion = completion;
     if (--req.remaining == 0) {
@@ -223,7 +219,6 @@ class FjDriver {
   util::Rng pick_rng_;
   util::Rng k_rng_;
   std::vector<std::unique_ptr<ForkNode>> nodes_;
-  ClusterStats cluster_;
   FjResult result_;
   std::vector<RequestSlot> slots_;
   std::vector<std::uint32_t> free_slots_;

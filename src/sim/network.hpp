@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "dist/distribution.hpp"
-#include "sim/cluster_stats.hpp"
 #include "sim/forknode.hpp"
+#include "stats/log2_histogram.hpp"
 #include "stats/welford.hpp"
 
 namespace forktail::sim {
@@ -42,9 +42,6 @@ struct FjConfig {
   /// false and read the pooled stats / histogram instead, so memory stays
   /// bounded by the number of *in-flight* requests, not the request count.
   bool record_responses = true;
-  /// Shard count for the per-node stats registry; 0 picks one shard per 64
-  /// nodes.  Results are bit-identical for every value (see cluster_stats).
-  std::size_t stats_shards = 0;
 };
 
 struct FjResult {

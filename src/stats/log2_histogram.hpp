@@ -9,8 +9,7 @@
 //
 // Two front ends share the grid:
 //   * stats::LatencyHistogram (below) -- plain integer counts.  Merges are
-//     exact and order-independent, which the sharded simulation stats rely
-//     on for bit-identical summaries at every shard count.
+//     exact and order-independent.
 //   * obs::Histogram -- relaxed-atomic counts plus sum/min/max, recorded
 //     concurrently by runtime instrumentation.
 #pragma once

@@ -9,8 +9,8 @@ namespace forktail::sim {
 /// The pre-calendar-queue implementation of run_fj_simulation: the original
 /// callback driver on the binary-heap engine (support/heap_engine.hpp).
 /// Frozen as the determinism reference and the bench_cluster speedup
-/// baseline; it honours `record_responses` but ignores `stats_shards` (it
-/// has no sharding) and leaves `response_histogram` empty.
+/// baseline; it honours `record_responses` and leaves `response_histogram`
+/// empty.
 FjResult run_fj_simulation_baseline(const FjConfig& config);
 
 }  // namespace forktail::sim

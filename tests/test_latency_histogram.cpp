@@ -1,22 +1,17 @@
-#include "sim/cluster_stats.hpp"
+#include "stats/log2_histogram.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
+#include <cstddef>
 #include <limits>
 #include <vector>
 
 #include "util/rng.hpp"
 
-namespace forktail::sim {
+namespace forktail::stats {
 namespace {
-
-using stats::LatencyHistogram;
-
-// ---------------------------------------------------------------------------
-// LatencyHistogram
-// ---------------------------------------------------------------------------
 
 TEST(LatencyHistogram, BucketIndexEdgeCases) {
   // Bucket 0 catches everything that is not a positive finite double.
@@ -138,113 +133,5 @@ TEST(LatencyHistogram, MergeIsExactAndOrderIndependent) {
   EXPECT_EQ(all.total(), 5000u);
 }
 
-// ---------------------------------------------------------------------------
-// ClusterStats sharding
-// ---------------------------------------------------------------------------
-
-/// Record a fixed deterministic sample stream into a registry.
-void fill(ClusterStats& cs, std::size_t num_nodes, std::uint64_t seed) {
-  util::Rng rng(seed);
-  for (int i = 0; i < 50000; ++i) {
-    const auto node = static_cast<std::size_t>(rng.uniform_int(
-        static_cast<std::uint64_t>(num_nodes)));
-    cs.record(node, rng.exponential(1.0 + static_cast<double>(node % 7)));
-  }
-}
-
-TEST(ClusterStats, SummaryBitIdenticalAcrossShardCounts) {
-  // The determinism contract: every shard count produces the same summary,
-  // bit for bit -- per-node moments, pooled merge, histogram, and count.
-  constexpr std::size_t kNodes = 100;
-  ClusterStats reference(kNodes, 1);
-  fill(reference, kNodes, 42);
-  const ClusterSummary ref = reference.summary();
-  ASSERT_EQ(ref.per_node.size(), kNodes);
-
-  for (const std::size_t shards : {0UL, 2UL, 3UL, 16UL, 64UL, 1000UL}) {
-    ClusterStats cs(kNodes, shards);
-    fill(cs, kNodes, 42);
-    const ClusterSummary s = cs.summary();
-    ASSERT_EQ(s.per_node.size(), kNodes) << shards << " shards";
-    EXPECT_EQ(s.samples, ref.samples);
-    // Bitwise equality on the doubles -- no tolerance.
-    EXPECT_EQ(s.pooled.count(), ref.pooled.count());
-    EXPECT_EQ(s.pooled.mean(), ref.pooled.mean()) << shards << " shards";
-    EXPECT_EQ(s.pooled.variance(), ref.pooled.variance());
-    EXPECT_EQ(s.pooled.min(), ref.pooled.min());
-    EXPECT_EQ(s.pooled.max(), ref.pooled.max());
-    for (std::size_t n = 0; n < kNodes; ++n) {
-      EXPECT_EQ(s.per_node[n].count(), ref.per_node[n].count());
-      EXPECT_EQ(s.per_node[n].mean(), ref.per_node[n].mean());
-      EXPECT_EQ(s.per_node[n].variance(), ref.per_node[n].variance());
-    }
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      EXPECT_EQ(s.histogram.counts()[i], ref.histogram.counts()[i]);
-    }
-  }
-}
-
-TEST(ClusterStats, PerNodeAccumulatorsAreExact) {
-  // A node's accumulator must equal a plain sequential Welford over that
-  // node's samples -- sharding must not approximate.
-  constexpr std::size_t kNodes = 10;
-  ClusterStats cs(kNodes, 4);
-  std::vector<stats::Welford> direct(kNodes);
-  util::Rng rng(5);
-  for (int i = 0; i < 10000; ++i) {
-    const auto node = static_cast<std::size_t>(rng.uniform_int(kNodes));
-    const double v = rng.exponential(2.0);
-    cs.record(node, v);
-    direct[node].add(v);
-  }
-  for (std::size_t n = 0; n < kNodes; ++n) {
-    EXPECT_EQ(cs.node(n).count(), direct[n].count());
-    EXPECT_EQ(cs.node(n).mean(), direct[n].mean());
-    EXPECT_EQ(cs.node(n).variance(), direct[n].variance());
-  }
-}
-
-TEST(ClusterStats, ShardMappingCoversAllNodesContiguously) {
-  for (const std::size_t nodes : {1UL, 63UL, 64UL, 65UL, 1000UL, 1024UL}) {
-    for (const std::size_t shards : {0UL, 1UL, 7UL, 16UL}) {
-      ClusterStats cs(nodes, shards);
-      EXPECT_GE(cs.num_shards(), 1u);
-      std::size_t prev = cs.shard_of(0);
-      EXPECT_EQ(prev, 0u);
-      for (std::size_t n = 1; n < nodes; ++n) {
-        const std::size_t s = cs.shard_of(n);
-        EXPECT_TRUE(s == prev || s == prev + 1);  // contiguous ranges
-        prev = s;
-      }
-      EXPECT_EQ(prev, cs.num_shards() - 1);
-    }
-  }
-}
-
-TEST(ClusterStats, RecordMomentsSkipsHistogramOnly) {
-  ClusterStats cs(4, 2);
-  cs.record_moments(1, 2.5);
-  cs.record_moments(1, 3.5);
-  cs.record(2, 1.0);
-  const ClusterSummary s = cs.summary();
-  EXPECT_EQ(s.per_node[1].count(), 2u);
-  EXPECT_EQ(s.per_node[2].count(), 1u);
-  EXPECT_EQ(s.pooled.count(), 3u);
-  EXPECT_EQ(s.samples, 3u);
-  // Only the record() sample reached the histogram.
-  EXPECT_EQ(s.histogram.total(), 1u);
-}
-
-TEST(ClusterStats, ResetClearsEverything) {
-  ClusterStats cs(8);
-  fill(cs, 8, 3);
-  cs.reset();
-  const ClusterSummary s = cs.summary();
-  EXPECT_EQ(s.samples, 0u);
-  EXPECT_EQ(s.pooled.count(), 0u);
-  EXPECT_EQ(s.histogram.total(), 0u);
-  for (const auto& w : s.per_node) EXPECT_EQ(w.count(), 0u);
-}
-
 }  // namespace
-}  // namespace forktail::sim
+}  // namespace forktail::stats

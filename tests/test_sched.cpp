@@ -6,6 +6,7 @@
 
 #include "dist/basic.hpp"
 #include "stats/percentile.hpp"
+#include "stats/welford.hpp"
 
 namespace forktail::sched {
 namespace {
@@ -120,10 +121,10 @@ TEST(ClosedLoop, DeterministicUnderSeed) {
 }
 
 TEST(ClosedLoop, ClusterScaleThousandNodes) {
-  // 1000 nodes in memory-bounded mode (no response vector, 16 stats
-  // shards): the configuration family the 10M-request bench_cluster row
-  // runs, scaled down to test-suite budget.  The histogram and the sharded
-  // per-node roll-up must carry the statistics the vector would have.
+  // 1000 nodes in memory-bounded mode (no response vector): the
+  // configuration family the 10M-request bench_cluster row runs, scaled
+  // down to test-suite budget.  The histogram and the per-node moments
+  // must carry the statistics the vector would have.
   ClosedLoopConfig cfg;
   cfg.num_nodes = 1000;
   cfg.service = std::make_shared<dist::Exponential>(1.0);
@@ -133,7 +134,6 @@ TEST(ClosedLoop, ClusterScaleThousandNodes) {
   cfg.num_requests = 40000;
   cfg.seed = 2;
   cfg.record_responses = false;
-  cfg.stats_shards = 16;
   const auto r = run_closed_loop(cfg);
   EXPECT_TRUE(r.admitted_responses.empty());
   ASSERT_GT(r.admitted, 0u);
@@ -142,18 +142,24 @@ TEST(ClosedLoop, ClusterScaleThousandNodes) {
   const double p99 = r.response_histogram.percentile(99.0);
   EXPECT_GT(p99, 0.0);
   EXPECT_TRUE(std::isfinite(p99));
-  // Per-node roll-up: every node served work, and the pooled sample count
+  // Per-node moments: every node served work, and the pooled sample count
   // is the total number of measured tasks.
-  ASSERT_EQ(r.node_tasks.per_node.size(), 1000u);
+  ASSERT_EQ(r.node_task_stats.size(), 1000u);
   std::uint64_t tasks = 0;
-  for (const auto& w : r.node_tasks.per_node) {
+  stats::Welford merged;
+  for (const auto& w : r.node_task_stats) {
     EXPECT_GT(w.count(), 0u);
     tasks += w.count();
+    merged.merge(w);
   }
-  EXPECT_EQ(r.node_tasks.pooled.count(), tasks);
-  EXPECT_EQ(r.node_tasks.samples, tasks);
+  EXPECT_EQ(r.pooled_task_stats.count(), tasks);
   EXPECT_EQ(tasks, r.admitted * cfg.tasks_per_request);
-  EXPECT_GT(r.node_tasks.pooled.mean(), 0.0);
+  EXPECT_GT(r.pooled_task_stats.mean(), 0.0);
+  // The pooled value is defined as the node-order merge, bit for bit.
+  EXPECT_EQ(r.pooled_task_stats.mean(), merged.mean());
+  EXPECT_EQ(r.pooled_task_stats.variance(), merged.variance());
+  EXPECT_EQ(r.pooled_task_stats.min(), merged.min());
+  EXPECT_EQ(r.pooled_task_stats.max(), merged.max());
 }
 
 TEST(ClosedLoop, Validation) {
