@@ -8,6 +8,23 @@
 
 namespace forktail::sched {
 
+namespace {
+
+/// Uniform random placement: append k distinct nodes to `out` by a partial
+/// Fisher-Yates shuffle of `perm`, which stays a permutation of the nodes
+/// between draws.
+void draw_random_nodes(std::size_t k, std::vector<std::size_t>& perm,
+                       util::Rng& rng, std::vector<std::size_t>& out) {
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t pick =
+        i + static_cast<std::size_t>(rng.uniform_int(perm.size() - i));
+    std::swap(perm[i], perm[pick]);
+    out.push_back(perm[i]);
+  }
+}
+
+}  // namespace
+
 ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
   if (config.num_nodes == 0) {
     throw std::invalid_argument("run_closed_loop: no nodes");
@@ -48,9 +65,9 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
   result.node_task_stats.resize(config.num_nodes);
   double predicted_acc = 0.0;
 
-  // Scratch permutation for random placement (bootstrap / baseline).
-  std::vector<std::size_t> fallback(config.num_nodes);
-  for (std::size_t i = 0; i < config.num_nodes; ++i) fallback[i] = i;
+  // Scratch permutation for random placement.
+  std::vector<std::size_t> perm(config.num_nodes);
+  for (std::size_t i = 0; i < config.num_nodes; ++i) perm[i] = i;
 
   // Per-request scratch, hoisted out of the loop: at cluster scale
   // (1k nodes, 10M+ requests) per-request vector churn dominated the
@@ -92,13 +109,7 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
       // routing to the currently-best k nodes herds the whole offered load
       // onto them between registry refreshes and saturates them.
       candidate.clear();
-      for (std::size_t i = 0; i < config.tasks_per_request; ++i) {
-        const std::size_t pick =
-            i + static_cast<std::size_t>(
-                    pick_rng.uniform_int(config.num_nodes - i));
-        std::swap(fallback[i], fallback[pick]);
-        candidate.push_back(fallback[i]);
-      }
+      draw_random_nodes(config.tasks_per_request, perm, pick_rng, candidate);
       candidate_stats.clear();
       bool have_stats = true;
       for (std::size_t n : candidate) {
@@ -146,16 +157,8 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
 
     if (chosen.empty()) {
       // Uniform random placement when the controller did not pick nodes
-      // (bootstrap or admission disabled): k distinct nodes, round-robin
-      // rotated to avoid hammering a fixed prefix.
-      chosen.reserve(config.tasks_per_request);
-      for (std::size_t i = 0; i < config.tasks_per_request; ++i) {
-        const std::size_t pick =
-            i + static_cast<std::size_t>(
-                    pick_rng.uniform_int(config.num_nodes - i));
-        std::swap(fallback[i], fallback[pick]);
-        chosen.push_back(fallback[i]);
-      }
+      // (warm-up or admission disabled).
+      draw_random_nodes(config.tasks_per_request, perm, pick_rng, chosen);
     }
 
     double completion_max = 0.0;
