@@ -64,6 +64,7 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
   ClosedLoopResult result;
   result.node_task_stats.resize(config.num_nodes);
   double predicted_acc = 0.0;
+  std::uint64_t predicted_admissions = 0;  // excludes blind bootstrap admits
 
   // Scratch permutation for random placement.
   std::vector<std::size_t> perm(config.num_nodes);
@@ -130,6 +131,7 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
         if (predicted <= config.slo.latency) {
           chosen = candidate;
           predicted_acc += predicted;
+          ++predicted_admissions;
         } else {
           // Stage 2: the random subset cannot meet the SLO -- ask the
           // controller for the best-k selection ("which k Fork nodes
@@ -139,6 +141,7 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
           if (decision.admitted) {
             chosen = decision.chosen_nodes;
             predicted_acc += decision.predicted_latency;
+            ++predicted_admissions;
           } else {
             admitted = false;  // even the best subset violates: reject
           }
@@ -185,8 +188,10 @@ ClosedLoopResult run_closed_loop(const ClosedLoopConfig& config) {
   if (result.admitted > 0) {
     result.violation_rate = static_cast<double>(result.violations) /
                             static_cast<double>(result.admitted);
+  }
+  if (predicted_admissions > 0) {
     result.mean_predicted_latency =
-        predicted_acc / static_cast<double>(result.admitted);
+        predicted_acc / static_cast<double>(predicted_admissions);
   }
   if (result.offered > 0) {
     result.admit_rate = static_cast<double>(result.admitted) /

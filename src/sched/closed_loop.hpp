@@ -55,7 +55,9 @@ struct ClosedLoopResult {
   std::uint64_t violations = 0;  ///< admitted responses exceeding the SLO
   double violation_rate = 0.0;   ///< violations / admitted
   double admit_rate = 0.0;       ///< admitted / offered
-  double mean_predicted_latency = 0.0;  ///< average Eq. 5 value at admission
+  /// Average Eq. 5 value over the requests admitted on a prediction
+  /// (bootstrap requests admitted blind are excluded); 0 if there were none.
+  double mean_predicted_latency = 0.0;
   /// Admitted (measured) responses pooled into the fixed log2-linear grid:
   /// tail percentiles without keeping every sample.
   stats::LatencyHistogram response_histogram;

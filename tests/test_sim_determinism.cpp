@@ -6,8 +6,10 @@
 //      fixed-k / redundant uniform-k, closed loop at moderate load and in
 //      overload).  The rewrite reproduces them bit for bit.  The two
 //      closed-loop pins were re-captured when the monitors' sliding window
-//      moved to 64 time buckets (eviction at bucket granularity); the
-//      fork-join pins are unchanged.
+//      moved to 64 time buckets (eviction at bucket granularity), and
+//      their mean_predicted_latency again when that mean stopped counting
+//      requests admitted without a prediction; the fork-join pins are
+//      unchanged.
 //   2. Live cross-validation: run_fj_simulation (calendar engine, typed
 //      events) against run_fj_simulation_baseline (the frozen pre-change
 //      driver on sim::HeapEngine), every output compared with == on the
@@ -203,7 +205,7 @@ TEST(SimDeterminism, ClosedLoopGolden) {
   EXPECT_EQ(r.rejected, 0u);
   EXPECT_EQ(r.violations, 0u);
   EXPECT_EQ(r.admit_rate, 0x1p+0);
-  EXPECT_EQ(r.mean_predicted_latency, 0x1.280a1fbf1aef7p+7);  // 148.01977...
+  EXPECT_EQ(r.mean_predicted_latency, 0x1.288760b6651cap+7);  // 148.26441...
   EXPECT_EQ(r.admitted_responses.front(), 0x1.6705e8e9a49p+5);  // 44.877885...
   EXPECT_EQ(r.admitted_responses.back(), 0x1.620990a7018p+6);   // 88.509340...
   auto copy = r.admitted_responses;
@@ -230,6 +232,7 @@ TEST(SimDeterminism, ClosedLoopOverloadGolden) {
   EXPECT_EQ(r.violations, 2369u);
   EXPECT_EQ(r.admit_rate, 0x1.d0a3d70a3d70ap-2);        // 0.45375000...
   EXPECT_EQ(r.violation_rate, 0x1.bd8519e7d57f7p-3);    // 0.21753902...
+  EXPECT_EQ(r.mean_predicted_latency, 0x1.704f4cb5c3081p+5);  // 46.038720...
   EXPECT_EQ(r.admitted_responses.front(), 0x1.63e132341809p+7);  // 177.93983...
   auto copy = r.admitted_responses;
   EXPECT_EQ(stats::percentile(copy, 99.0),
