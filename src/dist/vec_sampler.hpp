@@ -111,6 +111,17 @@ class LaneSampler {
   VecClass vec_class() const noexcept { return cls_; }
   std::size_t active() const noexcept { return active_; }
 
+  /// Restart lane `l`'s stream at `seed`, exactly as if the sampler had
+  /// been built with that lane seed.  Far cheaper than a rebuild (no
+  /// classification, no Empirical grid), for callers that run many short
+  /// streams over one distribution.
+  void reseed(std::size_t l, std::uint64_t seed) {
+    xo_.seed_lane(l, seed);
+    if (cls_.kind == VecKind::kGeneric && l < active_) {
+      rngs_[l] = util::Rng(seed);
+    }
+  }
+
   /// Append `rows` samples per lane into `out` (row-major [rows][8]:
   /// out[i*8 + l] is lane l's i-th sample of this call).  Lanes advance in
   /// lockstep; successive calls continue the streams.
@@ -316,30 +327,9 @@ class LaneSampler {
     // scalar tail path.  Junk values from the unconditional evaluation in
     // tail territory are discarded by that overwrite.
     for (std::size_t q = 0; q < n; ++q) {
-      const double t = tmp_[q] - 0.5;
-      const double r = t * t;
-      const double num =
-          (((((-3.969683028665376e+01 * r + 2.209460984245205e+02) * r +
-              -2.759285104469687e+02) *
-                 r +
-             1.383577518672690e+02) *
-                r +
-            -3.066479806614716e+01) *
-               r +
-           2.506628277459239e+00) *
-          t;
-      const double den =
-          ((((-5.447609879822406e+01 * r + 1.615858368580409e+02) * r +
-             -1.556989798598866e+02) *
-                r +
-            6.680131188771972e+01) *
-               r +
-           -1.328068155288572e+01) *
-              r +
-          1.0;
-      out[q] = num / den;
+      out[q] = util::normal_quantile_central(tmp_[q]);
     }
-    constexpr double kPLow = 0.02425;
+    constexpr double kPLow = util::kNormalCentralLow;
     for (std::size_t q = 0; q < n; ++q) {
       if (tmp_[q] < kPLow || tmp_[q] > 1.0 - kPLow) {
         out[q] = tail_normal_quantile(tmp_[q]);

@@ -116,6 +116,39 @@ FORKTAIL_VEC_INLINE double vec_exp(double x) noexcept {
   return std::bit_cast<double>(bp + (static_cast<std::uint64_t>(n) << 52));
 }
 
+/// Acklam's central rational for the standard normal quantile: z with
+/// Phi(z) ~= p, |error| ~1e-9, valid for p in [0.02425, 1 - 0.02425]
+/// (outside it callers switch to stats::normal_quantile).  Plain
+/// multiply-adds, no fma, so it is bit-identical at every ISA level when
+/// compiled with -ffp-contract=off, and at the baseline -march anywhere.
+FORKTAIL_VEC_INLINE double normal_quantile_central(double p) noexcept {
+  const double t = p - 0.5;
+  const double r = t * t;
+  const double num =
+      (((((-3.969683028665376e+01 * r + 2.209460984245205e+02) * r +
+          -2.759285104469687e+02) *
+             r +
+         1.383577518672690e+02) *
+            r +
+        -3.066479806614716e+01) *
+           r +
+       2.506628277459239e+00) *
+      t;
+  const double den =
+      ((((-5.447609879822406e+01 * r + 1.615858368580409e+02) * r +
+         -1.556989798598866e+02) *
+            r +
+        6.680131188771972e+01) *
+           r +
+       -1.328068155288572e+01) *
+          r +
+      1.0;
+  return num / den;
+}
+
+/// Lower edge of normal_quantile_central's region.
+inline constexpr double kNormalCentralLow = 0.02425;
+
 /// out[i] = log(x[i]) for positive normal x.
 FORKTAIL_VEC_INLINE void log_block(const double* __restrict x, double* __restrict out,
                       std::size_t n) noexcept {
