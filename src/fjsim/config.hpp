@@ -24,8 +24,8 @@ namespace forktail::fjsim {
 ///    size; the default of a config built by hand (direct fjsim::run_*
 ///    callers and their goldens), and the only engine for the configs the
 ///    vector engine rejects (redundant policy, subset replicas != 1 or
-///    early_k > 0) and for the fault, consolidated and perfect-sampling
-///    simulators.
+///    early_k > 0, subset-mode perfect sampling) and for the fault and
+///    consolidated simulators.
 ///  * kVector -- the SIMD engine (fjsim/vector_engine.hpp): lockstep
 ///    xoshiro lanes, batched inverse-CDF sampling, sharded whole-replay
 ///    execution.  The scenario layer (and so `forktail run` and the bench

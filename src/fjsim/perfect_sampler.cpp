@@ -7,7 +7,8 @@
 #include <string>
 
 #include "dist/transforms.hpp"
-#include "obs/metrics.hpp"
+#include "fjsim/telemetry.hpp"
+#include "fjsim/vector_engine.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::fjsim {
@@ -68,41 +69,44 @@ void validate(const PerfectSamplerConfig& config) {
 
 }  // namespace
 
-PerfectSampleResult run_perfect(const PerfectSamplerConfig& config) {
+PerfectWalkParams perfect_walk_params(const PerfectSamplerConfig& config) {
   validate(config);
   const std::size_t n = config.num_nodes;
-  const dist::Distribution& service = *config.service;
-  const double es = service.moment(1);
+  const double es = config.service->moment(1);
 
-  double mean_k = static_cast<double>(n);
+  PerfectWalkParams params;
+  params.mean_k = static_cast<double>(n);
   if (config.subset) {
-    mean_k = config.k_mode == KMode::kFixed
-                 ? static_cast<double>(config.k_fixed)
-                 : 0.5 * static_cast<double>(config.k_lo + config.k_hi);
+    params.mean_k = config.k_mode == KMode::kFixed
+                        ? static_cast<double>(config.k_fixed)
+                        : 0.5 * static_cast<double>(config.k_lo + config.k_hi);
   }
-  const double lambda =
-      config.subset ? config.load * static_cast<double>(n) / (mean_k * es)
-                    : config.load / es;
-  const double mark_prob = mean_k / static_cast<double>(n);
+  params.lambda = config.subset ? config.load * static_cast<double>(n) /
+                                      (params.mean_k * es)
+                                : config.load / es;
+  const double mark_prob = params.mean_k / static_cast<double>(n);
 
   // The certificate exponent.  theta <= theta* keeps E[e^{theta inc}] <= 1
   // (h is convex with h(0) = 1), so Lundberg's inequality applies.
-  const double theta =
-      config.theta_safety * dist::lundberg_root(service, lambda, mark_prob);
+  params.theta = config.theta_safety *
+                 dist::lundberg_root(*config.service, params.lambda, mark_prob);
+  return params;
+}
+
+PerfectSampleResult run_perfect(const PerfectSamplerConfig& config) {
+  if (config.engine == Engine::kVector) return run_perfect_vector(config);
+  const PerfectWalkParams params = perfect_walk_params(config);
+  const std::size_t n = config.num_nodes;
+  const dist::Distribution& service = *config.service;
+  const double theta = params.theta;
 
   PerfectSampleResult result;
-  result.lambda = lambda;
-  result.mean_k = mean_k;
+  result.lambda = params.lambda;
+  result.mean_k = params.mean_k;
   result.theta = theta;
   result.responses.reserve(static_cast<std::size_t>(config.draws));
 
-  static obs::Counter& draws_counter =
-      obs::Registry::global().counter("perfect.draws");
-  static obs::Counter& steps_counter =
-      obs::Registry::global().counter("perfect.steps");
-  static obs::Histogram& depth_hist =
-      obs::Registry::global().histogram("perfect.depth");
-
+  PerfectMetrics& metrics = PerfectMetrics::get();
   const util::Rng master(config.seed);
   // Per-draw scratch, reused across draws.
   std::vector<double> prefix(n);  // s_i: accumulated service mass
@@ -111,7 +115,7 @@ PerfectSampleResult run_perfect(const PerfectSamplerConfig& config) {
   std::vector<double> sojourns;
   sojourns.reserve(n);
 
-  const double mean_gap = 1.0 / lambda;
+  const double mean_gap = 1.0 / params.lambda;
   std::uint64_t total_steps = 0;
   std::uint64_t deepest = 0;
 
@@ -171,7 +175,7 @@ PerfectSampleResult run_perfect(const PerfectSamplerConfig& config) {
     }
     total_steps += steps;
     deepest = std::max(deepest, steps);
-    depth_hist.record(static_cast<double>(steps));
+    metrics.depth.record(static_cast<double>(steps));
 
     // The tagged request observes the stationary workloads (PASTA) and
     // adds fresh service draws on its chosen nodes.
@@ -209,8 +213,8 @@ PerfectSampleResult run_perfect(const PerfectSamplerConfig& config) {
     result.responses.push_back(*nth);
   }
 
-  draws_counter.add(config.draws);
-  steps_counter.add(total_steps);
+  metrics.draws.add(config.draws);
+  metrics.steps.add(total_steps);
   result.mean_depth =
       static_cast<double>(total_steps) / static_cast<double>(config.draws);
   result.max_depth = deepest;

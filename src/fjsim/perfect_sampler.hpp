@@ -30,10 +30,23 @@
 // have no Lundberg certificate; they are refused with a ConfigError
 // instead of silently degrading to a heuristic.
 //
-// Determinism: draw d consumes only the child stream Rng(seed).split(d),
-// with a fixed per-step draw order (gap, then subset choice, then service
-// draws in chosen-node order), so results are bit-identical across runs
-// and trivially parallelizable by draw.
+// Determinism: draw d is a pure function of (seed, d) under both engines,
+// rooted at Rng::split_seed(seed, d), so draws are prefix-stable and
+// bit-identical across runs:
+//   * Engine::kLegacy (the reference) consumes the scalar child stream
+//     Rng(seed).split(d) with a fixed per-step draw order (gap, then subset
+//     choice, then service draws in chosen-node order).
+//   * Engine::kVector (homogeneous mode only; fjsim/vector_engine.hpp)
+//     draws from two 8-lane samplers reseeded per draw: gap lane l from
+//     split_seed(root, l), service lane l from split_seed(root, 8 + l).
+//     Each check_interval block fills ceil(ci / 8) gap rows and
+//     ceil(ci N / 8) service rows and consumes them row-major (step c takes
+//     gap c and services c N .. c N + N - 1); the tagged request takes the
+//     first N values of one more service fill.  The lane transforms are
+//     the vector engine's polynomial kernels, so the values differ from
+//     kLegacy's in the last ulps and the streams differ outright: the two
+//     engines agree in law, not bit for bit.  The walk runs on the calling
+//     thread and is bit-identical at every dispatch level.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +88,9 @@ struct PerfectSamplerConfig {
   /// Hard cap on reversed steps per draw; exceeding it is a runtime error
   /// (it means the certificate cannot coalesce, e.g. load ~ 1).
   std::uint64_t max_steps = 50000000;
+  /// kLegacy (the reference, every known-answer pin) or kVector
+  /// (homogeneous mode only: vector_supports() in fjsim/vector_engine.hpp).
+  Engine engine = Engine::kLegacy;
 };
 
 struct PerfectSampleResult {
@@ -90,7 +106,17 @@ struct PerfectSampleResult {
 
 /// Throws fjsim::ConfigError on invalid or uncertifiable configurations
 /// (no MGF, unstable load, bad k range), std::runtime_error if a draw
-/// exceeds max_steps.
+/// exceeds max_steps.  Runs the engine `config.engine` names.
 PerfectSampleResult run_perfect(const PerfectSamplerConfig& config);
+
+/// What both engines derive from a config before walking: the request
+/// rate, E[fan-out] and the certificate exponent.  Validates first (throws
+/// ConfigError like run_perfect).
+struct PerfectWalkParams {
+  double lambda = 0.0;
+  double mean_k = 0.0;
+  double theta = 0.0;
+};
+PerfectWalkParams perfect_walk_params(const PerfectSamplerConfig& config);
 
 }  // namespace forktail::fjsim

@@ -32,4 +32,17 @@ struct ReplayMetrics {
   }
 };
 
+/// The perfect sampler's realised cost, shared by both of its engines.
+struct PerfectMetrics {
+  obs::Counter& draws = obs::Registry::global().counter("perfect.draws");
+  obs::Counter& steps = obs::Registry::global().counter("perfect.steps");
+  /// Reversed steps per draw.
+  obs::Histogram& depth = obs::Registry::global().histogram("perfect.depth");
+
+  static PerfectMetrics& get() {
+    static PerfectMetrics metrics;
+    return metrics;
+  }
+};
+
 }  // namespace forktail::fjsim

@@ -20,6 +20,7 @@ HomogeneousResult run_homogeneous(const HomogeneousConfig& config);
 HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config);
 SubsetResult run_subset(const SubsetConfig& config);
 PipelineResult run_pipeline(const PipelineConfig& config);
+PerfectSampleResult run_perfect(const PerfectSamplerConfig& config);
 }  // namespace ve_generic
 
 #if FORKTAIL_VE_X86
@@ -28,12 +29,14 @@ HomogeneousResult run_homogeneous(const HomogeneousConfig& config);
 HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config);
 SubsetResult run_subset(const SubsetConfig& config);
 PipelineResult run_pipeline(const PipelineConfig& config);
+PerfectSampleResult run_perfect(const PerfectSamplerConfig& config);
 }  // namespace ve_avx2
 namespace ve_avx512 {
 HomogeneousResult run_homogeneous(const HomogeneousConfig& config);
 HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config);
 SubsetResult run_subset(const SubsetConfig& config);
 PipelineResult run_pipeline(const PipelineConfig& config);
+PerfectSampleResult run_perfect(const PerfectSamplerConfig& config);
 }  // namespace ve_avx512
 #endif
 
@@ -45,18 +48,20 @@ struct Level {
   HeterogeneousResult (*heterogeneous)(const HeterogeneousConfig&);
   SubsetResult (*subset)(const SubsetConfig&);
   PipelineResult (*pipeline)(const PipelineConfig&);
+  PerfectSampleResult (*perfect)(const PerfectSamplerConfig&);
 };
 
 constexpr Level kGeneric{"generic", &ve_generic::run_homogeneous,
                          &ve_generic::run_heterogeneous,
-                         &ve_generic::run_subset, &ve_generic::run_pipeline};
+                         &ve_generic::run_subset, &ve_generic::run_pipeline,
+                         &ve_generic::run_perfect};
 #if FORKTAIL_VE_X86
 constexpr Level kAvx2{"avx2", &ve_avx2::run_homogeneous,
                       &ve_avx2::run_heterogeneous, &ve_avx2::run_subset,
-                      &ve_avx2::run_pipeline};
+                      &ve_avx2::run_pipeline, &ve_avx2::run_perfect};
 constexpr Level kAvx512{"avx512", &ve_avx512::run_homogeneous,
                         &ve_avx512::run_heterogeneous, &ve_avx512::run_subset,
-                        &ve_avx512::run_pipeline};
+                        &ve_avx512::run_pipeline, &ve_avx512::run_perfect};
 #endif
 
 Level pick_level() {
@@ -107,6 +112,10 @@ bool vector_supports(const HeterogeneousConfig& /*config*/) { return true; }
 
 bool vector_supports(const PipelineConfig& /*config*/) { return true; }
 
+bool vector_supports(const PerfectSamplerConfig& config) {
+  return !config.subset;
+}
+
 HomogeneousResult run_homogeneous_vector(const HomogeneousConfig& config) {
   return active_level().homogeneous(config);
 }
@@ -121,6 +130,10 @@ SubsetResult run_subset_vector(const SubsetConfig& config) {
 
 PipelineResult run_pipeline_vector(const PipelineConfig& config) {
   return active_level().pipeline(config);
+}
+
+PerfectSampleResult run_perfect_vector(const PerfectSamplerConfig& config) {
+  return active_level().perfect(config);
 }
 
 const char* vector_dispatch_level() { return active_level().name; }

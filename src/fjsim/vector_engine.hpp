@@ -31,6 +31,7 @@
 
 #include "fjsim/heterogeneous.hpp"
 #include "fjsim/homogeneous.hpp"
+#include "fjsim/perfect_sampler.hpp"
 #include "fjsim/pipeline.hpp"
 #include "fjsim/subset.hpp"
 
@@ -51,16 +52,19 @@ namespace forktail::fjsim {
 /// them before selecting the engine.  Homogeneous: any policy but
 /// kRedundant (kill-on-win cancellation breaks the lockstep Lindley
 /// replay).  Subset: additionally replicas == 1 and early_k == 0.
-/// Heterogeneous and pipeline: every config.
+/// Heterogeneous and pipeline: every config.  Perfect sampler:
+/// homogeneous mode (subset == false); the subset walk stays legacy.
 bool vector_supports(const HomogeneousConfig& config);
 bool vector_supports(const SubsetConfig& config);
 bool vector_supports(const HeterogeneousConfig& config);
 bool vector_supports(const PipelineConfig& config);
+bool vector_supports(const PerfectSamplerConfig& config);
 
 HomogeneousResult run_homogeneous_vector(const HomogeneousConfig& config);
 HeterogeneousResult run_heterogeneous_vector(const HeterogeneousConfig& config);
 SubsetResult run_subset_vector(const SubsetConfig& config);
 PipelineResult run_pipeline_vector(const PipelineConfig& config);
+PerfectSampleResult run_perfect_vector(const PerfectSamplerConfig& config);
 
 /// Name of the ISA level the vector engine dispatches to in this process:
 /// "avx512", "avx2", or "generic".  Resolved once (first call), honoring

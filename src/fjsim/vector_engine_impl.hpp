@@ -31,13 +31,17 @@
 #endif
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "dist/basic.hpp"
 #include "dist/vec_sampler.hpp"
 #include "fjsim/config.hpp"
 #include "fjsim/replay.hpp"
@@ -1181,6 +1185,140 @@ SubsetResult subset_impl(const SubsetConfig& config) {
   return result;
 }
 
+// ---------------------------------------------------------------------------
+// Perfect sampler (homogeneous mode)
+// ---------------------------------------------------------------------------
+
+/// The walk state: the gap and service lane samplers (reseeded per draw)
+/// and the per-draw scratch.  Buffers hold one check_interval block:
+/// ceil(ci / 8) gap rows and ceil(ci N / 8) service rows.
+struct PerfectWalk {
+  dist::LaneSampler gaps;
+  dist::LaneSampler services;
+  std::size_t gap_rows;
+  std::size_t service_rows;
+  std::vector<double> gap_buf;
+  std::vector<double> service_buf;
+  std::vector<double> prefix;  // s_i: accumulated service mass
+  std::vector<double> peak;    // M_i: running max of prefix - gap_sum
+  std::vector<double> sojourns;
+};
+
+/// One draw rooted at `root`: the reversed Loynes walk of run_perfect's
+/// homogeneous mode, one check_interval block per sampler fill, until the
+/// Lundberg certificate drops below epsilon; then the tagged request's
+/// task sojourns (peak_i + a fresh service) into w.sojourns.  Returns the
+/// walk depth.
+FORKTAIL_VE_TARGET std::uint64_t perfect_draw(PerfectWalk& w,
+                                              std::uint64_t root,
+                                              const PerfectSamplerConfig& config,
+                                              double theta) {
+  for (std::size_t l = 0; l < kL; ++l) {
+    w.gaps.reseed(l, util::Rng::split_seed(root, l));
+    w.services.reseed(l, util::Rng::split_seed(root, kL + l));
+  }
+  const std::size_t n = config.num_nodes;
+  const std::uint64_t ci = config.check_interval;
+  double* __restrict prefix = w.prefix.data();
+  double* __restrict peak = w.peak.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    prefix[i] = 0.0;
+    peak[i] = 0.0;
+  }
+  double gap_sum = 0.0;
+  std::uint64_t steps = 0;
+  for (;;) {
+    w.gaps.fill(w.gap_buf.data(), w.gap_rows);
+    w.services.fill(w.service_buf.data(), w.service_rows);
+    const double* gap = w.gap_buf.data();
+    for (std::uint64_t c = 0; c < ci; ++c) {
+      gap_sum += gap[c];
+      const double* __restrict s = w.service_buf.data() + c * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        prefix[i] += s[i];
+        const double lag = prefix[i] - gap_sum;
+        peak[i] = peak[i] < lag ? lag : peak[i];
+      }
+    }
+    steps += ci;
+    // The certificate of run_perfect, term for term.
+    double failure = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      failure += std::exp(-theta * (peak[i] - (prefix[i] - gap_sum)));
+      if (failure > config.epsilon) break;
+    }
+    if (failure <= config.epsilon) break;
+    if (steps >= config.max_steps) {
+      throw std::runtime_error(
+          "perfect sampler: coupling certificate did not coalesce within " +
+          std::to_string(config.max_steps) +
+          " reversed steps (load too close to 1?)");
+    }
+  }
+  w.services.fill(w.service_buf.data(), (n + kL - 1) / kL);
+  for (std::size_t i = 0; i < n; ++i) {
+    w.sojourns[i] = peak[i] + w.service_buf[i];
+  }
+  return steps;
+}
+
+PerfectSampleResult perfect_impl(const PerfectSamplerConfig& config) {
+  const PerfectWalkParams params = perfect_walk_params(config);
+  if (!vector_supports(config)) {
+    throw ConfigError("PerfectSamplerConfig.engine",
+                      "Engine::kVector samples homogeneous mode only (use "
+                      "Engine::kLegacy for subset mode)");
+  }
+  const std::size_t n = config.num_nodes;
+  const auto ci = static_cast<std::size_t>(config.check_interval);
+  const dist::Exponential gap_dist(1.0 / params.lambda);
+  // Lane seeds are placeholders: perfect_draw reseeds every lane per draw.
+  std::array<dist::LaneSampler::Lane, kL> gap_lanes;
+  std::array<dist::LaneSampler::Lane, kL> service_lanes;
+  for (std::size_t l = 0; l < kL; ++l) {
+    gap_lanes[l] = {&gap_dist, 0};
+    service_lanes[l] = {config.service.get(), 0};
+  }
+  const std::size_t gap_rows = (ci + kL - 1) / kL;
+  const std::size_t service_rows = (ci * n + kL - 1) / kL;
+  PerfectWalk w{dist::LaneSampler(gap_lanes),
+                dist::LaneSampler(service_lanes),
+                gap_rows,
+                service_rows,
+                std::vector<double>(gap_rows * kL),
+                std::vector<double>(service_rows * kL),
+                std::vector<double>(n),
+                std::vector<double>(n),
+                std::vector<double>(n)};
+
+  PerfectSampleResult result;
+  result.lambda = params.lambda;
+  result.mean_k = params.mean_k;
+  result.theta = params.theta;
+  result.responses.reserve(static_cast<std::size_t>(config.draws));
+  PerfectMetrics& metrics = PerfectMetrics::get();
+  const auto join = static_cast<std::ptrdiff_t>(
+      config.early_k == 0 ? n : static_cast<std::size_t>(config.early_k));
+  std::uint64_t total_steps = 0;
+  for (std::uint64_t d = 0; d < config.draws; ++d) {
+    const std::uint64_t steps = perfect_draw(
+        w, util::Rng::split_seed(config.seed, d), config, params.theta);
+    total_steps += steps;
+    result.max_depth = std::max(result.max_depth, steps);
+    metrics.depth.record(static_cast<double>(steps));
+    for (const double t : w.sojourns) result.task_stats.add(t);
+    std::nth_element(w.sojourns.begin(), w.sojourns.begin() + (join - 1),
+                     w.sojourns.end());
+    result.responses.push_back(w.sojourns[static_cast<std::size_t>(join - 1)]);
+  }
+  result.total_tasks = config.draws * n;
+  result.mean_depth =
+      static_cast<double>(total_steps) / static_cast<double>(config.draws);
+  metrics.draws.add(config.draws);
+  metrics.steps.add(total_steps);
+  return result;
+}
+
 }  // namespace
 
 // Level entry points (external linkage; the dispatch TU declares these).
@@ -1195,6 +1333,9 @@ SubsetResult run_subset(const SubsetConfig& config) {
 }
 PipelineResult run_pipeline(const PipelineConfig& config) {
   return pipeline_impl(config);
+}
+PerfectSampleResult run_perfect(const PerfectSamplerConfig& config) {
+  return perfect_impl(config);
 }
 
 }  // namespace FORKTAIL_VE_NS

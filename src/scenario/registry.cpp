@@ -35,6 +35,7 @@ Outcome run_perfect_sampler(const ScenarioSpec& spec) {
   outcome.lambda = result.lambda;
   outcome.mean_k = result.mean_k;
   outcome.total_tasks = result.total_tasks;
+  outcome.engine = config.engine;
   return outcome;
 }
 

@@ -47,8 +47,8 @@ struct Outcome {
   double mean_k = 0.0;    ///< expected fan-out per request
   std::uint64_t total_tasks = 0;
   /// Replay engine that produced the responses: the one the spec's config
-  /// selected (see to_homogeneous_config), kLegacy for the fault,
-  /// consolidated and perfect-sampling simulators.
+  /// selected (see to_homogeneous_config and to_perfect_config), kLegacy
+  /// for the fault and consolidated simulators.
   fjsim::Engine engine = fjsim::Engine::kLegacy;
 
   // Fault layer (spec.faults non-inert; src/fault).  `faulty` marks an

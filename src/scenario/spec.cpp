@@ -801,6 +801,7 @@ fjsim::PerfectSamplerConfig to_perfect_config(const ScenarioSpec& spec) {
   config.early_k = spec.k.mode == KSpec::Mode::kRedundant ? 1 : 0;
   config.draws = spec.requests;
   config.seed = spec.seed;
+  config.engine = pick_engine(config);
   return config;
 }
 

@@ -211,7 +211,8 @@ std::vector<dist::DistPtr> make_services(const ScenarioSpec& spec);
 fjsim::HomogeneousConfig to_homogeneous_config(const ScenarioSpec& spec);
 fjsim::SubsetConfig to_subset_config(const ScenarioSpec& spec);
 /// Perfect-sampler materialisation (spec.sampler == kPerfect); valid for
-/// the homogeneous and subset topologies.
+/// the homogeneous and subset topologies.  Picks the engine the same way:
+/// kVector for homogeneous mode, kLegacy for subset mode.
 fjsim::PerfectSamplerConfig to_perfect_config(const ScenarioSpec& spec);
 fjsim::HeterogeneousConfig to_heterogeneous_config(const ScenarioSpec& spec);
 fjsim::ConsolidatedConfig to_consolidated_config(const ScenarioSpec& spec);

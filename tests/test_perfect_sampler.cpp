@@ -1,5 +1,6 @@
 // Perfect sampler (fjsim/perfect_sampler.hpp): bit-reproducibility,
-// stationarity against long-warm-up replay, and the refusal contract.
+// stationarity against long-warm-up replay, the vector engine's agreement
+// in law with the legacy reference, and the refusal contract.
 //
 // The sampler's claim is strong -- each draw comes from the exact
 // stationary response law (up to the 2^-40 coalescence certificate) -- so
@@ -141,6 +142,55 @@ TEST(PerfectSampler, MatchesLongWarmupReplay) {
   const double m = static_cast<double>(kDraws);
   const double iid_bar = 1.95 * std::sqrt(2.0 / m);  // alpha = 0.001
   EXPECT_LT(d, 3.0 * iid_bar) << "KS distance " << d;
+}
+
+// The vector engine (fjsim::run_perfect_vector) samples the same law as
+// the legacy reference: a two-sample KS test between the engines at the
+// MatchesLongWarmupReplay bar, for a one-draw polynomial-log service
+// (Exponential), a stage-major one (Erlang-2) and a table lookup
+// (Empirical, bit-identical per uniform to the scalar transform).
+TEST(PerfectSampler, VectorEngineMatchesLegacyLaw) {
+  const std::size_t kDraws = 6000;
+  for (const char* service : {"Exponential", "Erlang-2", "Empirical"}) {
+    SCOPED_TRACE(service);
+    fjsim::PerfectSamplerConfig legacy = homogeneous_config();
+    legacy.service = dist::make_named(service);
+    legacy.draws = kDraws;
+    legacy.seed = 3;
+    fjsim::PerfectSamplerConfig vector = legacy;
+    vector.engine = fjsim::Engine::kVector;
+    const auto ref = fjsim::run_perfect(legacy);
+    const auto got = fjsim::run_perfect(vector);
+    ASSERT_EQ(got.responses.size(), kDraws);
+    EXPECT_EQ(got.total_tasks, ref.total_tasks);
+    EXPECT_EQ(got.task_stats.count(), ref.task_stats.count());
+    EXPECT_EQ(got.theta, ref.theta);
+    EXPECT_GT(got.mean_depth, 0.0);
+
+    const double d = two_sample_ks(ref.responses, got.responses);
+    const double m = static_cast<double>(kDraws);
+    const double iid_bar = 1.95 * std::sqrt(2.0 / m);  // alpha = 0.001
+    EXPECT_LT(d, 3.0 * iid_bar) << "KS distance " << d;
+  }
+}
+
+// Vector draw d is a pure function of (seed, d) as well: every lane is
+// reseeded from split_seed(seed, d) per draw, so asking for more draws
+// never perturbs earlier ones.
+TEST(PerfectSampler, VectorDrawsArePrefixStable) {
+  fjsim::PerfectSamplerConfig small = homogeneous_config();
+  small.engine = fjsim::Engine::kVector;
+  small.draws = 300;
+  fjsim::PerfectSamplerConfig large = small;
+  large.draws = 700;
+  const auto a = fjsim::run_perfect(small).responses;
+  const auto b = fjsim::run_perfect(large).responses;
+  ASSERT_EQ(b.size(), 700u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "draw " << i;
+  }
 }
 
 // Heavy-tailed services have no MGF, so no Lundberg certificate exists and

@@ -26,6 +26,7 @@
 #include "dist/vec_sampler.hpp"
 #include "fjsim/heterogeneous.hpp"
 #include "fjsim/homogeneous.hpp"
+#include "fjsim/perfect_sampler.hpp"
 #include "fjsim/pipeline.hpp"
 #include "fjsim/subset.hpp"
 #include "fjsim/telemetry.hpp"
@@ -45,6 +46,7 @@ HomogeneousResult run_homogeneous(const HomogeneousConfig& config);
 HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config);
 SubsetResult run_subset(const SubsetConfig& config);
 PipelineResult run_pipeline(const PipelineConfig& config);
+PerfectSampleResult run_perfect(const PerfectSamplerConfig& config);
 }  // namespace ve_generic
 
 namespace {
@@ -279,6 +281,37 @@ TEST(VecSampler, ExponentialLanesTrackScalarStream) {
   }
 }
 
+TEST(VecSampler, ReseedRestartsTheLaneStream) {
+  // After draws on old seeds, reseeding every lane must reproduce exactly
+  // what a sampler built with the new seeds fills: the xoshiro lanes and
+  // the generic kind's per-lane scalar Rng (TruncNormal has no vector
+  // kernel).
+  const dist::Exponential exp_d(2.5);
+  const dist::TruncatedNormal tn_d(1.0, 2.0, 0.05);
+  for (const dist::Distribution* d :
+       {static_cast<const dist::Distribution*>(&exp_d),
+        static_cast<const dist::Distribution*>(&tn_d)}) {
+    std::vector<dist::LaneSampler::Lane> old_lanes;
+    std::vector<dist::LaneSampler::Lane> new_lanes;
+    for (std::size_t l = 0; l < util::kVecLanes; ++l) {
+      old_lanes.push_back({d, util::Rng::split_seed(1, l)});
+      new_lanes.push_back({d, util::Rng::split_seed(2, l)});
+    }
+    dist::LaneSampler reused{std::span<const dist::LaneSampler::Lane>(old_lanes)};
+    dist::LaneSampler fresh{std::span<const dist::LaneSampler::Lane>(new_lanes)};
+    constexpr std::size_t kRows = 37;
+    std::vector<double> a(kRows * util::kVecLanes);
+    std::vector<double> b(kRows * util::kVecLanes);
+    reused.fill(a.data(), kRows);
+    for (std::size_t l = 0; l < util::kVecLanes; ++l) {
+      reused.reseed(l, new_lanes[l].seed);
+    }
+    reused.fill(a.data(), kRows);
+    fresh.fill(b.data(), kRows);
+    expect_bitwise_equal(a, b, d->name().c_str());
+  }
+}
+
 // ------------------------------------------------- engine determinism
 
 HomogeneousConfig homog_config() {
@@ -310,6 +343,17 @@ PipelineConfig pipeline_config() {
               {9, std::make_shared<dist::LogNormal>(0.0, 0.5)}};
   c.num_requests = 8000;
   c.seed = 3;
+  c.engine = Engine::kVector;
+  return c;
+}
+
+PerfectSamplerConfig perfect_config() {
+  PerfectSamplerConfig c;
+  c.num_nodes = 12;  // 12 * 16 services per block: rows straddle steps
+  c.service = std::make_shared<dist::Exponential>(1.0);
+  c.load = 0.7;
+  c.draws = 600;
+  c.seed = 19;
   c.engine = Engine::kVector;
   return c;
 }
@@ -431,6 +475,14 @@ TEST(VectorEngine, GenericLevelMatchesNativeDispatch) {
   const auto generic_x = ve_generic::run_heterogeneous(xc);
   expect_bitwise_equal(native_x.responses, generic_x.responses,
                        "hetero generic-vs-native");
+
+  const auto fc = perfect_config();
+  const auto native_f = run_perfect(fc);
+  const auto generic_f = ve_generic::run_perfect(fc);
+  expect_bitwise_equal(native_f.responses, generic_f.responses,
+                       "perfect generic-vs-native");
+  expect_welford_equal(native_f.task_stats, generic_f.task_stats,
+                       "perfect generic-vs-native stats");
 }
 
 TEST(VectorEngine, TelemetryCountersThreadInvariant) {
@@ -570,6 +622,15 @@ TEST(VectorEngine, SupportsPredicateNamesWhatTheEntryPointsAccept) {
     c.num_requests = 200;
     EXPECT_EQ(vector_supports(c), accepted(c, run_subset));
   }
+  std::vector<PerfectSamplerConfig> perfect(2, perfect_config());
+  perfect[1].subset = true;
+  perfect[1].k_fixed = 4;
+  for (auto& c : perfect) {
+    c.draws = 20;
+    EXPECT_EQ(vector_supports(c), accepted(c, run_perfect_vector));
+  }
+  EXPECT_TRUE(vector_supports(perfect[0]));
+  EXPECT_FALSE(vector_supports(perfect[1]));
   EXPECT_TRUE(vector_supports(homog[0]));
   EXPECT_TRUE(vector_supports(homog[1]));
   EXPECT_TRUE(vector_supports(subset[0]));

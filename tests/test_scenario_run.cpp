@@ -283,7 +283,7 @@ TEST(ScenarioRun, EveryExampleRunsOnTheEngineThePredicateNames) {
       {"faulty_subset", kLegacy},  // early_k > 0
       {"heterogeneous", kVector},
       {"homogeneous", kVector},
-      {"perfect_sampling", kLegacy},  // perfect sampler
+      {"perfect_sampling", kVector},  // homogeneous-mode perfect sampler
       {"pipeline", kVector},
       {"redundancy_d", kLegacy},  // min-of-d is early_k = 1
       {"serve", kVector},
