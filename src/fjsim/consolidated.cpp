@@ -58,15 +58,6 @@ ConsolidatedResult run_consolidated(const ConsolidatedConfig& config) {
     if (completion > completion_max[id]) completion_max[id] = completion;
   };
 
-  // Per-task times follow Hawk [15]: Normal(m, (2m)^2) truncated below.
-  auto sample_task_time = [&](double mean) {
-    double x;
-    do {
-      x = service_rng.normal(mean, 2.0 * mean);
-    } while (x < config.service_floor);
-    return x;
-  };
-
   double t = 0.0;
   for (std::uint64_t j = 0; j < total; ++j) {
     t += arrival_rng.exponential(1.0 / lambda);
@@ -79,11 +70,12 @@ ConsolidatedResult run_consolidated(const ConsolidatedConfig& config) {
     is_target[j] = job.target ? 1 : 0;
     job_tasks[j] = job.tasks;
     const auto k = static_cast<std::size_t>(job.tasks);
+    const HawkTaskTimes task_time(job.mean_task_time, config.service_floor);
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t pick =
           i + static_cast<std::size_t>(pick_rng.uniform_int(config.num_nodes - i));
       std::swap(perm[i], perm[pick]);
-      nodes[perm[i]].submit_task_explicit(t, sample_task_time(job.mean_task_time),
+      nodes[perm[i]].submit_task_explicit(t, task_time(service_rng.next_u64()),
                                           j, on_done);
     }
     result.total_tasks += k;

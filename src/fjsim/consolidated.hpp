@@ -14,7 +14,10 @@
 
 #include "fjsim/config.hpp"
 #include "fjsim/node.hpp"
+#include "stats/special_functions.hpp"
 #include "stats/welford.hpp"
+#include "util/vec_math.hpp"
+#include "util/vec_rng.hpp"
 
 namespace forktail::fjsim {
 
@@ -27,6 +30,43 @@ struct JobSpec {
 
 /// Produces the job stream (trace playback or synthesis).
 using JobGenerator = std::function<JobSpec(util::Rng&)>;
+
+/// The task times of one job with mean task time m: Normal(m, (2m)^2)
+/// truncated below at `floor` (Hawk [15]), by inversion of one raw u64 per
+/// task.  u maps into the retained mass, p = Phi(a) + u (1 - Phi(a)) with
+/// a = (floor - m) / 2m, and x = m + 2m z(p): z is Acklam's central
+/// rational up to 1 - 0.02425 and stats::normal_quantile above.  p never
+/// falls below the central region, because a >= -1/2 for any floor >= 0.
+/// The final clamp only absorbs the central rational's ~1e-9 error at
+/// u ~ 0 (and a retained mass that rounds to zero).  Built once per job:
+/// Phi(a) is the only per-job libm work.
+class HawkTaskTimes {
+ public:
+  HawkTaskTimes(double mean, double floor)
+      : mean_(mean),
+        sigma_(2.0 * mean),
+        floor_(floor),
+        phi_a_(stats::normal_cdf((floor - mean) / sigma_)),
+        mass_(1.0 - phi_a_) {}
+
+  double operator()(std::uint64_t raw) const {
+    constexpr double kCentralHigh = 1.0 - util::kNormalCentralLow;
+    constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+    const double p = phi_a_ + util::bits_to_unit(raw) * mass_;
+    const double z = p <= kCentralHigh
+                         ? util::normal_quantile_central(p)
+                         : stats::normal_quantile(p < kBelowOne ? p : kBelowOne);
+    const double x = mean_ + sigma_ * z;
+    return x < floor_ ? floor_ : x;
+  }
+
+ private:
+  double mean_;
+  double sigma_;
+  double floor_;
+  double phi_a_;
+  double mass_;
+};
 
 /// Node-group knobs (replicas / policy / redundant_delay) come from the
 /// shared NodeGroupConfig base; the consolidated cluster defaults to the

@@ -1,10 +1,12 @@
 #include "trace/facebook.hpp"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
 #include "dist/heavy.hpp"
+#include "dist/transforms.hpp"
 
 namespace forktail::trace {
 
@@ -83,23 +85,46 @@ fjsim::JobGenerator FacebookWorkload::generator() const {
   return [self = *this](util::Rng& rng) { return self.sample_job(rng); };
 }
 
-double FacebookWorkload::estimate_mean_work(double service_floor,
-                                            std::uint64_t samples,
-                                            std::uint64_t seed) const {
-  util::Rng rng(seed);
-  double acc = 0.0;
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    const fjsim::JobSpec job = sample_job(rng);
-    // One representative task draw per job, scaled by the task count; this
-    // estimates E[sum of task times] = E[k * S | m] without simulating
-    // every task of huge jobs.
-    double s;
-    do {
-      s = rng.normal(job.mean_task_time, 2.0 * job.mean_task_time);
-    } while (s < service_floor);
-    acc += static_cast<double>(job.tasks) * s;
+double FacebookWorkload::estimate_mean_work(double service_floor) const {
+  const auto task_mean = [service_floor](double m) {
+    return dist::TruncatedNormal(m, 2.0 * m, service_floor).moment(1);
+  };
+  // E[min(K, c)] with K uniform on each bin's [lo, hi].
+  const double cap = params_.max_tasks > 0
+                         ? static_cast<double>(params_.max_tasks)
+                         : std::numeric_limits<double>::infinity();
+  double tasks = 0.0;
+  for (const auto& bin : facebook_job_size_bins()) {
+    const double lo = bin.lo;
+    const double hi = bin.hi;
+    double mean;
+    if (cap >= hi) {
+      mean = 0.5 * (lo + hi);
+    } else if (cap < lo) {
+      mean = cap;
+    } else {  // lo..cap count themselves, cap+1..hi count as cap
+      mean = (0.5 * (lo + cap) * (cap - lo + 1.0) + (hi - cap) * cap) /
+             (hi - lo + 1.0);
+    }
+    tasks += bin.probability * mean;
   }
-  return acc / static_cast<double>(samples);
+  // E_m[mu(m)] over the log-uniform background mean: mu(e^s) is smooth
+  // and close to linear in e^s, so the Gauss-Legendre rule converges
+  // geometrically; four 32-point panels are far past convergence over the
+  // paper's 1-1000 ms range.
+  const double log_lo = std::log(params_.min_mean_ms);
+  const double log_hi = std::log(params_.max_mean_ms);
+  const double background_task_mean =
+      log_hi > log_lo
+          ? dist::integrate_gl32(
+                [&](double s) { return task_mean(std::exp(s)); }, log_lo,
+                log_hi, 4) /
+                (log_hi - log_lo)
+          : task_mean(params_.min_mean_ms);
+  const double f = params_.target_fraction;
+  return f * static_cast<double>(params_.target_tasks) *
+             task_mean(params_.target_mean_ms) +
+         (1.0 - f) * tasks * background_task_mean;
 }
 
 double FacebookWorkload::mean_background_tasks() const {

@@ -59,11 +59,13 @@ class FacebookWorkload {
   /// Adapter for the consolidated simulator.
   fjsim::JobGenerator generator() const;
 
-  /// Monte-Carlo estimate of E[tasks * E[task time]] per job (the quantity
-  /// the simulator needs to hit a load target), with the truncation floor
-  /// applied.  Deterministic for a fixed seed.
-  double estimate_mean_work(double service_floor, std::uint64_t samples = 200000,
-                            std::uint64_t seed = 12345) const;
+  /// E[tasks * E[task time]] per job (the quantity the simulator needs to
+  /// hit a load target), with the truncation floor applied, in closed form:
+  ///   f k_t mu(m_t) + (1 - f) E[min(K, max_tasks)] E_m[mu(m)],
+  /// where mu(m) is the mean of TruncNormal(m, 2m) above the floor,
+  /// E[min(K, max_tasks)] is summed exactly over the nine bins, and E_m
+  /// (m log-uniform) is a Gauss-Legendre rule over log m.
+  double estimate_mean_work(double service_floor) const;
 
   /// Expected number of tasks of a background job (analytic, unclamped).
   double mean_background_tasks() const;

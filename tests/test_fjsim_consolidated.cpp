@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
+#include "dist/heavy.hpp"
 #include "stats/percentile.hpp"
 #include "trace/facebook.hpp"
 
@@ -101,6 +105,42 @@ TEST(Consolidated, OversizedJobRejected) {
     return JobSpec{false, 100, 1.0};  // 100 tasks > 8 nodes
   };
   EXPECT_THROW(run_consolidated(c), std::invalid_argument);
+}
+
+// The simulator's task-time draw against the law it claims: pooled draws
+// of HawkTaskTimes from one raw stream, 400 k per job mean, match the mean
+// and variance of dist::TruncatedNormal(m, 2m, floor) within 4 standard
+// errors, and never fall below the floor.
+TEST(Consolidated, TaskTimesFollowTruncatedNormal) {
+  constexpr double kFloor = 0.05;
+  constexpr int kDraws = 400000;
+  util::Rng rng(2024);
+  for (const double m : {1.0, 50.0, 1000.0}) {
+    SCOPED_TRACE(m);
+    const HawkTaskTimes draw(m, kFloor);
+    double sum = 0.0;
+    double sq = 0.0;
+    std::vector<double> xs(kDraws);
+    for (double& x : xs) {
+      x = draw(rng.next_u64());
+      ASSERT_GE(x, kFloor);
+      sum += x;
+    }
+    const double mean = sum / kDraws;
+    double m4 = 0.0;
+    for (const double x : xs) {
+      const double d = (x - mean) * (x - mean);
+      sq += d;
+      m4 += d * d;
+    }
+    const double var = sq / kDraws;
+    m4 /= kDraws;
+    const dist::TruncatedNormal law(m, 2.0 * m, kFloor);
+    const double law_mean = law.moment(1);
+    const double law_var = law.moment(2) - law_mean * law_mean;
+    EXPECT_NEAR(mean, law_mean, 4.0 * std::sqrt(var / kDraws));
+    EXPECT_NEAR(var, law_var, 4.0 * std::sqrt((m4 - var * var) / kDraws));
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "trace/facebook.hpp"
 #include "fjsim/consolidated.hpp"
 #include "util/rng.hpp"
@@ -93,14 +96,37 @@ TEST(FacebookWorkload, MeanTimesLogUniform) {
   }
 }
 
-TEST(FacebookWorkload, MeanWorkEstimateIsDeterministicAndSane) {
-  FacebookWorkload w(default_params());
-  const double a = w.estimate_mean_work(0.05, 50000, 1);
-  const double b = w.estimate_mean_work(0.05, 50000, 1);
-  EXPECT_DOUBLE_EQ(a, b);
-  // E[k] * E[S_trunc] rough magnitude: E[k] ~ 120+, E[S] ~ 2 * ~150 ms.
-  EXPECT_GT(a, 1000.0);
-  EXPECT_LT(a, 2e6);
+// The closed form against a Monte-Carlo oracle kept here: 1.2 M jobs from
+// sample_job, each with one rejection-drawn TruncNormal(m, 2m) task time
+// scaled by its task count, which estimates E[k * S | m] per job.  The
+// closed form must sit within 4 standard errors of the oracle mean, with
+// and without the task-count clamp the consolidated scenarios apply.
+TEST(FacebookWorkload, MeanWorkMatchesMonteCarloOracle) {
+  constexpr double kFloor = 0.05;
+  constexpr int kJobs = 1200000;
+  for (const std::uint32_t max_tasks : {0u, 100u}) {
+    SCOPED_TRACE(max_tasks);
+    auto params = default_params();
+    params.max_tasks = max_tasks;
+    const FacebookWorkload w(params);
+    util::Rng rng(12345);
+    double sum = 0.0;
+    double sq = 0.0;
+    for (int i = 0; i < kJobs; ++i) {
+      const fjsim::JobSpec job = w.sample_job(rng);
+      double s;
+      do {
+        s = rng.normal(job.mean_task_time, 2.0 * job.mean_task_time);
+      } while (s < kFloor);
+      const double work = static_cast<double>(job.tasks) * s;
+      sum += work;
+      sq += work * work;
+    }
+    const double mean = sum / kJobs;
+    const double se = std::sqrt((sq / kJobs - mean * mean) / kJobs);
+    const double exact = w.estimate_mean_work(kFloor);
+    EXPECT_NEAR(exact, mean, 4.0 * se) << "oracle " << mean << " +- " << se;
+  }
 }
 
 TEST(FacebookWorkload, ParamValidation) {
