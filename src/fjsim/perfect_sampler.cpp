@@ -105,6 +105,7 @@ PerfectSampleResult run_perfect(const PerfectSamplerConfig& config) {
   result.mean_k = params.mean_k;
   result.theta = theta;
   result.responses.reserve(static_cast<std::size_t>(config.draws));
+  result.batch_task_stats.resize(kPerfectBatches);
 
   PerfectMetrics& metrics = PerfectMetrics::get();
   const util::Rng master(config.seed);
@@ -180,12 +181,15 @@ PerfectSampleResult run_perfect(const PerfectSamplerConfig& config) {
     // The tagged request observes the stationary workloads (PASTA) and
     // adds fresh service draws on its chosen nodes.
     sojourns.clear();
+    stats::Welford& batch =
+        result.batch_task_stats[perfect_batch(d, config.draws)];
     int join = config.early_k;
     if (!config.subset) {
       if (join == 0) join = static_cast<int>(n);
       for (std::size_t i = 0; i < n; ++i) {
         const double t = peak[i] + service.sample(rng);
         result.task_stats.add(t);
+        batch.add(t);
         sojourns.push_back(t);
       }
     } else {
@@ -204,6 +208,7 @@ PerfectSampleResult run_perfect(const PerfectSamplerConfig& config) {
         const std::size_t node = perm[static_cast<std::size_t>(j)];
         const double t = peak[node] + service.sample(rng);
         result.task_stats.add(t);
+        batch.add(t);
         sojourns.push_back(t);
       }
     }

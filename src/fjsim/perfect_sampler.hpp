@@ -93,9 +93,19 @@ struct PerfectSamplerConfig {
   Engine engine = Engine::kLegacy;
 };
 
+/// Both engines also split the pooled task moments into this many batches
+/// of consecutive draws (batch b holds draws [b D / B, (b + 1) D / B) of
+/// D).  Draws are independent, so the batches are independent replicates
+/// of the moment estimate, and their spread measures the sampling noise of
+/// anything computed from task_stats.
+inline constexpr std::size_t kPerfectBatches = 20;
+
 struct PerfectSampleResult {
   std::vector<double> responses;  ///< one exact-stationary response per draw
   stats::Welford task_stats;      ///< pooled task sojourns (W_i + S'_i)
+  /// task_stats per batch of draws (kPerfectBatches entries; a batch is
+  /// empty only when draws < kPerfectBatches).
+  std::vector<stats::Welford> batch_task_stats;
   double lambda = 0.0;            ///< derived request arrival rate
   double mean_k = 0.0;            ///< E[fan-out]
   std::uint64_t total_tasks = 0;
@@ -118,5 +128,10 @@ struct PerfectWalkParams {
   double theta = 0.0;
 };
 PerfectWalkParams perfect_walk_params(const PerfectSamplerConfig& config);
+
+/// The batch of batch_task_stats that draw d of `draws` falls in.
+inline std::size_t perfect_batch(std::uint64_t d, std::uint64_t draws) {
+  return static_cast<std::size_t>(d * kPerfectBatches / draws);
+}
 
 }  // namespace forktail::fjsim

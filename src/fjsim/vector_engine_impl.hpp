@@ -1296,6 +1296,7 @@ PerfectSampleResult perfect_impl(const PerfectSamplerConfig& config) {
   result.mean_k = params.mean_k;
   result.theta = params.theta;
   result.responses.reserve(static_cast<std::size_t>(config.draws));
+  result.batch_task_stats.resize(kPerfectBatches);
   PerfectMetrics& metrics = PerfectMetrics::get();
   const auto join = static_cast<std::ptrdiff_t>(
       config.early_k == 0 ? n : static_cast<std::size_t>(config.early_k));
@@ -1306,7 +1307,12 @@ PerfectSampleResult perfect_impl(const PerfectSamplerConfig& config) {
     total_steps += steps;
     result.max_depth = std::max(result.max_depth, steps);
     metrics.depth.record(static_cast<double>(steps));
-    for (const double t : w.sojourns) result.task_stats.add(t);
+    stats::Welford& batch =
+        result.batch_task_stats[perfect_batch(d, config.draws)];
+    for (const double t : w.sojourns) {
+      result.task_stats.add(t);
+      batch.add(t);
+    }
     std::nth_element(w.sojourns.begin(), w.sojourns.begin() + (join - 1),
                      w.sojourns.end());
     result.responses.push_back(w.sojourns[static_cast<std::size_t>(join - 1)]);

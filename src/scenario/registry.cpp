@@ -32,6 +32,11 @@ Outcome run_perfect_sampler(const ScenarioSpec& spec) {
   outcome.service = config.service;
   outcome.responses = std::move(result.responses);
   outcome.task_stats = to_task_stats(result.task_stats);
+  for (const stats::Welford& batch : result.batch_task_stats) {
+    if (batch.count() > 0) {
+      outcome.batch_task_stats.push_back(to_task_stats(batch));
+    }
+  }
   outcome.lambda = result.lambda;
   outcome.mean_k = result.mean_k;
   outcome.total_tasks = result.total_tasks;

@@ -34,6 +34,10 @@ struct Outcome {
 
   std::vector<double> responses;  ///< measured request/job response times
   core::TaskStats task_stats;     ///< pooled black-box task moments
+  /// Perfect sampler only: task_stats of each batch of consecutive draws
+  /// (independent replicates; fjsim::kPerfectBatches), empty batches left
+  /// out.  Their spread is the sampling noise of task_stats.
+  std::vector<core::TaskStats> batch_task_stats;
   /// Heterogeneous: one (mean, variance) per fork node (Eq. 4/5 inputs).
   std::vector<core::TaskStats> node_stats;
   /// Pipeline: per-stage black-box moments + fan-out (PipelinePredictor

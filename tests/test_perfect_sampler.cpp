@@ -26,6 +26,7 @@
 #include "fjsim/config.hpp"
 #include "fjsim/homogeneous.hpp"
 #include "fjsim/perfect_sampler.hpp"
+#include "stats/welford.hpp"
 
 namespace forktail {
 namespace {
@@ -190,6 +191,47 @@ TEST(PerfectSampler, VectorDrawsArePrefixStable) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
               std::bit_cast<std::uint64_t>(b[i]))
         << "draw " << i;
+  }
+}
+
+// batch_task_stats splits the pooled task moments by consecutive draws
+// (bench_bounds reads their spread as the moments' sampling noise): the
+// batches partition the tasks, merge back to task_stats, and batch 0 of a
+// run is exactly the pooled moments of a run of batch 0's draws.
+TEST(PerfectSampler, BatchesPartitionTheDraws) {
+  fjsim::PerfectSamplerConfig subset;
+  subset.num_nodes = 16;
+  subset.service = dist::make_named("Erlang-2");
+  subset.load = 0.6;
+  subset.subset = true;
+  subset.k_fixed = 4;
+  subset.seed = 7;
+  fjsim::PerfectSamplerConfig vector = homogeneous_config();
+  vector.engine = fjsim::Engine::kVector;
+  for (fjsim::PerfectSamplerConfig cfg :
+       {homogeneous_config(), subset, vector}) {
+    cfg.draws = 200;
+    const fjsim::PerfectSampleResult all = fjsim::run_perfect(cfg);
+    ASSERT_EQ(all.batch_task_stats.size(), fjsim::kPerfectBatches);
+    const std::uint64_t tasks_per_draw = all.total_tasks / cfg.draws;
+    stats::Welford merged;
+    for (const stats::Welford& batch : all.batch_task_stats) {
+      EXPECT_EQ(batch.count(), 10 * tasks_per_draw);
+      merged.merge(batch);
+    }
+    EXPECT_EQ(merged.count(), all.task_stats.count());
+    EXPECT_NEAR(merged.mean(), all.task_stats.mean(),
+                1e-12 * all.task_stats.mean());
+    EXPECT_NEAR(merged.variance(), all.task_stats.variance(),
+                1e-12 * all.task_stats.variance());
+
+    cfg.draws = 10;
+    const fjsim::PerfectSampleResult head = fjsim::run_perfect(cfg);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(head.task_stats.mean()),
+              std::bit_cast<std::uint64_t>(all.batch_task_stats[0].mean()));
+    EXPECT_EQ(
+        std::bit_cast<std::uint64_t>(head.task_stats.variance()),
+        std::bit_cast<std::uint64_t>(all.batch_task_stats[0].variance()));
   }
 }
 
