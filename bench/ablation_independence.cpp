@@ -16,40 +16,11 @@
 #include "dist/factory.hpp"
 #include "fjsim/homogeneous.hpp"
 #include "stats/percentile.hpp"
+#include "stats/spearman.hpp"
 #include "stats/summary.hpp"
 #include "util/rng.hpp"
 
-namespace {
-
 using namespace forktail;
-
-// Spearman rank correlation of two equal-length vectors.
-double spearman(std::vector<double> a, std::vector<double> b) {
-  const std::size_t n = a.size();
-  auto rank = [n](std::vector<double>& v) {
-    std::vector<std::size_t> idx(n);
-    for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-    std::sort(idx.begin(), idx.end(),
-              [&](std::size_t x, std::size_t y) { return v[x] < v[y]; });
-    std::vector<double> r(n);
-    for (std::size_t i = 0; i < n; ++i) r[idx[i]] = static_cast<double>(i);
-    return r;
-  };
-  const auto ra = rank(a);
-  const auto rb = rank(b);
-  const double mean = (static_cast<double>(n) - 1.0) / 2.0;
-  double num = 0.0;
-  double da = 0.0;
-  double db = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    num += (ra[i] - mean) * (rb[i] - mean);
-    da += (ra[i] - mean) * (ra[i] - mean);
-    db += (rb[i] - mean) * (rb[i] - mean);
-  }
-  return num / std::sqrt(da * db);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::BenchOptions options;
@@ -89,7 +60,7 @@ int main(int argc, char** argv) {
         r2.push_back(f2 - t);
       }
     }
-    const double rho_s = spearman(r1, r2);
+    const double rho_s = stats::spearman(r1, r2);
 
     auto run_case = [&](std::size_t nodes) {
       fjsim::HomogeneousConfig cfg;

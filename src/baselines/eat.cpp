@@ -2,49 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "dist/heavy.hpp"
 #include "queueing/mg1.hpp"
 #include "stats/roots.hpp"
+#include "stats/spearman.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::baselines {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
-
-/// Spearman rank correlation of two equally long samples.
-double spearman(const std::vector<double>& a, const std::vector<double>& b) {
-  const std::size_t n = a.size();
-  auto ranks = [n](const std::vector<double>& v) {
-    std::vector<std::size_t> idx(n);
-    std::iota(idx.begin(), idx.end(), std::size_t{0});
-    std::sort(idx.begin(), idx.end(),
-              [&](std::size_t x, std::size_t y) { return v[x] < v[y]; });
-    std::vector<double> r(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      r[idx[i]] = static_cast<double>(i);
-    }
-    return r;
-  };
-  const auto ra = ranks(a);
-  const auto rb = ranks(b);
-  const double mean = (static_cast<double>(n) - 1.0) / 2.0;
-  double num = 0.0;
-  double da = 0.0;
-  double db = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = ra[i] - mean;
-    const double y = rb[i] - mean;
-    num += x * y;
-    da += x * x;
-    db += y * y;
-  }
-  return num / std::sqrt(da * db);
-}
 }  // namespace
 
 EatPredictor::EatPredictor(double lambda, dist::DistPtr service,
@@ -63,40 +33,48 @@ EatPredictor::EatPredictor(double lambda, dist::DistPtr service,
   if (config_.accuracy < 10) {
     throw std::invalid_argument("EatPredictor: accuracy must be >= 10");
   }
+  // Spearman's rho needs two responses; fewer give a NaN correlation.
+  if (config_.calibration_samples < 2) {
+    throw std::invalid_argument(
+        "EatPredictor: calibration_samples must be >= 2");
+  }
   quad_points_ = std::max(40, config_.accuracy);
   mean_response_ = queueing::mg1_response(lambda_, *service_).mean;
   calibrate_correlation();
 }
 
-void EatPredictor::calibrate_correlation() {
-  // Two sibling M/G/1 queues fed by the same Poisson arrival epochs with
-  // independent service draws -- the exactly-simulable two-node fork-join
-  // that anchors the dependence correction.  Deterministic seed, so the
-  // predictor is a pure function of its inputs.
-  util::Rng rng(config_.calibration_seed);
+SiblingResponses eat_calibration_sample(double lambda,
+                                        const dist::Distribution& service,
+                                        const EatConfig& config) {
+  util::Rng rng(config.calibration_seed);
   util::Rng s1 = rng.split(1);
   util::Rng s2 = rng.split(2);
-  const std::uint64_t n = config_.calibration_samples;
-  std::vector<double> r1(n);
-  std::vector<double> r2(n);
+  const std::uint64_t n = config.calibration_samples;
+  const std::uint64_t cut = n / 5;  // the transient fifth is discarded
+  std::vector<double> r1(n - cut);
+  std::vector<double> r2(n - cut);
   double t = 0.0;
   double free1 = 0.0;
   double free2 = 0.0;
-  const double mean_ia = 1.0 / lambda_;
+  const double mean_ia = 1.0 / lambda;
   for (std::uint64_t i = 0; i < n; ++i) {
     t += rng.exponential(mean_ia);
-    const double d1 = std::max(t, free1) + service_->sample(s1);
-    const double d2 = std::max(t, free2) + service_->sample(s2);
+    const double d1 = std::max(t, free1) + service.sample(s1);
+    const double d2 = std::max(t, free2) + service.sample(s2);
     free1 = d1;
     free2 = d2;
-    r1[i] = d1 - t;
-    r2[i] = d2 - t;
+    if (i >= cut) {
+      r1[i - cut] = d1 - t;
+      r2[i - cut] = d2 - t;
+    }
   }
-  // Discard the transient fifth.
-  const std::size_t cut = n / 5;
-  r1.erase(r1.begin(), r1.begin() + static_cast<std::ptrdiff_t>(cut));
-  r2.erase(r2.begin(), r2.begin() + static_cast<std::ptrdiff_t>(cut));
-  const double rho_s = spearman(r1, r2);
+  return {std::move(r1), std::move(r2)};
+}
+
+void EatPredictor::calibrate_correlation() {
+  const SiblingResponses sample =
+      eat_calibration_sample(lambda_, *service_, config_);
+  const double rho_s = stats::spearman(sample.first, sample.second);
   // Spearman -> Gaussian copula correlation.
   correlation_ = std::clamp(2.0 * std::sin(kPi * rho_s / 6.0), 0.0, 0.999);
 }

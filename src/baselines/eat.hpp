@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "dist/distribution.hpp"
 #include "queueing/laplace.hpp"
@@ -33,6 +34,20 @@ struct EatConfig {
   std::uint64_t calibration_samples = 200000;  ///< two-node calibration length
   std::uint64_t calibration_seed = 98765;
 };
+
+/// Responses of the two-node calibration run behind EatPredictor's
+/// correlation: two sibling M/G/1 queues fed by the same Poisson arrival
+/// epochs with independent service draws -- the exactly-simulable two-node
+/// fork-join that anchors the dependence correction.  The seed is fixed by
+/// `config`, so the sample is a pure function of the inputs; the transient
+/// fifth of `calibration_samples` is discarded.
+struct SiblingResponses {
+  std::vector<double> first;
+  std::vector<double> second;
+};
+SiblingResponses eat_calibration_sample(double lambda,
+                                        const dist::Distribution& service,
+                                        const EatConfig& config);
 
 class EatPredictor {
  public:
@@ -50,7 +65,8 @@ class EatPredictor {
   /// p-th percentile of the request response time, p in (0, 100).
   double quantile(double p) const;
 
-  /// Calibrated pairwise Gaussian-copula correlation.
+  /// Calibrated pairwise Gaussian-copula correlation: Spearman's rho of
+  /// eat_calibration_sample(), mapped by 2 sin(pi rho / 6) into [0, 0.999].
   double copula_correlation() const noexcept { return correlation_; }
 
  private:

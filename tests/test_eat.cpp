@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "dist/basic.hpp"
+#include "dist/factory.hpp"
 #include "queueing/mm1.hpp"
+#include "stats/spearman.hpp"
+#include "support/sort_spearman.hpp"
 
 namespace forktail::baselines {
 namespace {
@@ -102,6 +109,76 @@ TEST(EatPredictor, Validation) {
                std::invalid_argument);
   EatPredictor eat(0.8, exp_service(), 10);
   EXPECT_THROW(eat.quantile(0.0), std::invalid_argument);
+  // Fewer than two calibration responses leave Spearman's rho undefined.
+  for (std::uint64_t samples : {0u, 1u}) {
+    try {
+      EatPredictor(0.8, exp_service(), 10, {.calibration_samples = samples});
+      ADD_FAILURE() << "calibration_samples=" << samples << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("calibration_samples"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EatPredictor two(0.8, exp_service(), 10, {.calibration_samples = 2});
+  EXPECT_TRUE(std::isfinite(two.quantile(99.0)));
+}
+
+TEST(EatPredictor, CorrelationMatchesSortOracle) {
+  // On a calibration sample without exact ties every correct sort ranks
+  // alike, so the radix mid-rank rho equals the comparison-sort oracle bit
+  // for bit.  A tie (a `d - t` rounding collision) is ranked by std::sort's
+  // unspecified order in the oracle, and by mid-rank here.  At 10% load
+  // most arrivals find an idle queue, so `d - t` rounds the service draw to
+  // the ulp of the arrival epoch and some responses collide.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto copula = [](double rho) {
+    return std::clamp(2.0 * std::sin(3.14159265358979323846 * rho / 6.0), 0.0,
+                      0.999);
+  };
+  std::vector<std::string> tied;
+  for (const std::string name : {"Exponential", "HyperExp2"}) {
+    const auto service = dist::make_named(name);
+    for (double load : {0.1, 0.5, 0.9}) {
+      const double lambda = load / service->mean();
+      const std::string label =
+          name + "@" + std::to_string(std::lround(load * 100)) + "%";
+      const SiblingResponses sample =
+          eat_calibration_sample(lambda, *service, EatConfig{});
+      const double rho = stats::spearman(sample.first, sample.second);
+      const double oracle =
+          test_support::sort_spearman(sample.first, sample.second);
+      const EatPredictor eat(lambda, service, 100);
+      EXPECT_EQ(bits(eat.copula_correlation()), bits(copula(rho))) << label;
+      if (test_support::has_exact_tie(sample.first) ||
+          test_support::has_exact_tie(sample.second)) {
+        tied.push_back(label);
+        EXPECT_NEAR(rho, oracle, 1e-9) << label;
+      } else {
+        EXPECT_EQ(bits(rho), bits(oracle)) << label;
+      }
+    }
+  }
+  EXPECT_EQ(tied,
+            (std::vector<std::string>{"Exponential@10%", "HyperExp2@10%"}));
+}
+
+TEST(EatPredictor, DeterministicServiceCorrelation) {
+  // Deterministic service makes the two siblings' responses identical, so
+  // rho = 1, clamped to 0.999, at every load.  At a vanishing load no
+  // arrival waits and every response is the service time: both samples are
+  // fully tied, have no rank variance, and must still give 0.999.
+  const auto service = std::make_shared<dist::Deterministic>(1.0);
+  const SiblingResponses idle =
+      eat_calibration_sample(1e-7, *service, EatConfig{});
+  ASSERT_TRUE(std::all_of(idle.first.begin(), idle.first.end(),
+                          [](double r) { return r == 1.0; }));
+  ASSERT_EQ(idle.first, idle.second);
+  for (double load : {1e-7, 0.001, 0.3, 0.9}) {
+    EatPredictor eat(load, service, 16);
+    EXPECT_EQ(eat.copula_correlation(), 0.999) << "load=" << load;
+    EXPECT_TRUE(std::isfinite(eat.quantile(99.0))) << "load=" << load;
+  }
 }
 
 TEST(EatPredictor, ErlangServiceSupported) {

@@ -9,7 +9,9 @@
 // in-test reader this file used to carry was promoted to src/util/json).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -199,6 +201,27 @@ TEST(ReportSchema, RunReportJsonIsParseableAfterRealRun) {
     const Json doc = Json::parse(report.to_json());
     EXPECT_EQ(doc.at("schema").as_string(), "forktail.run_report.v1");
   });
+}
+
+// ---------------------------------------------------- report file writer
+
+TEST(WriteTextFile, RewriteCutsToLengthAndKeepsTheInode) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "write_text_file";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string file = (dir / "report.json").string();
+  const std::string link = (dir / "latest.json").string();
+  util::write_text_file(file, "a much longer first report\n");
+  fs::create_symlink("report.json", link);
+  util::write_text_file(link, "short\n");
+  EXPECT_TRUE(fs::is_symlink(link));
+  EXPECT_EQ(util::read_text_file(file), "short\n");
+  util::write_text_file(file, "");
+  EXPECT_EQ(fs::file_size(file), 0u);
+  EXPECT_THROW(util::write_text_file((dir / "no" / "x.json").string(), "x"),
+               std::runtime_error);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "serve/server.hpp"
 #include "sweep.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -353,9 +354,7 @@ int cmd_run(int argc, const char* const* argv) {
 
   const std::string out = flags.get_string("out");
   if (!out.empty()) {
-    std::ofstream os(out);
-    if (!os) throw std::runtime_error("run: cannot write " + out);
-    os << scenario::to_json(report).dump() << "\n";
+    util::write_text_file(out, scenario::to_json(report).dump() + "\n");
     std::printf("wrote %s (scenario report)\n", out.c_str());
   }
   const std::string metrics_out = flags.get_string("metrics-out");
