@@ -10,6 +10,9 @@
 // knob C is the comparable signal.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "baselines/eat.hpp"
 #include "baselines/expfit.hpp"
 #include "core/forktail.hpp"
@@ -123,6 +126,24 @@ void BM_OnlinePredictorUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OnlinePredictorUpdate);
+
+// The serve daemon's window update: one forktail.wire.v1 datagram of 64
+// samples sharing a timestamp, 1 ms apart, into a 2 s window (so the
+// bucket ring rolls every ~31 ms as it does under load).
+void BM_OnlineRecordDatagram(benchmark::State& state) {
+  core::OnlineTailPredictor online(1, 2.0, 30);
+  util::Rng rng(1);
+  std::vector<double> datagram(64);
+  for (double& x : datagram) x = rng.exponential(5.0);  // Exp(5 ms)
+  double now = 0.0;
+  for (auto _ : state) {
+    now += 0.001;
+    benchmark::DoNotOptimize(online.record_batch(0, now, datagram));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(datagram.size()));
+}
+BENCHMARK(BM_OnlineRecordDatagram);
 
 }  // namespace
 

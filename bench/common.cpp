@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +10,8 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+
+#include "util/text_file.hpp"
 
 namespace forktail::bench {
 
@@ -140,9 +141,11 @@ util::Json BenchReport::to_json() const {
 
 int BenchReport::finish(const std::string& path) const {
   if (!path.empty()) {
-    std::ofstream os(path);
-    os << to_json().dump(2) << "\n";
-    if (!os) throw std::runtime_error(benchmark_ + ": cannot write " + path);
+    try {
+      util::write_text_file(path, to_json().dump(2) + "\n");
+    } catch (const std::runtime_error&) {
+      throw std::runtime_error(benchmark_ + ": cannot write " + path);
+    }
     std::printf("wrote %s\n", path.c_str());
   }
   int status = 0;

@@ -96,6 +96,16 @@ class Baseline {
   virtual bool applicable(const BaselineInput& in) const = 0;
   /// Predicted p-th percentile (ms), p in (0, 100).
   virtual double predict(const BaselineInput& in, double percentile) const = 0;
+  /// predict() at each of `percentiles`, in order.  Default: one predict()
+  /// per percentile; a baseline with a costly per-input setup overrides it
+  /// to set up once.
+  virtual std::vector<double> predict_many(
+      const BaselineInput& in, std::span<const double> percentiles) const {
+    std::vector<double> out;
+    out.reserve(percentiles.size());
+    for (const double p : percentiles) out.push_back(predict(in, p));
+    return out;
+  }
   /// [lower, upper] around the p-th percentile.  Default: the degenerate
   /// uncertified point bracket.
   virtual Bracket bracket(const BaselineInput& in, double percentile) const {

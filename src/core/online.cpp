@@ -60,7 +60,13 @@ OnlineTailPredictor::OnlineTailPredictor(std::size_t num_nodes,
 
 RecordOutcome OnlineTailPredictor::record(std::size_t node, double now,
                                           double response) {
+  return record_batch(node, now, {&response, 1});
+}
+
+RecordOutcome OnlineTailPredictor::record_batch(
+    std::size_t node, double now, std::span<const double> responses) {
   auto& window = windows_.at(node);
+  if (responses.empty()) return RecordOutcome::kAccepted;
   if (!std::isfinite(now)) {
     // NaN slips past every comparison and an infinite clock would leave
     // every later finite sample "too old"; treat both as unbounded jumps.
@@ -73,13 +79,13 @@ RecordOutcome OnlineTailPredictor::record(std::size_t node, double now,
     if (mark - now <= skew_tolerance_) {
       now = mark;  // absorb the jump: record at the high-water mark
       outcome = RecordOutcome::kClamped;
-      OnlineMetrics::get().clock_clamped.add(1);
+      OnlineMetrics::get().clock_clamped.add(responses.size());
     } else {
       OnlineMetrics::get().clock_rejected.add(1);
       return RecordOutcome::kRejected;
     }
   }
-  window.add(now, response);
+  window.add_block(now, responses);
   return outcome;
 }
 

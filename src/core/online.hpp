@@ -9,8 +9,9 @@
 // Clock discipline: sample timestamps come from the agents that measured
 // them, and real agent clocks jump backwards (NTP steps, VM migrations,
 // agent restarts).  A backwards timestamp fed straight into the window
-// would corrupt eviction, so record() clamps small backwards jumps (up to
-// `skew_tolerance` seconds) onto the node's high-water mark and rejects
+// would corrupt eviction, so record_batch() -- the one clock-discipline
+// path; record() is its one-sample case -- clamps small backwards jumps (up
+// to `skew_tolerance` seconds) onto the node's high-water mark and rejects
 // larger ones, and any non-finite timestamp, with a typed outcome -- it
 // never throws on bad clocks and never lets them corrupt the window.  The
 // high-water mark is the window's own clock (stats::WindowedMoments::now).
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -55,6 +57,17 @@ class OnlineTailPredictor {
   /// corrupted and nothing throws for bad clocks (out-of-range `node`
   /// still throws std::out_of_range).
   RecordOutcome record(std::size_t node, double now, double response);
+
+  /// Record every response at the one time `now` (an agent's datagram):
+  /// the same outcome, window and counters as record() of each response in
+  /// turn, stopping at the first rejection, up to the rounding of the
+  /// moments.  The clock check runs once: if the first response would be
+  /// clamped, every one is (online.clock_clamped counts each), and a
+  /// rejected batch counts once in online.clock_rejected.  An empty batch
+  /// changes nothing and is kAccepted.  record() is a one-response batch,
+  /// so its arithmetic is exactly one Welford update.
+  RecordOutcome record_batch(std::size_t node, double now,
+                             std::span<const double> responses);
 
   /// Evict samples older than the window without recording (call before
   /// reading stats from a node that may have gone idle -- otherwise its

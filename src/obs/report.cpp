@@ -2,10 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "util/text_file.hpp"
 
 namespace forktail::obs {
 
@@ -161,11 +162,13 @@ std::string RunReport::to_prometheus() const {
 }
 
 void RunReport::write(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("RunReport: cannot write " + path);
   const bool prom =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-  os << (prom ? to_prometheus() : to_json());
+  try {
+    util::write_text_file(path, prom ? to_prometheus() : to_json());
+  } catch (const std::runtime_error&) {
+    throw std::runtime_error("RunReport: cannot write " + path);
+  }
 }
 
 }  // namespace forktail::obs

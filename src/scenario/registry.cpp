@@ -347,6 +347,11 @@ class BaselinePredictor final : public Predictor {
   double predict(const Outcome& outcome, double p) const override {
     return baseline_->predict(baseline_input(outcome), p);
   }
+  std::vector<double> predict_many(
+      const Outcome& outcome,
+      std::span<const double> percentiles) const override {
+    return baseline_->predict_many(baseline_input(outcome), percentiles);
+  }
 
  private:
   const baselines::Baseline* baseline_;

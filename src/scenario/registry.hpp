@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,15 @@ class Predictor {
   virtual bool applicable(const Outcome& outcome) const = 0;
   /// Predicted p-th percentile (ms) of the request response time.
   virtual double predict(const Outcome& outcome, double percentile) const = 0;
+  /// predict() at each of `percentiles`, in order (run_scenario's entry
+  /// point).  Default: one predict() per percentile.
+  virtual std::vector<double> predict_many(
+      const Outcome& outcome, std::span<const double> percentiles) const {
+    std::vector<double> out;
+    out.reserve(percentiles.size());
+    for (const double p : percentiles) out.push_back(predict(outcome, p));
+    return out;
+  }
 };
 
 /// Evaluate the degraded-mode predictor (fault/predict.hpp) on a faulty

@@ -56,9 +56,9 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   for (const Predictor* predictor : selected) {
     PredictionRow row;
     row.predictor = predictor->name();
+    row.predicted_ms = predictor->predict_many(report.outcome, percentiles);
     for (std::size_t i = 0; i < percentiles.size(); ++i) {
-      const double predicted = predictor->predict(report.outcome, percentiles[i]);
-      row.predicted_ms.push_back(predicted);
+      const double predicted = row.predicted_ms[i];
       row.error_pct.push_back(
           stats::relative_error_pct(predicted, report.measured_ms[i]));
       const baselines::Bracket& bracket = report.brackets[i];

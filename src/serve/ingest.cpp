@@ -1,5 +1,6 @@
 #include "serve/ingest.hpp"
 
+#include <span>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -33,9 +34,10 @@ IngestShard::IngestShard(const ShardConfig& config)
 }
 
 std::size_t IngestShard::submit(std::uint32_t local, const WireBatch& batch) {
-  WireBatch queued = batch;
-  queued.node = local;
-  const std::size_t shed = ring_.push_drop_oldest(queued);
+  const std::size_t shed = ring_.push_drop_oldest_with([&](WireBatch& slot) {
+    assign_used(slot, batch);
+    slot.node = local;
+  });
   if (shed != 0) {
     batches_shed_.fetch_add(shed, std::memory_order_relaxed);
     IngestMetrics::get().shed.add(shed);
@@ -53,31 +55,30 @@ std::size_t IngestShard::drain(double now_s) {
   std::size_t drained = 0;
   std::uint64_t samples = 0, batches = 0;
   WireBatch batch;
-  while (drained < budget && ring_.try_pop(batch)) {
+  const auto take = [&batch](const WireBatch& slot) {
+    assign_used(batch, slot);
+  };
+  while (drained < budget && ring_.try_pop_with(take)) {
     ++drained;
+    if (batch.count == 0) continue;
     const double t_s = static_cast<double>(batch.timestamp_ns) * 1e-9;
-    // One timestamp per batch, so the first sample's outcome decides the
-    // whole batch: a beyond-tolerance clock jump rejects all of it.
-    std::size_t accepted = 0;
-    for (std::size_t i = 0; i < batch.count; ++i) {
-      const auto outcome = predictor_.record(batch.node, t_s, batch.samples[i]);
-      if (outcome == core::RecordOutcome::kRejected) {
-        // Counted per datagram, like every other wire.rejected reason (the
-        // batch shares one timestamp, so rejection always hits at i == 0).
-        stale_rejected_.fetch_add(1, std::memory_order_relaxed);
-        IngestMetrics::get().stale_ts.add(1);
-        break;
-      }
-      if (outcome == core::RecordOutcome::kClamped) {
-        IngestMetrics::get().clamped.add(1);
-      }
-      ++accepted;
+    // One timestamp per batch, so one clock check decides the whole batch:
+    // a beyond-tolerance jump rejects all of it, a clamp clamps every
+    // sample.
+    const auto outcome = predictor_.record_batch(
+        batch.node, t_s, std::span(batch.samples.data(), batch.count));
+    if (outcome == core::RecordOutcome::kRejected) {
+      // Counted per datagram, like every other wire.rejected reason.
+      stale_rejected_.fetch_add(1, std::memory_order_relaxed);
+      IngestMetrics::get().stale_ts.add(1);
+      continue;
     }
-    if (accepted > 0) {
-      samples += accepted;
-      ++batches;
-      liveness_.observe(batch.node, batch.timestamp_ns, now_s);
+    if (outcome == core::RecordOutcome::kClamped) {
+      IngestMetrics::get().clamped.add(batch.count);
     }
+    samples += batch.count;
+    ++batches;
+    liveness_.observe(batch.node, batch.timestamp_ns, now_s);
   }
   if (drained > 0) {
     publish();

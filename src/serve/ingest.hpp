@@ -13,8 +13,10 @@
 //     call site) and marks them stale so predictions degrade with a stated
 //     reason instead of serving a frozen congested window.
 //   * Backwards agent clocks are absorbed or rejected by the skew-tolerant
-//     core::OnlineTailPredictor::record; rejections are counted as
-//     serve.wire.rejected.stale_timestamp.
+//     core::OnlineTailPredictor::record_batch, once per datagram;
+//     rejections are counted as serve.wire.rejected.stale_timestamp.
+//   * A batch crosses the ring as its header and its `count` samples only
+//     (assign_used), not the whole kMaxSamplesPerDatagram array.
 #pragma once
 
 #include <atomic>
@@ -60,6 +62,18 @@ class BoundedQueue {
   }
 
   bool try_push(const T& value) {
+    return try_push_with([&](T& slot) { slot = value; });
+  }
+
+  bool try_pop(T& out) {
+    return try_pop_with([&](const T& slot) { out = slot; });
+  }
+
+  /// try_push() that writes the new entry in place: `fill(T&)` runs on the
+  /// claimed slot, which still holds whatever entry used it last.  Lets a
+  /// large T copy only the part of it that is in use.
+  template <typename Fill>
+  bool try_push_with(Fill&& fill) {
     Cell* cell;
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
@@ -78,12 +92,15 @@ class BoundedQueue {
         pos = tail_.load(std::memory_order_relaxed);
       }
     }
-    cell->value = value;
+    fill(cell->value);
     cell->seq.store(pos + 1, std::memory_order_release);
     return true;
   }
 
-  bool try_pop(T& out) {
+  /// try_pop() that reads the oldest entry in place: `take(const T&)` runs
+  /// on the claimed slot before it is handed back to the producer.
+  template <typename Take>
+  bool try_pop_with(Take&& take) {
     Cell* cell;
     std::size_t pos = head_.load(std::memory_order_relaxed);
     for (;;) {
@@ -102,7 +119,7 @@ class BoundedQueue {
         pos = head_.load(std::memory_order_relaxed);
       }
     }
-    out = cell->value;
+    take(cell->value);
     cell->seq.store(pos + mask_ + 1, std::memory_order_release);
     return true;
   }
@@ -113,14 +130,20 @@ class BoundedQueue {
   /// bounded-iteration fallback (pathological scheduling only) sheds the
   /// incoming value itself rather than spinning.
   std::size_t push_drop_oldest(const T& value) {
+    return push_drop_oldest_with([&](T& slot) { slot = value; });
+  }
+
+  /// push_drop_oldest() that writes the new entry in place (see
+  /// try_push_with).
+  template <typename Fill>
+  std::size_t push_drop_oldest_with(Fill&& fill) {
     std::size_t shed = 0;
     // Each failed try_push is followed by freeing one slot, so capacity+1
     // rounds always suffice unless the consumer races us; a couple of
     // extra rounds absorbs that.
     for (std::size_t round = 0; round < capacity() + 4; ++round) {
-      if (try_push(value)) return shed;
-      T discard;
-      if (try_pop(discard)) ++shed;
+      if (try_push_with(fill)) return shed;
+      if (try_pop_with([](const T&) {})) ++shed;
     }
     return shed + 1;  // shed the incoming value (counted like any other)
   }

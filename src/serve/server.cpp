@@ -301,6 +301,9 @@ void Server::reader_loop() {
     }
   }
 
+  // Reused for every datagram: decode() writes the header and `count`
+  // samples, and only those cross the ring (IngestShard::submit).
+  WireBatch batch;
   while (!stop_.load(std::memory_order_acquire)) {
     const ssize_t n = ::recvfrom(udp_fd_, buf.data(), buf.size(), 0, nullptr,
                                  nullptr);
@@ -313,7 +316,6 @@ void Server::reader_loop() {
       continue;
     }
     metrics.datagrams.add(1);
-    WireBatch batch;
     const WireError err = decode(buf.data(), static_cast<std::size_t>(n), batch);
     if (err != WireError::kNone) {
       metrics.wire(err).add(1);

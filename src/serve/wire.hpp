@@ -24,6 +24,7 @@
 // non-negative samples.  Nothing here throws and nothing reads past `len`.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -70,6 +71,18 @@ struct WireBatch {
   std::uint16_t count = 0;
   std::array<double, kMaxSamplesPerDatagram> samples{};
 };
+
+/// Copy `from`'s header and its first `count` samples into `to`; `to`'s
+/// samples past that keep whatever they held.  A datagram seldom fills all
+/// kMaxSamplesPerDatagram slots, so this is the copy the ingest ring makes.
+inline void assign_used(WireBatch& to, const WireBatch& from) noexcept {
+  to.service = from.service;
+  to.node = from.node;
+  to.timestamp_ns = from.timestamp_ns;
+  to.count = static_cast<std::uint16_t>(
+      std::min<std::size_t>(from.count, kMaxSamplesPerDatagram));
+  std::copy_n(from.samples.begin(), to.count, to.samples.begin());
+}
 
 /// FNV-1a 32-bit over `len` bytes.
 std::uint32_t wire_checksum(const std::uint8_t* data, std::size_t len) noexcept;

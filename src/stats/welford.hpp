@@ -9,15 +9,18 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 
 namespace forktail::stats {
 
 /// Mergeable (count, mean, M2) summary, where M2 is the sum of squared
 /// deviations from the mean.  add() is Welford's update and merge() the
-/// Chan et al. parallel combine: both stay exact in exact arithmetic and
-/// avoid the E[X^2] - E[X]^2 cancellation of raw power sums.
+/// Chan et al. parallel combine, and add_block() merges a block's two-pass
+/// moments: all stay exact in exact arithmetic and avoid the
+/// E[X^2] - E[X]^2 cancellation of raw power sums.
 struct MomentSketch {
   std::uint64_t count = 0;
   double mean = 0.0;
@@ -36,6 +39,37 @@ struct MomentSketch {
     mean += delta / static_cast<double>(count);
     const double delta2 = x - mean;
     m2 += delta * delta2;
+  }
+
+  /// Add a block of samples: the block's two-pass (count, mean, M2), merged
+  /// in.  Each pass sums into four accumulators in a fixed order, so the
+  /// result does not depend on the compiler reassociating anything.  A
+  /// one-sample block is exactly add().
+  void add_block(std::span<const double> xs) noexcept {
+    if (xs.size() <= 1) {
+      if (!xs.empty()) add(xs[0]);
+      return;
+    }
+    const std::size_t n = xs.size();
+    const std::size_t n4 = n & ~std::size_t{3};
+    double s[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t i = 0; i < n4; i += 4) {
+      for (std::size_t j = 0; j < 4; ++j) s[j] += xs[i + j];
+    }
+    for (std::size_t i = n4; i < n; ++i) s[i - n4] += xs[i];
+    const double m = ((s[0] + s[1]) + (s[2] + s[3])) / static_cast<double>(n);
+    double q[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t i = 0; i < n4; i += 4) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        const double d = xs[i + j] - m;
+        q[j] += d * d;
+      }
+    }
+    for (std::size_t i = n4; i < n; ++i) {
+      const double d = xs[i] - m;
+      q[i - n4] += d * d;
+    }
+    merge({n, m, (q[0] + q[1]) + (q[2] + q[3])});
   }
 
   void merge(const MomentSketch& other) noexcept {

@@ -28,12 +28,18 @@ std::int64_t WindowedMoments::index(double t) const noexcept {
 }
 
 void WindowedMoments::add(double timestamp, double value) {
+  add_block(timestamp, {&value, 1});
+}
+
+void WindowedMoments::add_block(double timestamp,
+                                std::span<const double> values) {
   if (!std::isfinite(timestamp) || timestamp < now_) {
     throw std::invalid_argument("timestamps must be finite and non-decreasing");
   }
+  if (values.empty()) return;
   now_ = timestamp;
   roll(index(timestamp));
-  open_.add(value);
+  open_.add_block(values);
 }
 
 void WindowedMoments::advance(double now) noexcept {

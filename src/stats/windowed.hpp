@@ -5,7 +5,8 @@
 // average for a given time window, e.g., 20 seconds, these means and
 // variances and hence, the tail latency prediction, can be updated every
 // tens of milliseconds."  This module provides exactly that primitive:
-// count/mean/variance over the trailing time window, updatable per sample.
+// count/mean/variance over the trailing time window, updatable per sample or
+// per block of samples that share one timestamp (a datagram).
 //
 // Layout: a fixed ring of kBuckets = 64 MomentSketch buckets, each
 // `window / 64` wide.  A sample at time t goes into bucket
@@ -24,8 +25,11 @@
 // sums whose differences cancel (millisecond means with microsecond jitter
 // keep their variance) and no drift that needs a periodic re-sum.  The merge
 // of the closed buckets is cached and recomputed only when the head rolls
-// (at most 63 merges per bucket width); add() is one Welford update on the
-// open head bucket and a read is one merge.
+// (at most 63 merges per bucket width).  add_block() pays the clock check,
+// the bucket index and the roll check once per block, then merges the
+// block's two-pass moments (MomentSketch::add_block) into the open head
+// bucket; add() is a one-sample block, i.e. one Welford update.  A read is
+// one merge.
 //
 // State: 66 MomentSketch of 24 B each (a ring of 64 bucket slots, the open
 // head bucket and the closed-bucket merge) and three scalars, 1664 B with
@@ -39,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "stats/welford.hpp"
 
@@ -56,6 +61,11 @@ class alignas(64) WindowedMoments {
   /// Add a sample at `timestamp`, which must be finite and no older than
   /// now(); otherwise throws std::invalid_argument.
   void add(double timestamp, double value);
+
+  /// Add every value at the one `timestamp` (checked as by add()).  The
+  /// same window as adding them one by one, up to rounding; an empty block
+  /// changes nothing.
+  void add_block(double timestamp, std::span<const double> values);
 
   /// Move the clock to `now` and expire buckets without adding a sample.
   /// A non-finite or older `now` is ignored.

@@ -16,7 +16,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace forktail::util {
@@ -132,13 +131,5 @@ std::string json_escape(const std::string& text);
 /// Read an entire file into a string; throws std::runtime_error when the
 /// file cannot be opened.
 std::string read_text_file(const std::string& path);
-
-/// Replace the contents of `path` (created if absent) with `text`; throws
-/// std::runtime_error when it cannot be written.  An existing regular file
-/// is overwritten in place and then cut to length, not truncated to zero
-/// on open: ext4 flushes a file truncated to zero when it is closed
-/// (auto_da_alloc), which can stall a rewrite for tens of milliseconds.
-/// Symlinks, hard links and permissions are kept.
-void write_text_file(const std::string& path, std::string_view text);
 
 }  // namespace forktail::util

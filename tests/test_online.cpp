@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "stats/welford.hpp"
+#include "support/two_pass.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::core {
@@ -228,6 +230,96 @@ TEST(OnlineTailPredictor, SkewedStreamMatchesMonotoneStream) {
   // closely (identical here because no clamp landed on an eviction edge).
   EXPECT_NEAR(a->mean, b->mean, 1e-9);
   EXPECT_NEAR(a->variance, b->variance, 1e-9);
+}
+
+// record_batch() is record() of each response in turn, stopping at the
+// first rejection (what the serve drain did per datagram before it took
+// whole batches): random batches of 1..256 samples, random clocks with
+// forward steps, exact repeats, clamps, rejects, non-finite stamps and
+// window-sized jumps must give the same outcomes, counts, clocks and
+// counters, and moments within 1e-12 relative.
+TEST(OnlineTailPredictor, RecordBatchMatchesSampleBySampleRecord) {
+  constexpr std::size_t kNodes = 3;
+  for (const double window : {2.0, 1e9}) {
+    OnlineTailPredictor batched(kNodes, window, 1, /*skew_tolerance=*/0.5);
+    OnlineTailPredictor serial(kNodes, window, 1, /*skew_tolerance=*/0.5);
+    auto& clamped = obs::Registry::global().counter("online.clock_clamped");
+    auto& rejected = obs::Registry::global().counter("online.clock_rejected");
+    std::vector<std::vector<double>> accepted(kNodes);
+    util::Rng rng(window > 100.0 ? 41 : 43);
+    double clock[kNodes] = {10.0, 10.0, 10.0};
+    for (int step = 0; step < 1500; ++step) {
+      const std::size_t node = static_cast<std::size_t>(rng.uniform() * kNodes);
+      const double u = rng.uniform();
+      double t = clock[node];
+      if (u < 0.1) {
+        t -= 0.5 * rng.uniform();  // within the tolerance: clamped
+      } else if (u < 0.15) {
+        t -= 0.6 + 5.0 * rng.uniform();  // beyond it: rejected
+      } else if (u < 0.17) {
+        t = rng.uniform() < 0.5 ? std::nan("")
+                                : std::numeric_limits<double>::infinity();
+      } else if (u < 0.2) {
+        t += 3.0 * rng.uniform();  // past a 2 s window
+      } else if (u < 0.3) {
+        // an exact repeat of the node's clock
+      } else {
+        t += 0.05 * rng.uniform();
+      }
+      std::vector<double> batch(1 + static_cast<std::size_t>(rng.uniform() * 256));
+      for (double& x : batch) x = rng.exponential(5.0);
+
+      const std::uint64_t clamped0 = clamped.value();
+      const std::uint64_t rejected0 = rejected.value();
+      const RecordOutcome got = batched.record_batch(node, t, batch);
+      const std::uint64_t batch_clamped = clamped.value() - clamped0;
+      const std::uint64_t batch_rejected = rejected.value() - rejected0;
+
+      RecordOutcome want = RecordOutcome::kAccepted;
+      std::size_t kept = 0;
+      for (const double x : batch) {
+        want = serial.record(node, t, x);
+        if (want == RecordOutcome::kRejected) break;
+        ++kept;
+      }
+      ASSERT_EQ(got, want) << "step " << step;
+      ASSERT_TRUE(kept == 0 || kept == batch.size());
+      if (obs::enabled()) {
+        ASSERT_EQ(clamped.value() - clamped0, 2 * batch_clamped);
+        ASSERT_EQ(rejected.value() - rejected0, 2 * batch_rejected);
+        ASSERT_EQ(batch_clamped,
+                  got == RecordOutcome::kClamped ? batch.size() : 0u);
+        ASSERT_EQ(batch_rejected, got == RecordOutcome::kRejected ? 1u : 0u);
+      }
+      if (kept > 0) {
+        accepted[node].insert(accepted[node].end(), batch.begin(), batch.end());
+      }
+      if (const auto mark = batched.last_timestamp(node)) clock[node] = *mark;
+      ASSERT_EQ(batched.last_timestamp(node), serial.last_timestamp(node));
+
+      const auto a = batched.node_stats(node);
+      const auto b = serial.node_stats(node);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
+      ASSERT_EQ(batched.pooled_stats().count, serial.pooled_stats().count);
+      if (!a) continue;
+      ASSERT_LT(test_support::relative_gap(a->mean, b->mean), 1e-12);
+      ASSERT_LT(test_support::relative_gap(a->variance, b->variance), 1e-12);
+      if (window > 100.0) {
+        // Nothing is ever evicted: the window is every accepted sample.
+        const auto oracle = test_support::two_pass(accepted[node]);
+        ASSERT_LT(test_support::relative_gap(a->mean, oracle.mean), 1e-12);
+        ASSERT_LT(test_support::relative_gap(a->variance, oracle.variance),
+                  1e-12);
+      }
+    }
+  }
+}
+
+TEST(OnlineTailPredictor, EmptyBatchChangesNothing) {
+  OnlineTailPredictor p(1, 10.0, 1, 0.5);
+  EXPECT_EQ(p.record_batch(0, 5.0, {}), RecordOutcome::kAccepted);
+  EXPECT_FALSE(p.last_timestamp(0).has_value());
+  EXPECT_THROW(p.record_batch(1, 5.0, {}), std::out_of_range);
 }
 
 TEST(OnlineTailPredictor, PooledStatsSkipsUnderfilledWindows) {

@@ -19,6 +19,7 @@
 #include "scenario/run.hpp"
 #include "support/json_test.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 #ifndef FORKTAIL_SOURCE_DIR
 #define FORKTAIL_SOURCE_DIR "."
@@ -220,6 +221,27 @@ TEST(WriteTextFile, RewriteCutsToLengthAndKeepsTheInode) {
   util::write_text_file(file, "");
   EXPECT_EQ(fs::file_size(file), 0u);
   EXPECT_THROW(util::write_text_file((dir / "no" / "x.json").string(), "x"),
+               std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(WriteTextFile, RunReportRewritesAnExistingFileInPlace) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "run_report_rewrite";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string file = (dir / "report.json").string();
+  const std::string alias = (dir / "alias.json").string();
+  util::write_text_file(file, std::string(1 << 20, 'x'));
+  fs::create_hard_link(file, alias);
+  obs::Registry registry;
+  registry.counter("rewrite.test").add(1);
+  const obs::RunReport report = obs::RunReport::capture(registry, "rewrite");
+  report.write(file);
+  // Same inode: the hard link sees the new, shorter report.
+  EXPECT_EQ(util::read_text_file(file), report.to_json());
+  EXPECT_EQ(util::read_text_file(alias), report.to_json());
+  EXPECT_THROW(report.write((dir / "no" / "x.json").string()),
                std::runtime_error);
   fs::remove_all(dir);
 }

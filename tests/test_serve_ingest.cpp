@@ -4,15 +4,22 @@
 // batch-level stale-timestamp rejection and overload shedding, and the
 // published-epoch read side: a snapshot after drain() sees it, staleness
 // matches the liveness table, and concurrent snapshots are whole epochs.
+// Batches cross the ring as their `count` used samples only, and drain()
+// records each datagram with one clock check.
 #include "serve/ingest.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace forktail::serve {
 namespace {
@@ -159,6 +166,82 @@ TEST(IngestShard, SlightlyBackwardsBatchClampedNotDropped) {
   EXPECT_EQ(shard.drain(10.0), 2u);
   EXPECT_EQ(shard.samples_ingested(), 3u);
   EXPECT_EQ(shard.stale_rejected(), 0u);
+}
+
+// decode -> submit -> drain with count < kMaxSamplesPerDatagram and junk
+// past `count`, in the reader's reused batch and in ring slots that held
+// full batches: exactly `count` samples land, with their own moments.
+TEST(IngestShard, RoundTripIngestsExactlyCountSamples) {
+  IngestShard shard(small_shard());  // ring capacity 8
+  WireBatch full;
+  full.count = static_cast<std::uint16_t>(kMaxSamplesPerDatagram);
+  for (std::size_t i = 0; i < kMaxSamplesPerDatagram; ++i) full.samples[i] = 1e6;
+  for (int i = 0; i < 8; ++i) {
+    full.timestamp_ns = static_cast<std::uint64_t>((1.0 + 0.001 * i) * 1e9);
+    shard.submit(1, full);  // every ring slot now holds 256 samples of 1e6
+  }
+  EXPECT_EQ(shard.drain(1.0), 8u);
+  const std::uint64_t before = shard.samples_ingested();
+  EXPECT_EQ(before, 8 * kMaxSamplesPerDatagram);
+
+  util::Rng rng(7);
+  WireBatch sent;
+  sent.node = 0;
+  sent.count = 37;
+  sent.timestamp_ns = 2'000'000'000;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < sent.count; ++i) {
+    sent.samples[i] = rng.exponential(5.0);
+    sum += sent.samples[i];
+  }
+  const std::vector<std::uint8_t> bytes = encode(sent);
+  ASSERT_FALSE(bytes.empty());
+  WireBatch reader;  // the socket reader's reused batch, dirty past count
+  reader.samples.fill(std::numeric_limits<double>::quiet_NaN());
+  ASSERT_EQ(decode(bytes.data(), bytes.size(), reader), WireError::kNone);
+  for (int i = 0; i < 8; ++i) {
+    reader.timestamp_ns = sent.timestamp_ns + static_cast<std::uint64_t>(i);
+    shard.submit(0, reader);
+  }
+  EXPECT_EQ(shard.drain(2.0), 8u);
+  EXPECT_EQ(shard.samples_ingested() - before, 8u * sent.count);
+  const auto snap = shard.snapshot(2.0);
+  // Node 1's window holds the full batches, node 0's only the sent ones.
+  EXPECT_DOUBLE_EQ(snap.pooled.count,
+                   8.0 * kMaxSamplesPerDatagram + 8.0 * sent.count);
+  const double node0_mean = sum / sent.count;
+  const double n0 = 8.0 * sent.count, n1 = 8.0 * kMaxSamplesPerDatagram;
+  EXPECT_NEAR(snap.pooled.mean, (n0 * node0_mean + n1 * 1e6) / (n0 + n1),
+              1e-9 * 1e6);
+  EXPECT_TRUE(std::isfinite(snap.pooled.variance));
+}
+
+// The serve counters move per datagram as they did when drain() recorded
+// sample by sample: a clamped batch clamps every sample, a stale one is
+// one rejection.
+TEST(IngestShard, ClampAndStaleCountersMovePerDatagram) {
+  auto& clamped = obs::Registry::global().counter("serve.clock_clamped");
+  auto& stale =
+      obs::Registry::global().counter("serve.wire.rejected.stale_timestamp");
+  auto& online_clamped =
+      obs::Registry::global().counter("online.clock_clamped");
+  auto& online_rejected =
+      obs::Registry::global().counter("online.clock_rejected");
+  const std::uint64_t c0 = clamped.value(), s0 = stale.value();
+  const std::uint64_t oc0 = online_clamped.value(), or0 = online_rejected.value();
+  IngestShard shard(small_shard());  // skew_tolerance 0.5
+  shard.submit(0, batch_for(0, 10.0, {1.0, 2.0}));
+  shard.submit(0, batch_for(0, 9.8, {3.0, 4.0, 5.0}));  // clamped, 3 samples
+  shard.submit(0, batch_for(0, 5.0, {6.0, 7.0, 8.0, 9.0}));  // stale
+  EXPECT_EQ(shard.drain(10.0), 3u);
+  EXPECT_EQ(shard.samples_ingested(), 5u);
+  EXPECT_EQ(shard.stale_rejected(), 1u);
+  if (obs::enabled()) {
+    EXPECT_EQ(clamped.value() - c0, 3u);
+    EXPECT_EQ(online_clamped.value() - oc0, 3u);
+    EXPECT_EQ(stale.value() - s0, 1u);
+    EXPECT_EQ(online_rejected.value() - or0, 1u);
+  }
 }
 
 TEST(IngestShard, SweepMarksDeadAgentStaleAndDegradesPooledStats) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "support/raw_moments.hpp"
+#include "support/two_pass.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::stats {
@@ -185,6 +189,64 @@ TEST(MomentSketch, EmptyIsMergeIdentity) {
   b.merge(a);
   EXPECT_EQ(b.count, 3u);
   EXPECT_DOUBLE_EQ(b.m2, a.m2);
+}
+
+bool same_bits(const MomentSketch& a, const MomentSketch& b) {
+  return a.count == b.count &&
+         std::bit_cast<std::uint64_t>(a.mean) ==
+             std::bit_cast<std::uint64_t>(b.mean) &&
+         std::bit_cast<std::uint64_t>(a.m2) == std::bit_cast<std::uint64_t>(b.m2);
+}
+
+// record() is a one-sample record_batch(), so the closed loop's per-sample
+// arithmetic rests on this: a one-sample block IS add(), bit for bit.
+TEST(MomentSketch, OneSampleBlockIsBitIdenticalToAdd) {
+  util::Rng rng(5);
+  MomentSketch by_add, by_block;
+  for (int i = 0; i < 5000; ++i) {
+    const double x = i % 3 == 0 ? rng.exponential(5.0) : 1e6 + rng.uniform();
+    by_add.add(x);
+    by_block.add_block({&x, 1});
+    ASSERT_TRUE(same_bits(by_add, by_block)) << "sample " << i;
+  }
+  by_block.add_block({});  // an empty block is a no-op
+  EXPECT_TRUE(same_bits(by_add, by_block));
+}
+
+// Blocks of 1..256 samples (a datagram's range) merged into a running
+// sketch agree with per-sample add() and with a long-double two-pass
+// oracle to 1e-12 relative, at a small and at a large offset.
+TEST(MomentSketch, AddBlockMatchesAddAndTwoPassOracle) {
+  util::Rng rng(17);
+  for (const double offset : {0.0, 1e6}) {
+    MomentSketch by_add, by_block;
+    std::vector<double> all;
+    for (int round = 0; round < 200; ++round) {
+      const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform() * 256);
+      std::vector<double> block(n);
+      for (double& x : block) x = offset + rng.exponential(5.0);
+      for (const double x : block) by_add.add(x);
+      by_block.add_block(block);
+      all.insert(all.end(), block.begin(), block.end());
+      ASSERT_EQ(by_block.count, by_add.count);
+    }
+    const auto oracle = test_support::two_pass(all);
+    EXPECT_LT(test_support::relative_gap(by_block.mean, oracle.mean), 1e-12);
+    EXPECT_LT(test_support::relative_gap(by_block.variance(), oracle.variance),
+              1e-12);
+    EXPECT_LT(test_support::relative_gap(by_block.mean, by_add.mean), 1e-12);
+    EXPECT_LT(test_support::relative_gap(by_block.variance(), by_add.variance()),
+              1e-12);
+  }
+}
+
+TEST(MomentSketch, AddBlockOfConstantsHasZeroVariance) {
+  const std::vector<double> block(64, 7.25);
+  MomentSketch s;
+  s.add_block(block);
+  EXPECT_EQ(s.count, 64u);
+  EXPECT_EQ(s.mean, 7.25);
+  EXPECT_EQ(s.m2, 0.0);
 }
 
 TEST(RawMoments, MatchesAnalyticExponential) {

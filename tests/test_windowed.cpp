@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
 #include <vector>
 
+#include "support/two_pass.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::stats {
@@ -228,6 +230,84 @@ TEST(WindowedMoments, EvictionMatchesBruteForceBucketWindow) {
   expect_matches_brute_force(2.0, 21);
   expect_matches_brute_force(0.7, 22);
   expect_matches_brute_force(20.0, 23);
+}
+
+// Datagram-sized blocks (1..256 samples at one timestamp) across bucket
+// rolls, equal timestamps and whole-window jumps: the same count and clock
+// as adding the samples one by one, and moments within 1e-12 relative of
+// both that and a long-double two-pass over the brute-force live set.
+TEST(WindowedMoments, AddBlockMatchesPerSampleAcrossRollsAndJumps) {
+  const double window = 2.0;
+  WindowedMoments by_block(window), by_sample(window);
+  BruteWindow ref(window / static_cast<double>(WindowedMoments::kBuckets));
+  util::Rng rng(31);
+  double t = 100.0;
+  for (int step = 0; step < 600; ++step) {
+    const double u = rng.uniform();
+    if (u < 0.1) {
+      // same timestamp as the last block
+    } else if (u < 0.15) {
+      t += window * (1.0 + 2.0 * rng.uniform());  // the whole ring rolls
+    } else {
+      t += window / 64.0 * 3.0 * rng.uniform();  // a few buckets at most
+    }
+    std::vector<double> block(1 + static_cast<std::size_t>(rng.uniform() * 256));
+    for (double& x : block) x = 5.0 + rng.exponential(5.0);
+    by_block.add_block(t, block);
+    for (const double x : block) {
+      by_sample.add(t, x);
+      ref.add(t, x);
+    }
+    const std::vector<double> live = ref.live();
+    ASSERT_EQ(by_block.count(), live.size()) << "step " << step;
+    ASSERT_EQ(by_block.count(), by_sample.count()) << "step " << step;
+    ASSERT_EQ(by_block.now(), by_sample.now());
+    const auto oracle = test_support::two_pass(live);
+    ASSERT_LT(test_support::relative_gap(by_block.mean(), oracle.mean), 1e-12)
+        << "step " << step;
+    ASSERT_LT(test_support::relative_gap(by_block.variance(), oracle.variance),
+              1e-12)
+        << "step " << step;
+    ASSERT_LT(test_support::relative_gap(by_block.variance(),
+                                         by_sample.variance()),
+              1e-12)
+        << "step " << step;
+  }
+}
+
+TEST(WindowedMoments, OneSampleBlockIsBitIdenticalToAdd) {
+  WindowedMoments by_block(0.5), by_add(0.5);
+  util::Rng rng(37);
+  double t = 0.0;
+  for (int i = 0; i < 3000; ++i) {
+    t += rng.uniform() < 0.02 ? 1.0 : 0.004 * rng.uniform();
+    const double x = rng.exponential(5.0);
+    by_add.add(t, x);
+    by_block.add_block(t, {&x, 1});
+    const MomentSketch a = by_add.moments(), b = by_block.moments();
+    ASSERT_EQ(a.count, b.count);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.mean),
+              std::bit_cast<std::uint64_t>(b.mean));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.m2),
+              std::bit_cast<std::uint64_t>(b.m2));
+  }
+}
+
+TEST(WindowedMoments, AddBlockChecksTheClockOnceLikeAdd) {
+  WindowedMoments w(10.0);
+  const std::vector<double> block = {1.0, 2.0, 3.0};
+  w.add_block(5.0, block);
+  EXPECT_EQ(w.count(), 3u);
+  EXPECT_THROW(w.add_block(4.0, block), std::invalid_argument);
+  EXPECT_THROW(w.add_block(std::nan(""), block), std::invalid_argument);
+  EXPECT_THROW(
+      w.add_block(std::numeric_limits<double>::infinity(), block),
+      std::invalid_argument);
+  // An empty block changes nothing, the clock included.
+  w.add_block(9.0, {});
+  EXPECT_EQ(w.now(), 5.0);
+  EXPECT_EQ(w.count(), 3u);
+  EXPECT_DOUBLE_EQ(w.mean(), 2.0);
 }
 
 TEST(WindowedMoments, NeverCountsASampleOlderThanTheWindow) {

@@ -32,6 +32,7 @@
 #include "sweep.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
+#include "util/text_file.hpp"
 
 namespace {
 
