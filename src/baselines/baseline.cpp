@@ -82,20 +82,16 @@ class EatBaseline final : public Baseline {
 
 }  // namespace
 
-BaselineRegistry& BaselineRegistry::global() {
-  static BaselineRegistry* registry = [] {
-    auto* r = new BaselineRegistry;
-    r->register_baseline(std::make_unique<DirectBaseline>());
-    r->register_baseline(std::make_unique<ExpFitBaseline>());
-    r->register_baseline(std::make_unique<EatBaseline>());
-    r->register_baseline(std::make_unique<LinearBoundsBaseline>());
-    return r;
-  }();
-  return *registry;
+BaselineRegistry::BaselineRegistry() {
+  baselines_.push_back(std::make_unique<DirectBaseline>());
+  baselines_.push_back(std::make_unique<ExpFitBaseline>());
+  baselines_.push_back(std::make_unique<EatBaseline>());
+  baselines_.push_back(std::make_unique<LinearBoundsBaseline>());
 }
 
-void BaselineRegistry::register_baseline(std::unique_ptr<Baseline> baseline) {
-  baselines_.push_back(std::move(baseline));
+BaselineRegistry& BaselineRegistry::global() {
+  static BaselineRegistry* registry = new BaselineRegistry;
+  return *registry;
 }
 
 const Baseline* BaselineRegistry::find(const std::string& name) const {
@@ -103,22 +99,6 @@ const Baseline* BaselineRegistry::find(const std::string& name) const {
     if (b->name() == name) return b.get();
   }
   return nullptr;
-}
-
-std::vector<std::string> BaselineRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(baselines_.size());
-  for (const auto& b : baselines_) out.push_back(b->name());
-  return out;
-}
-
-std::vector<const Baseline*> BaselineRegistry::applicable(
-    const BaselineInput& in) const {
-  std::vector<const Baseline*> out;
-  for (const auto& b : baselines_) {
-    if (b->applicable(in)) out.push_back(b.get());
-  }
-  return out;
 }
 
 }  // namespace forktail::baselines

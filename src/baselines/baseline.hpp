@@ -117,17 +117,16 @@ class Baseline {
 /// Name -> baseline dispatch, mirroring the scenario PredictorRegistry.
 class BaselineRegistry {
  public:
-  /// Process-wide registry pre-populated with direct / expfit / eat /
+  /// Process-wide registry of the fixed roster: direct / expfit / eat /
   /// linear-bounds.
   static BaselineRegistry& global();
 
-  void register_baseline(std::unique_ptr<Baseline> baseline);
   /// nullptr when unknown.
   const Baseline* find(const std::string& name) const;
-  std::vector<std::string> names() const;
-  std::vector<const Baseline*> applicable(const BaselineInput& in) const;
 
  private:
+  BaselineRegistry();
+
   std::vector<std::unique_ptr<Baseline>> baselines_;
 };
 

@@ -8,6 +8,7 @@
 #include "dist/basic.hpp"
 #include "dist/transforms.hpp"
 #include "queueing/laplace.hpp"
+#include "stats/roots.hpp"
 #include "stats/special_functions.hpp"
 
 namespace forktail::baselines {
@@ -39,44 +40,31 @@ struct SojournModel {
   std::vector<double> log_mgf_t;
 };
 
-/// Smallest t >= 0 with f(t) >= target, for nondecreasing f.  `hint` seeds
-/// the doubling search for the upper end of the bisection bracket.
+/// Upper end of the bisection bracket for nondecreasing f: `hint` doubled
+/// until f reaches `target` (at most 200 doublings).
 template <typename F>
-double invert_nondecreasing(F&& f, double target, double hint) {
+double doubled_upper_end(F& f, double target, double hint) {
   double hi = std::max(hint, 1e-12);
   int guard = 0;
   while (f(hi) < target && guard++ < 200) hi *= 2.0;
-  double lo = 0.0;
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid == lo || mid == hi) break;
-    if (f(mid) < target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
   return hi;
+}
+
+/// Smallest t >= 0 with f(t) >= target, for nondecreasing f.
+template <typename F>
+double invert_nondecreasing(F&& f, double target, double hint) {
+  return stats::bisect([&](double x) { return f(x) < target; }, 0.0,
+                       doubled_upper_end(f, target, hint))
+      .hi;
 }
 
 /// Largest t with f(t) <= target (the left edge of the crossing), for
 /// nondecreasing f; conservative for lower quantile bounds.
 template <typename F>
 double invert_nondecreasing_below(F&& f, double target, double hint) {
-  double hi = std::max(hint, 1e-12);
-  int guard = 0;
-  while (f(hi) < target && guard++ < 200) hi *= 2.0;
-  double lo = 0.0;
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid == lo || mid == hi) break;
-    if (f(mid) <= target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return stats::bisect([&](double x) { return f(x) <= target; }, 0.0,
+                       doubled_upper_end(f, target, hint))
+      .lo;
 }
 
 bool build_model(const BaselineInput& in, const LinearBoundsConfig& config,
@@ -209,20 +197,13 @@ double sojourn_lower_quantile(const SojournModel& model, double target) {
 /// response quantile under any dependence.
 double service_order_stat_quantile(const dist::Distribution& service, int n,
                                    int k, double q) {
-  // First invert the regularized incomplete beta on [0, 1]...
-  double lo = 0.0, hi = 1.0;
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid == lo || mid == hi) break;
-    const double v = stats::regularized_incomplete_beta(
-        static_cast<double>(k), static_cast<double>(n - k + 1), mid);
-    if (v < q) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  const double u = lo;  // left edge: conservative for a lower bound
+  // First invert the regularized incomplete beta on [0, 1]; the left edge
+  // is conservative for a lower bound...
+  const auto below = [&](double x) {
+    return stats::regularized_incomplete_beta(
+               static_cast<double>(k), static_cast<double>(n - k + 1), x) < q;
+  };
+  const double u = stats::bisect(below, 0.0, 1.0).lo;
   if (!(u > 0.0)) return 0.0;
   // ...then pull it back through the (exact, analytic) service CDF.
   return invert_nondecreasing_below(

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "stats/roots.hpp"
 
 namespace forktail::core {
 
@@ -34,16 +35,7 @@ double invert_tail(const SojournTail& tail, double level) {
   if (!(tail(lo) >= level && tail(hi) < level)) {
     throw std::runtime_error("evt_max_quantile: failed to bracket the tail");
   }
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid == lo || mid == hi) break;
-    if (tail(mid) >= level) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return stats::bisect([&](double x) { return tail(x) >= level; }, lo, hi).lo;
 }
 
 }  // namespace

@@ -38,9 +38,26 @@ struct PredictMetrics {
   }
 };
 
-double invert_traced(const std::function<double(double)>& f, double lo,
-                     double hi, const stats::RootOptions& opts) {
-  const stats::RootResult solve = stats::brent_traced(f, lo, hi, opts);
+/// Root of the increasing objective f (a CDF minus its level) between
+/// analytic bounds lo <= root <= hi.  The bounds are analytic, so rounding
+/// can leave f an ulp on the wrong side at either end (with identical
+/// nodes the upper bound IS the root), which would read as "root not
+/// bracketed": nudge outward before the traced Brent solve.
+double invert_between_bounds(const std::function<double(double)>& f,
+                             double lo, double hi) {
+  if (hi <= lo) {
+    PredictMetrics::get().bracket_collapsed.add(1);
+    return lo;
+  }
+  if (f(lo) >= 0.0) return lo;
+  int widenings = 0;
+  while (f(hi) < 0.0) {
+    if (++widenings > 64) return hi;  // objective flat at q: hi is the tail
+    hi += hi - lo;
+  }
+  const stats::RootResult solve = stats::brent_traced(
+      f, lo, hi,
+      {.x_tolerance = 1e-12 * hi, .f_tolerance = 0.0, .max_iterations = 200});
   PredictMetrics::get().inversion_iterations.record(
       static_cast<double>(solve.iterations));
   if (!solve.converged) PredictMetrics::get().inversion_unconverged.add(1);
@@ -269,23 +286,7 @@ double ForkTailPredictor::quantile(double p, double k) const {
     lo = std::max(lo, ge.max_quantile(q, 1.0));
     hi = std::max(hi, ge.max_quantile(std::pow(q, 1.0 / n), 1.0));
   }
-  if (hi <= lo) {
-    PredictMetrics::get().bracket_collapsed.add(1);
-    return lo;
-  }
-  const auto objective = [&](double x) { return cdf(x) - q; };
-  // The bounds are analytic, so rounding can leave the objective an ulp on
-  // the wrong side at either end (with identical nodes the upper bound IS
-  // the root), which would read as "root not bracketed".  Nudge outward.
-  if (objective(lo) >= 0.0) return lo;
-  int widenings = 0;
-  while (objective(hi) < 0.0) {
-    if (++widenings > 64) return hi;  // objective flat at q: hi is the tail
-    hi += hi - lo;
-  }
-  return invert_traced(objective, lo, hi,
-                       {.x_tolerance = 1e-12 * hi, .f_tolerance = 0.0,
-                        .max_iterations = 200});
+  return invert_between_bounds([&](double x) { return cdf(x) - q; }, lo, hi);
 }
 
 double ForkTailPredictor::quantile(double p, const TaskCountMixture& mixture) const {
@@ -306,29 +307,15 @@ double ForkTailPredictor::quantile(double p, const TaskCountMixture& mixture) co
   }
   // F is decreasing in k, so Eq. 13 at k_min / k_max brackets the root.
   const double lo = ge.max_quantile(q, k_min);
-  double hi = ge.max_quantile(q, k_max);
-  if (hi <= lo) {
-    PredictMetrics::get().bracket_collapsed.add(1);
-    return lo;
-  }
-  auto f = [&](double x) {
+  const double hi = ge.max_quantile(q, k_max);
+  const auto f = [&](double x) {
     double acc = 0.0;
     for (const auto& g : mixture.groups()) {
       acc += g.probability * ge.max_cdf(x, g.tasks);
     }
     return acc - q;
   };
-  // Same rounding guard as the inhomogeneous inversion: the analytic
-  // bounds may sit an ulp past the root on either side.
-  if (f(lo) >= 0.0) return lo;
-  int widenings = 0;
-  while (f(hi) < 0.0) {
-    if (++widenings > 64) return hi;
-    hi += hi - lo;
-  }
-  return invert_traced(f, lo, hi,
-                       {.x_tolerance = 1e-12 * hi, .f_tolerance = 0.0,
-                        .max_iterations = 200});
+  return invert_between_bounds(f, lo, hi);
 }
 
 }  // namespace forktail::core

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "stats/roots.hpp"
 
 namespace forktail::core {
 
@@ -26,92 +29,73 @@ TaskBudget derive_task_budget(const TailSlo& slo, double k, double scv_hint) {
   return derive_task_budget(slo, TaskCountMixture::fixed(k), scv_hint);
 }
 
-ProvisioningResult max_sustainable_lambda(const NodeProbe& probe,
-                                          const TaskBudget& budget,
-                                          double lambda_lo, double lambda_hi,
-                                          double tolerance) {
+namespace {
+
+/// The search behind both provisioning entry points: the largest lambda in
+/// [lambda_lo, lambda_hi] whose probed stats satisfy `within`, bisected to
+/// tolerance * lambda_hi.  `who` names the entry point in errors.
+template <typename Within>
+ProvisioningResult max_lambda_within(const char* who, const NodeProbe& probe,
+                                     Within&& within, double lambda_lo,
+                                     double lambda_hi, double tolerance) {
   if (!(lambda_lo > 0.0 && lambda_hi > lambda_lo)) {
-    throw std::invalid_argument("max_sustainable_lambda: bad lambda range");
+    throw std::invalid_argument(std::string(who) + ": bad lambda range");
   }
-  auto within = [&](const TaskStats& s) {
-    return s.mean <= budget.mean && s.variance <= budget.variance;
-  };
+  // A zero tolerance asks for adjacent doubles, ~50 probes that are each
+  // typically a simulation; a NaN one would skip the search and report
+  // lambda_lo as the answer.
+  if (!(tolerance > 0.0)) {
+    throw std::invalid_argument(std::string(who) + ": tolerance must be > 0");
+  }
   ProvisioningResult result;
-  TaskStats lo_stats = probe(lambda_lo);
-  if (!within(lo_stats)) {
-    result.feasible = false;
-    result.stats_at_max = lo_stats;
-    return result;
-  }
+  result.stats_at_max = probe(lambda_lo);
+  if (!within(result.stats_at_max)) return result;  // infeasible
   result.feasible = true;
-  double lo = lambda_lo;
-  TaskStats best = lo_stats;
-  double hi = lambda_hi;
   // If even lambda_hi fits, report it directly.
-  TaskStats hi_stats = probe(lambda_hi);
+  const TaskStats hi_stats = probe(lambda_hi);
   if (within(hi_stats)) {
     result.max_lambda = lambda_hi;
     result.stats_at_max = hi_stats;
     return result;
   }
-  while (hi - lo > tolerance * lambda_hi) {
-    const double mid = 0.5 * (lo + hi);
-    const TaskStats s = probe(mid);
-    if (within(s)) {
-      lo = mid;
-      best = s;
-    } else {
-      hi = mid;
-    }
-  }
-  result.max_lambda = lo;
-  result.stats_at_max = best;
+  const auto fits = [&](double lambda) {
+    const TaskStats s = probe(lambda);
+    if (!within(s)) return false;
+    result.stats_at_max = s;
+    return true;
+  };
+  result.max_lambda =
+      stats::bisect(fits, lambda_lo, lambda_hi, tolerance * lambda_hi).lo;
   return result;
+}
+
+}  // namespace
+
+ProvisioningResult max_sustainable_lambda(const NodeProbe& probe,
+                                          const TaskBudget& budget,
+                                          double lambda_lo, double lambda_hi,
+                                          double tolerance) {
+  return max_lambda_within(
+      "max_sustainable_lambda", probe,
+      [&](const TaskStats& s) {
+        return s.mean <= budget.mean && s.variance <= budget.variance;
+      },
+      lambda_lo, lambda_hi, tolerance);
 }
 
 ProvisioningResult max_lambda_for_slo(const NodeProbe& probe, const TailSlo& slo,
                                       const TaskCountMixture& mixture,
                                       double lambda_lo, double lambda_hi,
                                       double tolerance) {
-  if (!(lambda_lo > 0.0 && lambda_hi > lambda_lo)) {
-    throw std::invalid_argument("max_lambda_for_slo: bad lambda range");
-  }
   if (!(slo.latency > 0.0)) {
     throw std::invalid_argument("max_lambda_for_slo: SLO latency must be > 0");
   }
-  auto within = [&](const TaskStats& s) {
-    return mixture_quantile(s, mixture, slo.percentile) <= slo.latency;
-  };
-  ProvisioningResult result;
-  TaskStats lo_stats = probe(lambda_lo);
-  if (!within(lo_stats)) {
-    result.feasible = false;
-    result.stats_at_max = lo_stats;
-    return result;
-  }
-  result.feasible = true;
-  double lo = lambda_lo;
-  TaskStats best = lo_stats;
-  double hi = lambda_hi;
-  TaskStats hi_stats = probe(lambda_hi);
-  if (within(hi_stats)) {
-    result.max_lambda = lambda_hi;
-    result.stats_at_max = hi_stats;
-    return result;
-  }
-  while (hi - lo > tolerance * lambda_hi) {
-    const double mid = 0.5 * (lo + hi);
-    const TaskStats s = probe(mid);
-    if (within(s)) {
-      lo = mid;
-      best = s;
-    } else {
-      hi = mid;
-    }
-  }
-  result.max_lambda = lo;
-  result.stats_at_max = best;
-  return result;
+  return max_lambda_within(
+      "max_lambda_for_slo", probe,
+      [&](const TaskStats& s) {
+        return mixture_quantile(s, mixture, slo.percentile) <= slo.latency;
+      },
+      lambda_lo, lambda_hi, tolerance);
 }
 
 double equivalent_load(std::span<const double> loads,

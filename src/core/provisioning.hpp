@@ -55,6 +55,9 @@ struct ProvisioningResult {
 /// Binary-search the largest lambda in [lambda_lo, lambda_hi] whose probed
 /// stats satisfy mean <= budget.mean and variance <= budget.variance.
 /// Assumes stats grow with lambda (true for any work-conserving queue).
+/// Bisects until the bracket is within tolerance * lambda_hi; throws
+/// std::invalid_argument unless 0 < lambda_lo < lambda_hi and
+/// tolerance > 0.
 ///
 /// Caveat (and the reason max_lambda_for_slo exists): a budget derived
 /// under an assumed SCV only guarantees the SLO along that shape.  If the
@@ -69,6 +72,8 @@ ProvisioningResult max_sustainable_lambda(const NodeProbe& probe,
 /// tail latency (Eq. 9 with the measured moments) within the SLO -- the
 /// shape-robust version of step (b): no SCV assumption enters; the
 /// measured mean AND variance both feed the check at every probe point.
+/// Searches and validates as max_sustainable_lambda, and throws
+/// std::invalid_argument unless slo.latency > 0.
 ProvisioningResult max_lambda_for_slo(const NodeProbe& probe, const TailSlo& slo,
                                       const TaskCountMixture& mixture,
                                       double lambda_lo, double lambda_hi,

@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "stats/roots.hpp"
+
 namespace forktail::dist {
 
 namespace {
@@ -131,15 +133,7 @@ double lundberg_root(const Distribution& d, double lambda, double mark_prob) {
   if (!(h(hi) >= 1.0)) {
     throw std::invalid_argument("lundberg_root: failed to bracket the root");
   }
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid == lo || mid == hi) break;
-    if (h(mid) < 1.0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
+  lo = stats::bisect([&](double theta) { return h(theta) < 1.0; }, lo, hi).lo;
   if (!(lo > 0.0)) {
     throw std::invalid_argument(
         "lundberg_root: degenerate root (load too close to 1)");

@@ -7,6 +7,7 @@
 
 #include "core/genexp.hpp"
 #include "obs/metrics.hpp"
+#include "stats/roots.hpp"
 
 namespace forktail::fault {
 
@@ -189,12 +190,9 @@ DegradedPrediction predict_mitigated(const MitigatedStats& stats,
     out.reasons.push_back("target percentile unreachable numerically");
     return out;
   }
-  double lo = 0.0;
-  for (int i = 0; i < 100 && hi - lo > 1e-12 * (1.0 + hi); ++i) {
-    const double mid = 0.5 * (lo + hi);
-    (request_cdf(mid) < target ? lo : hi) = mid;
-  }
-  out.value = 0.5 * (lo + hi);
+  out.value = stats::bisect([&](double t) { return request_cdf(t) < target; },
+                            0.0, hi, 0.0, 1e-12)
+                  .mid();
   obs::Registry::global().gauge("predict.degraded").set(out.degraded ? 1.0
                                                                      : 0.0);
   return out;

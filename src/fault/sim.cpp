@@ -9,6 +9,7 @@
 #include "fault/timeline.hpp"
 #include "fjsim/replay.hpp"
 #include "obs/metrics.hpp"
+#include "stats/roots.hpp"
 
 namespace forktail::fault {
 
@@ -59,12 +60,9 @@ double dist_quantile(const dist::Distribution& d, double q) {
   // Bracket by doubling from the mean, then bisect.  cdf is monotone.
   double hi = std::max(d.mean(), 1e-12);
   while (d.cdf(hi) < q) hi *= 2.0;
-  double lo = 0.0;
-  for (int i = 0; i < 200 && hi - lo > 1e-12 * (1.0 + hi); ++i) {
-    const double mid = 0.5 * (lo + hi);
-    (d.cdf(mid) < q ? lo : hi) = mid;
-  }
-  return 0.5 * (lo + hi);
+  return stats::bisect([&](double x) { return d.cdf(x) < q; }, 0.0, hi, 0.0,
+                       1e-12)
+      .mid();
 }
 
 MitigatedResult run_mitigated_homogeneous(const fjsim::HomogeneousConfig& config,

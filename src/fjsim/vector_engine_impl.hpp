@@ -47,6 +47,7 @@
 #include "fjsim/replay.hpp"
 #include "fjsim/telemetry.hpp"
 #include "fjsim/vector_engine.hpp"
+#include "stats/radix_argsort.hpp"
 #include "stats/welford.hpp"
 #include "util/thread_pool.hpp"
 #include "util/vec_math.hpp"
@@ -441,71 +442,11 @@ FORKTAIL_VE_TARGET void replay_group_mask(dist::LaneSampler& sampler,
 // Stable sort on positive-double keys (pipeline stage reorder)
 // ---------------------------------------------------------------------------
 
-/// Scratch shared by the bucket path (idx2/hist) and the radix fallback.
-struct RadixScratch {
-  std::vector<std::uint64_t> keys, keys2;
-  std::vector<std::uint32_t> idx2;
+/// Scratch shared by the bucket path (hist) and the radix fallback.
+struct SortScratch {
   std::vector<std::uint32_t> hist;
+  stats::RadixArgsort radix;
 };
-
-/// Stable LSD radix fallback: 6x11-bit passes over the raw double bits with
-/// a combined histogram pre-pass that skips constant digits.  Only used
-/// when the value distribution defeats the bucket pass below; both paths
-/// produce THE stable (value, original index) order, so which one runs
-/// never changes a result bit.
-FORKTAIL_VE_TARGET void radix_sort_by_completion(
-    const std::vector<double>& completion, std::vector<std::uint32_t>& idx,
-    RadixScratch& rs) {
-  const std::size_t n = completion.size();
-  constexpr int kBits = 11;
-  constexpr int kPasses = 6;  // 66 bits >= 64
-  constexpr std::size_t kBuckets = std::size_t{1} << kBits;
-  constexpr std::uint64_t kMask = kBuckets - 1;
-  rs.keys.resize(n);
-  rs.keys2.resize(n);
-  rs.idx2.resize(n);
-  rs.hist.assign(kPasses * kBuckets, 0);
-  idx.resize(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
-  for (std::size_t i = 0; i < n; ++i) {
-    rs.keys[i] = std::bit_cast<std::uint64_t>(completion[i]);
-  }
-  std::uint32_t* __restrict hist = rs.hist.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = rs.keys[i];
-    for (int p = 0; p < kPasses; ++p) {
-      ++hist[static_cast<std::size_t>(p) * kBuckets +
-             ((k >> (p * kBits)) & kMask)];
-    }
-  }
-  std::uint64_t* src_k = rs.keys.data();
-  std::uint64_t* dst_k = rs.keys2.data();
-  std::uint32_t* src_i = idx.data();
-  std::uint32_t* dst_i = rs.idx2.data();
-  std::uint32_t offs[kBuckets];
-  for (int p = 0; p < kPasses; ++p) {
-    const std::uint32_t* h = hist + static_cast<std::size_t>(p) * kBuckets;
-    const int shift = p * kBits;
-    // All keys share this digit => the pass is the identity permutation.
-    if (n > 0 && h[(src_k[0] >> shift) & kMask] == n) continue;
-    std::uint32_t sum = 0;
-    for (std::size_t d = 0; d < kBuckets; ++d) {
-      offs[d] = sum;
-      sum += h[d];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t k = src_k[i];
-      const std::uint32_t pos = offs[(k >> shift) & kMask]++;
-      dst_k[pos] = k;
-      dst_i[pos] = src_i[i];
-    }
-    std::swap(src_k, dst_k);
-    std::swap(src_i, dst_i);
-  }
-  if (src_i != idx.data()) {
-    std::memcpy(idx.data(), src_i, n * sizeof(std::uint32_t));
-  }
-}
 
 /// Sort `idx` so completion[idx[i]] is non-decreasing, ties by original
 /// index (stable -- a documented deviation from the legacy std::sort, whose
@@ -516,7 +457,7 @@ FORKTAIL_VE_TARGET void radix_sort_by_completion(
 /// the radix fallback that handles pathological clustering.
 FORKTAIL_VE_TARGET void sort_by_completion(const std::vector<double>& completion,
                                            std::vector<std::uint32_t>& idx,
-                                           RadixScratch& rs) {
+                                           SortScratch& rs) {
   const std::size_t n = completion.size();
   idx.resize(n);
   if (n < 2) {
@@ -549,10 +490,12 @@ FORKTAIL_VE_TARGET void sort_by_completion(const std::vector<double>& completion
     peak = h > peak ? h : peak;
   }
   // A spike this deep would make the quadratic repair sweep the hot spot;
-  // hand off to the radix path instead (same output, value-independent
-  // cost).
+  // hand off to the stable radix argsort instead (same output: both give
+  // THE stable (value, original index) order, at value-independent cost).
   if (peak > 64) {
-    radix_sort_by_completion(completion, idx, rs);
+    rs.radix.sort(completion);
+    const std::span<const std::uint32_t> order = rs.radix.order();
+    std::copy(order.begin(), order.end(), idx.begin());
     return;
   }
   std::uint32_t off = 0;
@@ -802,7 +745,7 @@ PipelineResult pipeline_impl(const PipelineConfig& config) {
   std::vector<double> completion(total);
   std::vector<unsigned char> meas(total);
   std::vector<std::uint32_t> idx;
-  RadixScratch rs;
+  SortScratch rs;
   std::vector<std::uint32_t> next_order(total);
   std::vector<double> next_arrivals(total);
 

@@ -46,145 +46,120 @@ Outcome run_perfect_sampler(const ScenarioSpec& spec) {
 
 // ------------------------------------------------------------- simulators
 
-class HomogeneousSimulator final : public Simulator {
- public:
-  std::string name() const override { return "fjsim.homogeneous"; }
-
-  Outcome run(const ScenarioSpec& spec) const override {
-    if (spec.sampler == Sampler::kPerfect) return run_perfect_sampler(spec);
-    const fjsim::HomogeneousConfig config = to_homogeneous_config(spec);
-    Outcome outcome;
-    outcome.spec = spec;
-    outcome.service = config.service;
-    outcome.mean_k = static_cast<double>(spec.nodes);
-    if (!spec.faults.inert()) {
-      // Active fault plan: the mitigated engine.  Inert plans stay on the
-      // unmodified replay below, so fault-free runs are bit-identical to
-      // the pre-fault-layer engine.
-      auto result = fault::run_mitigated_homogeneous(config, spec.faults);
-      outcome.responses = std::move(result.responses);
-      outcome.task_stats = to_task_stats(result.task_stats);
-      outcome.lambda = result.lambda;
-      outcome.total_tasks = result.total_tasks;
-      outcome.faulty = true;
-      outcome.attempt_stats = to_task_stats(result.attempt_stats);
-      outcome.attempt_count = result.attempt_stats.count();
-      outcome.hedge_stats = to_task_stats(result.hedge_stats);
-      outcome.hedge_count = result.hedge_stats.count();
-      outcome.hedge_delay = result.hedge_delay;
-      outcome.fault_counters = result.counters;
-      return outcome;
-    }
-    auto result = fjsim::run_homogeneous(config);
+Outcome simulate_homogeneous(const ScenarioSpec& spec) {
+  if (spec.sampler == Sampler::kPerfect) return run_perfect_sampler(spec);
+  const fjsim::HomogeneousConfig config = to_homogeneous_config(spec);
+  Outcome outcome;
+  outcome.spec = spec;
+  outcome.service = config.service;
+  outcome.mean_k = static_cast<double>(spec.nodes);
+  if (!spec.faults.inert()) {
+    // Active fault plan: the mitigated engine.  Inert plans stay on the
+    // unmodified replay below, so fault-free runs are bit-identical to
+    // the pre-fault-layer engine.
+    auto result = fault::run_mitigated_homogeneous(config, spec.faults);
     outcome.responses = std::move(result.responses);
     outcome.task_stats = to_task_stats(result.task_stats);
     outcome.lambda = result.lambda;
     outcome.total_tasks = result.total_tasks;
-    outcome.engine = config.engine;
+    outcome.faulty = true;
+    outcome.attempt_stats = to_task_stats(result.attempt_stats);
+    outcome.attempt_count = result.attempt_stats.count();
+    outcome.hedge_stats = to_task_stats(result.hedge_stats);
+    outcome.hedge_count = result.hedge_stats.count();
+    outcome.hedge_delay = result.hedge_delay;
+    outcome.fault_counters = result.counters;
     return outcome;
   }
-};
+  auto result = fjsim::run_homogeneous(config);
+  outcome.responses = std::move(result.responses);
+  outcome.task_stats = to_task_stats(result.task_stats);
+  outcome.lambda = result.lambda;
+  outcome.total_tasks = result.total_tasks;
+  outcome.engine = config.engine;
+  return outcome;
+}
 
-class HeterogeneousSimulator final : public Simulator {
- public:
-  std::string name() const override { return "fjsim.heterogeneous"; }
-
-  Outcome run(const ScenarioSpec& spec) const override {
-    const fjsim::HeterogeneousConfig config = to_heterogeneous_config(spec);
-    auto result = fjsim::run_heterogeneous(config);
-    Outcome outcome;
-    outcome.spec = spec;
-    outcome.responses = std::move(result.responses);
-    outcome.node_stats.reserve(result.node_stats.size());
-    for (const stats::Welford& node : result.node_stats) {
-      outcome.node_stats.push_back(to_task_stats(node));
-    }
-    outcome.lambda = result.lambda;
-    outcome.mean_k = static_cast<double>(spec.nodes);
-    outcome.total_tasks =
-        spec.requests * static_cast<std::uint64_t>(spec.nodes);
-    outcome.engine = config.engine;
-    return outcome;
+Outcome simulate_heterogeneous(const ScenarioSpec& spec) {
+  const fjsim::HeterogeneousConfig config = to_heterogeneous_config(spec);
+  auto result = fjsim::run_heterogeneous(config);
+  Outcome outcome;
+  outcome.spec = spec;
+  outcome.responses = std::move(result.responses);
+  outcome.node_stats.reserve(result.node_stats.size());
+  for (const stats::Welford& node : result.node_stats) {
+    outcome.node_stats.push_back(to_task_stats(node));
   }
-};
+  outcome.lambda = result.lambda;
+  outcome.mean_k = static_cast<double>(spec.nodes);
+  outcome.total_tasks =
+      spec.requests * static_cast<std::uint64_t>(spec.nodes);
+  outcome.engine = config.engine;
+  return outcome;
+}
 
-class SubsetSimulator final : public Simulator {
- public:
-  std::string name() const override { return "fjsim.subset"; }
-
-  Outcome run(const ScenarioSpec& spec) const override {
-    if (spec.sampler == Sampler::kPerfect) return run_perfect_sampler(spec);
-    const fjsim::SubsetConfig config = to_subset_config(spec);
-    auto result = fjsim::run_subset(config);
-    Outcome outcome;
-    outcome.spec = spec;
-    outcome.responses = std::move(result.responses);
-    outcome.task_stats = to_task_stats(result.task_stats);
-    outcome.responses_by_k = std::move(result.responses_by_k);
-    outcome.service = config.service;
-    outcome.lambda = result.lambda;
-    outcome.mean_k = result.mean_k;
-    outcome.total_tasks = result.total_tasks;
-    outcome.engine = config.engine;
-    if (spec.faults.mitigation.early_k > 0) {
-      // Early return is aggregation-only: tasks run unchanged, so the
-      // pooled task moments double as the attempt telemetry.  Redundancy-d
-      // also sets the engine's early_k (min-of-d), but it is a topology
-      // choice, not a mitigation -- its outcomes stay clean.
-      outcome.faulty = true;
-      outcome.attempt_stats = outcome.task_stats;
-      outcome.attempt_count = result.task_stats.count();
-    }
-    return outcome;
+Outcome simulate_subset(const ScenarioSpec& spec) {
+  if (spec.sampler == Sampler::kPerfect) return run_perfect_sampler(spec);
+  const fjsim::SubsetConfig config = to_subset_config(spec);
+  auto result = fjsim::run_subset(config);
+  Outcome outcome;
+  outcome.spec = spec;
+  outcome.responses = std::move(result.responses);
+  outcome.task_stats = to_task_stats(result.task_stats);
+  outcome.responses_by_k = std::move(result.responses_by_k);
+  outcome.service = config.service;
+  outcome.lambda = result.lambda;
+  outcome.mean_k = result.mean_k;
+  outcome.total_tasks = result.total_tasks;
+  outcome.engine = config.engine;
+  if (spec.faults.mitigation.early_k > 0) {
+    // Early return is aggregation-only: tasks run unchanged, so the
+    // pooled task moments double as the attempt telemetry.  Redundancy-d
+    // also sets the engine's early_k (min-of-d), but it is a topology
+    // choice, not a mitigation -- its outcomes stay clean.
+    outcome.faulty = true;
+    outcome.attempt_stats = outcome.task_stats;
+    outcome.attempt_count = result.task_stats.count();
   }
-};
+  return outcome;
+}
 
-class ConsolidatedSimulator final : public Simulator {
- public:
-  std::string name() const override { return "fjsim.consolidated"; }
+Outcome simulate_consolidated(const ScenarioSpec& spec) {
+  const fjsim::ConsolidatedConfig config = to_consolidated_config(spec);
+  auto result = fjsim::run_consolidated(config);
+  Outcome outcome;
+  outcome.spec = spec;
+  outcome.responses = std::move(result.target_responses);
+  outcome.task_stats = to_task_stats(result.target_task_stats);
+  outcome.lambda = result.lambda;
+  outcome.mean_k = static_cast<double>(spec.workload.target_tasks);
+  outcome.total_tasks = result.total_tasks;
+  return outcome;
+}
 
-  Outcome run(const ScenarioSpec& spec) const override {
-    const fjsim::ConsolidatedConfig config = to_consolidated_config(spec);
-    auto result = fjsim::run_consolidated(config);
-    Outcome outcome;
-    outcome.spec = spec;
-    outcome.responses = std::move(result.target_responses);
-    outcome.task_stats = to_task_stats(result.target_task_stats);
-    outcome.lambda = result.lambda;
-    outcome.mean_k = static_cast<double>(spec.workload.target_tasks);
-    outcome.total_tasks = result.total_tasks;
-    return outcome;
+Outcome simulate_pipeline(const ScenarioSpec& spec) {
+  const fjsim::PipelineConfig config = to_pipeline_config(spec);
+  auto result = fjsim::run_pipeline(config);
+  Outcome outcome;
+  outcome.spec = spec;
+  outcome.responses = std::move(result.responses);
+  outcome.stage_stats.reserve(result.stage_task_stats.size());
+  double mean_k = 0.0;
+  for (std::size_t i = 0; i < result.stage_task_stats.size(); ++i) {
+    core::StageSpec stage;
+    stage.name = "stage-" + std::to_string(i);
+    stage.tasks = to_task_stats(result.stage_task_stats[i]);
+    stage.fanout = static_cast<double>(spec.stages[i].nodes);
+    mean_k += stage.fanout;
+    outcome.stage_stats.push_back(std::move(stage));
   }
-};
-
-class PipelineSimulator final : public Simulator {
- public:
-  std::string name() const override { return "fjsim.pipeline"; }
-
-  Outcome run(const ScenarioSpec& spec) const override {
-    const fjsim::PipelineConfig config = to_pipeline_config(spec);
-    auto result = fjsim::run_pipeline(config);
-    Outcome outcome;
-    outcome.spec = spec;
-    outcome.responses = std::move(result.responses);
-    outcome.stage_stats.reserve(result.stage_task_stats.size());
-    double mean_k = 0.0;
-    for (std::size_t i = 0; i < result.stage_task_stats.size(); ++i) {
-      core::StageSpec stage;
-      stage.name = "stage-" + std::to_string(i);
-      stage.tasks = to_task_stats(result.stage_task_stats[i]);
-      stage.fanout = static_cast<double>(spec.stages[i].nodes);
-      mean_k += stage.fanout;
-      outcome.stage_stats.push_back(std::move(stage));
-    }
-    outcome.lambda = result.lambda;
-    outcome.mean_k = mean_k;
-    outcome.total_tasks =
-        spec.requests * static_cast<std::uint64_t>(mean_k);
-    outcome.engine = config.engine;
-    return outcome;
-  }
-};
+  outcome.lambda = result.lambda;
+  outcome.mean_k = mean_k;
+  outcome.total_tasks =
+      spec.requests * static_cast<std::uint64_t>(mean_k);
+  outcome.engine = config.engine;
+  return outcome;
+}
 
 // ------------------------------------------------------------- predictors
 
@@ -462,68 +437,50 @@ fault::DegradedPrediction predict_degraded(const Outcome& outcome,
 // -------------------------------------------------------------- registries
 
 SimulatorRegistry& SimulatorRegistry::global() {
-  static SimulatorRegistry* registry = [] {
-    auto* r = new SimulatorRegistry;
-    r->register_simulator(Topology::kHomogeneous,
-                          std::make_unique<HomogeneousSimulator>());
-    r->register_simulator(Topology::kHeterogeneous,
-                          std::make_unique<HeterogeneousSimulator>());
-    r->register_simulator(Topology::kSubset, std::make_unique<SubsetSimulator>());
-    r->register_simulator(Topology::kConsolidated,
-                          std::make_unique<ConsolidatedSimulator>());
-    r->register_simulator(Topology::kPipeline,
-                          std::make_unique<PipelineSimulator>());
-    return r;
-  }();
-  return *registry;
-}
-
-void SimulatorRegistry::register_simulator(Topology topology,
-                                           std::unique_ptr<Simulator> simulator) {
-  simulators_[topology] = std::move(simulator);
-}
-
-const Simulator& SimulatorRegistry::for_topology(Topology topology) const {
-  const auto it = simulators_.find(topology);
-  if (it == simulators_.end()) {
-    throw std::logic_error("no simulator registered for topology " +
-                           topology_name(topology));
-  }
-  return *it->second;
+  static SimulatorRegistry registry;
+  return registry;
 }
 
 Outcome SimulatorRegistry::run(const ScenarioSpec& spec) const {
   validate(spec);
-  return for_topology(spec.topology).run(spec);
+  switch (spec.topology) {
+    case Topology::kHomogeneous:
+      return simulate_homogeneous(spec);
+    case Topology::kHeterogeneous:
+      return simulate_heterogeneous(spec);
+    case Topology::kSubset:
+      return simulate_subset(spec);
+    case Topology::kConsolidated:
+      return simulate_consolidated(spec);
+    case Topology::kPipeline:
+      return simulate_pipeline(spec);
+  }
+  throw std::logic_error("no simulator for topology " +
+                         topology_name(spec.topology));
+}
+
+PredictorRegistry::PredictorRegistry() {
+  predictors_.push_back(std::make_unique<ForkTailAutoPredictor>());
+  predictors_.push_back(std::make_unique<HomogeneousPredictor>());
+  predictors_.push_back(std::make_unique<InhomogeneousPredictor>());
+  predictors_.push_back(std::make_unique<MixturePredictor>());
+  predictors_.push_back(std::make_unique<PipelineStagePredictor>());
+  predictors_.push_back(std::make_unique<WhiteboxMg1Predictor>());
+  predictors_.push_back(std::make_unique<EvtPredictor>());
+  for (const char* name : {"expfit", "eat", "linear-bounds"}) {
+    const baselines::Baseline* baseline =
+        baselines::BaselineRegistry::global().find(name);
+    if (baseline == nullptr) {
+      throw std::logic_error(std::string("baseline roster is missing ") + name);
+    }
+    predictors_.push_back(std::make_unique<BaselinePredictor>(baseline));
+  }
+  predictors_.push_back(std::make_unique<DegradedPredictor>());
 }
 
 PredictorRegistry& PredictorRegistry::global() {
-  static PredictorRegistry* registry = [] {
-    auto* r = new PredictorRegistry;
-    r->register_predictor(std::make_unique<ForkTailAutoPredictor>());
-    r->register_predictor(std::make_unique<HomogeneousPredictor>());
-    r->register_predictor(std::make_unique<InhomogeneousPredictor>());
-    r->register_predictor(std::make_unique<MixturePredictor>());
-    r->register_predictor(std::make_unique<PipelineStagePredictor>());
-    r->register_predictor(std::make_unique<WhiteboxMg1Predictor>());
-    r->register_predictor(std::make_unique<EvtPredictor>());
-    for (const char* name : {"expfit", "eat", "linear-bounds"}) {
-      const baselines::Baseline* baseline =
-          baselines::BaselineRegistry::global().find(name);
-      if (baseline == nullptr) {
-        throw std::logic_error(std::string("baseline roster is missing ") +
-                               name);
-      }
-      r->register_predictor(std::make_unique<BaselinePredictor>(baseline));
-    }
-    r->register_predictor(std::make_unique<DegradedPredictor>());
-    return r;
-  }();
+  static PredictorRegistry* registry = new PredictorRegistry;
   return *registry;
-}
-
-void PredictorRegistry::register_predictor(std::unique_ptr<Predictor> predictor) {
-  predictors_.push_back(std::move(predictor));
 }
 
 const Predictor* PredictorRegistry::find(const std::string& name) const {

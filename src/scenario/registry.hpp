@@ -68,29 +68,13 @@ struct Outcome {
   fault::FaultCounters fault_counters;
 };
 
-/// One simulator family: consumes a validated spec, produces an Outcome.
-class Simulator {
- public:
-  virtual ~Simulator() = default;
-  virtual std::string name() const = 0;
-  virtual Outcome run(const ScenarioSpec& spec) const = 0;
-};
-
-/// Topology -> engine dispatch.  The five fjsim engines are registered at
-/// static-init time; tests can register additional ones.
+/// Topology -> engine dispatch over the five fjsim engines.
 class SimulatorRegistry {
  public:
-  /// Process-wide registry pre-populated with the fjsim engines.
   static SimulatorRegistry& global();
 
-  void register_simulator(Topology topology, std::unique_ptr<Simulator> simulator);
-  const Simulator& for_topology(Topology topology) const;
-
-  /// validate(spec) then dispatch to the registered engine.
+  /// validate(spec) then run the engine for spec.topology.
   Outcome run(const ScenarioSpec& spec) const;
-
- private:
-  std::map<Topology, std::unique_ptr<Simulator>> simulators_;
 };
 
 /// One tail-latency model evaluated on an Outcome.
@@ -143,13 +127,14 @@ class PredictorRegistry {
  public:
   static PredictorRegistry& global();
 
-  void register_predictor(std::unique_ptr<Predictor> predictor);
   /// nullptr when unknown.
   const Predictor* find(const std::string& name) const;
   std::vector<std::string> names() const;
   std::vector<const Predictor*> applicable(const Outcome& outcome) const;
 
  private:
+  PredictorRegistry();  ///< builds the fixed roster
+
   std::vector<std::unique_ptr<Predictor>> predictors_;
 };
 

@@ -11,33 +11,6 @@ bool opposite_signs(double a, double b) {
 }
 }  // namespace
 
-double bisect(const std::function<double(double)>& f, double lo, double hi,
-              const RootOptions& opts) {
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if (!opposite_signs(flo, fhi)) {
-    throw std::invalid_argument("bisect: root not bracketed");
-  }
-  for (int i = 0; i < opts.max_iterations; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    if (fmid == 0.0 || hi - lo < opts.x_tolerance ||
-        (opts.f_tolerance > 0.0 && std::fabs(fmid) <= opts.f_tolerance)) {
-      return mid;
-    }
-    if (opposite_signs(flo, fmid)) {
-      hi = mid;
-      fhi = fmid;
-    } else {
-      lo = mid;
-      flo = fmid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 double brent(const std::function<double(double)>& f, double lo, double hi,
              const RootOptions& opts) {
   return brent_traced(f, lo, hi, opts).root;

@@ -1,8 +1,7 @@
 // Spearman's rank correlation in O(n).
 //
-// Both samples are ranked by an LSD radix sort on order-preserving 64-bit
-// keys (the IEEE bits with the sign handled, so unsigned key order is the
-// numeric order), and tied values take their mid-rank.  The correlation is
+// Both samples are ranked by the stable radix argsort (radix_argsort.hpp),
+// and tied values take their mid-rank.  The correlation is
 // Pearson's on the ranks, accumulated in input order; wherever a sample has
 // no exact ties its ranks are the positions any correct sort gives, so the
 // result does not depend on the sort.

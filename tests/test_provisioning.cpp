@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "queueing/mg1.hpp"
 #include "dist/basic.hpp"
@@ -92,6 +93,45 @@ TEST(MaxSustainableLambda, WholeRangeFeasible) {
   const auto result = max_sustainable_lambda(probe, budget, 0.1, 7.0);
   ASSERT_TRUE(result.feasible);
   EXPECT_DOUBLE_EQ(result.max_lambda, 7.0);
+}
+
+TEST(MaxSustainableLambda, RejectsAToleranceThatIsNotPositive) {
+  // At tolerance 0 the search once spun forever on adjacent doubles, and a
+  // NaN tolerance skipped it and reported lambda_lo.  Neither may probe.
+  int probes = 0;
+  NodeProbe probe = [&](double lambda) {
+    ++probes;
+    return TaskStats{lambda, lambda};
+  };
+  const TaskBudget budget{0.5, 0.5};
+  for (const double tolerance :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(max_sustainable_lambda(probe, budget, 0.01, 0.99, tolerance),
+                 std::invalid_argument)
+        << tolerance;
+    EXPECT_THROW(max_lambda_for_slo(probe, {99.0, 1.0},
+                                    TaskCountMixture::fixed(4.0), 0.01, 0.99,
+                                    tolerance),
+                 std::invalid_argument)
+        << tolerance;
+  }
+  EXPECT_EQ(probes, 0);
+}
+
+TEST(MaxSustainableLambda, TinyToleranceStopsAtAdjacentDoubles) {
+  // Far below the spacing of doubles the search still ends: the bracket
+  // closes to adjacent doubles around the boundary at 0.5.
+  int probes = 0;
+  NodeProbe probe = [&](double lambda) {
+    ++probes;
+    return TaskStats{lambda, lambda};
+  };
+  const auto result = max_sustainable_lambda(probe, {0.5, 0.5}, 0.01, 0.99,
+                                             1e-300);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(result.max_lambda, 0.5);
+  EXPECT_EQ(result.stats_at_max.mean, 0.5);
+  EXPECT_LT(probes, 2 + 60);
 }
 
 TEST(MaxLambdaForSlo, StopsExactlyAtTheSlo) {

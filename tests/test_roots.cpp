@@ -8,17 +8,83 @@ namespace forktail::stats {
 namespace {
 
 TEST(Bisect, FindsLinearRoot) {
-  const double r = bisect([](double x) { return x - 3.0; }, 0.0, 10.0);
-  EXPECT_NEAR(r, 3.0, 1e-10);
+  // Zero tolerances run to adjacent doubles around the crossing at 3.
+  const Bracket b = bisect([](double x) { return x < 3.0; }, 0.0, 10.0);
+  EXPECT_EQ(b.hi, 3.0);
+  EXPECT_EQ(b.lo, std::nextafter(3.0, 0.0));
 }
 
-TEST(Bisect, ThrowsWhenNotBracketed) {
-  EXPECT_THROW(bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0),
-               std::invalid_argument);
+TEST(Bisect, EvaluatesOnlyMidpointsOfTheCurrentBracket) {
+  double lo = 0.0;
+  double hi = 10.0;
+  int calls = 0;
+  const Bracket b = bisect(
+      [&](double x) {
+        EXPECT_EQ(x, 0.5 * (lo + hi));
+        ++calls;
+        const bool below = x < 3.0;
+        (below ? lo : hi) = x;
+        return below;
+      },
+      lo, hi, 1e-6);
+  EXPECT_EQ(b.lo, lo);
+  EXPECT_EQ(b.hi, hi);
+  EXPECT_EQ(calls, 24);  // 10 / 2^24 <= 1e-6 < 10 / 2^23
+}
+
+TEST(Bisect, StopsAtTheTolerance) {
+  double root = 0.3;
+  int calls = 0;
+  const auto below = [&](double x) {
+    ++calls;
+    return x < root;
+  };
+  // Absolute: 1 / 2^10 <= 1e-3 < 1 / 2^9.
+  Bracket b = bisect(below, 0.0, 1.0, 1e-3);
+  EXPECT_EQ(calls, 10);
+  EXPECT_TRUE(b.lo < root && root <= b.hi);
+  // Relative to 1 + hi ~ 1001: 1024 / 2^20 <= 1e-6 (1 + hi) < 1024 / 2^19.
+  root = 1000.3;
+  calls = 0;
+  b = bisect(below, 0.0, 1024.0, 0.0, 1e-6);
+  EXPECT_EQ(calls, 20);
+  EXPECT_TRUE(b.lo < root && root <= b.hi);
+  EXPECT_EQ(b.mid(), 0.5 * (b.lo + b.hi));
+}
+
+TEST(Bisect, StopsWhenTheMidpointRoundsOntoEitherEnd) {
+  // Adjacent doubles: the midpoint rounds (to even) onto one end, and
+  // without the rounding stop a zero tolerance would never finish.
+  int calls = 0;
+  const auto below = [&](double) {
+    ++calls;
+    return true;
+  };
+  const double up = std::nextafter(1.0, 2.0);
+  ASSERT_EQ(0.5 * (1.0 + up), 1.0);  // onto lo
+  Bracket b = bisect(below, 1.0, up);
+  EXPECT_EQ(b.lo, 1.0);
+  EXPECT_EQ(b.hi, up);
+  const double down = std::nextafter(1.0, 0.0);
+  ASSERT_EQ(0.5 * (down + 1.0), 1.0);  // onto hi
+  b = bisect(below, down, 1.0);
+  EXPECT_EQ(b.lo, down);
+  EXPECT_EQ(b.hi, 1.0);
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(Bisect, EndpointRoot) {
-  EXPECT_DOUBLE_EQ(bisect([](double x) { return x; }, 0.0, 1.0), 0.0);
+  // The crossing sits on lo: hi halves toward 0 until the cap.
+  int calls = 0;
+  const Bracket b = bisect(
+      [&](double x) {
+        ++calls;
+        return x <= 0.0;
+      },
+      0.0, 1.0);
+  EXPECT_EQ(b.lo, 0.0);
+  EXPECT_EQ(b.hi, std::ldexp(1.0, -kMaxHalvings));
+  EXPECT_EQ(calls, kMaxHalvings);
 }
 
 TEST(Brent, FindsTranscendentalRoot) {
