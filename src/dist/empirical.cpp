@@ -32,45 +32,6 @@ Empirical::Empirical(std::vector<double> probs, std::vector<double> values,
   compute_moments();
 }
 
-Empirical Empirical::from_samples(std::span<const double> samples,
-                                  std::size_t knots, std::string label) {
-  if (samples.size() < 16 || knots < 8) {
-    throw std::invalid_argument("Empirical::from_samples: too few samples/knots");
-  }
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  // 3/4 of the knots uniform over [0, 0.95], 1/4 geometric into the tail.
-  std::vector<double> probs;
-  probs.reserve(knots);
-  const std::size_t body = knots * 3 / 4;
-  for (std::size_t i = 0; i < body; ++i) {
-    probs.push_back(0.95 * static_cast<double>(i) / static_cast<double>(body));
-  }
-  const std::size_t tail = knots - body - 1;
-  // Residual mass from 0.05 down to ~1/n, geometrically.
-  const double min_res =
-      std::max(1.0 / static_cast<double>(sorted.size()), 1e-6);
-  for (std::size_t i = 0; i < tail; ++i) {
-    const double f = static_cast<double>(i) / static_cast<double>(tail);
-    probs.push_back(1.0 - 0.05 * std::pow(min_res / 0.05, f));
-  }
-  probs.push_back(1.0);
-  std::vector<double> values;
-  values.reserve(probs.size());
-  const double n1 = static_cast<double>(sorted.size() - 1);
-  for (double p : probs) {
-    const double h = p * n1;
-    const auto lo = static_cast<std::size_t>(h);
-    if (lo + 1 >= sorted.size()) {
-      values.push_back(sorted.back());
-    } else {
-      const double frac = h - static_cast<double>(lo);
-      values.push_back(sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]));
-    }
-  }
-  return Empirical(std::move(probs), std::move(values), std::move(label));
-}
-
 void Empirical::compute_moments() {
   // Piecewise-linear quantile => mixture of uniforms over segments:
   // E[X^k] = sum_i w_i * (v_{i+1}^{k+1} - v_i^{k+1}) / ((k+1)(v_{i+1} - v_i)).

@@ -20,12 +20,6 @@ class Empirical final : public Distribution {
   Empirical(std::vector<double> probs, std::vector<double> values,
             std::string label = "Empirical");
 
-  /// Build from raw samples: knots at `knots` evenly-spaced quantiles plus
-  /// extra resolution in the top 5% of the distribution (tails matter here).
-  static Empirical from_samples(std::span<const double> samples,
-                                std::size_t knots = 257,
-                                std::string label = "Empirical");
-
   double sample(util::Rng& rng) const override;
   void sample_n(util::Rng& rng, std::span<double> out) const override;
   double moment(int k) const override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "dist/basic.hpp"
 #include "dist/factory.hpp"
@@ -95,6 +96,11 @@ KSpec::Mode k_mode_from_name(const std::string& name) {
 
 // ------------------------------------------------------- parse utilities
 
+/// Dotted name of `key` inside the section `where` ("" = document root).
+std::string field_name(const std::string& where, const std::string& key) {
+  return where.empty() ? key : where + "." + key;
+}
+
 /// Reject unknown keys so a typo fails loudly instead of silently running
 /// the default configuration (the CliFlags philosophy, applied to JSON).
 void check_keys(const util::Json& obj, const std::string& where,
@@ -103,7 +109,7 @@ void check_keys(const util::Json& obj, const std::string& where,
     if (std::find_if(allowed.begin(), allowed.end(), [&](const char* a) {
           return key == a;
         }) == allowed.end()) {
-      throw ConfigError(where.empty() ? key : where + "." + key,
+      throw ConfigError(field_name(where, key),
                         "unknown key in scenario document");
     }
   }
@@ -118,7 +124,11 @@ std::uint64_t get_u64(const util::Json& obj, const char* key,
   if (!obj.contains(key)) return fallback;
   const double v = obj.at(key).as_number();
   if (!(v >= 0.0) || v != std::floor(v)) {
-    throw ConfigError(where + "." + key, "must be a non-negative integer");
+    throw ConfigError(field_name(where, key), "must be a non-negative integer");
+  }
+  // Converting a double at or above 2^64 to uint64 is undefined.
+  if (!(v < 0x1p64)) {
+    throw ConfigError(field_name(where, key), "must be below 2^64");
   }
   return static_cast<std::uint64_t>(v);
 }
@@ -128,7 +138,11 @@ int get_int(const util::Json& obj, const char* key, int fallback,
   if (!obj.contains(key)) return fallback;
   const double v = obj.at(key).as_number();
   if (v != std::floor(v)) {
-    throw ConfigError(where + "." + key, "must be an integer");
+    throw ConfigError(field_name(where, key), "must be an integer");
+  }
+  if (!(v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max())) {
+    throw ConfigError(field_name(where, key), "must fit in an int");
   }
   return static_cast<int>(v);
 }
@@ -458,6 +472,13 @@ void validate_service(const ServiceSpec& service, const std::string& where) {
   }
 }
 
+// Each shard starts one worker thread and owns a ring of whole datagrams
+// (about 2 KiB a slot).  Both caps sit far above the shipped configs (2
+// shards, 1024 slots), so a typo cannot ask for millions of threads or for
+// a ring whose power-of-two rounding overflows.
+constexpr std::size_t kMaxServeShards = 256;
+constexpr std::size_t kMaxServeRingCapacity = 65536;
+
 void validate_common(const ScenarioSpec& spec) {
   if (spec.nodes == 0) throw ConfigError("nodes", "must be >= 1");
   if (!(spec.load > 0.0 && spec.load < 1.0)) {
@@ -481,8 +502,9 @@ void validate_common(const ScenarioSpec& spec) {
   if (spec.serve.udp_port != 0 && spec.serve.udp_port == spec.serve.tcp_port) {
     throw ConfigError("serve.tcp_port", "must differ from serve.udp_port");
   }
-  if (spec.serve.shards == 0) {
-    throw ConfigError("serve.shards", "must be >= 1");
+  if (spec.serve.shards == 0 || spec.serve.shards > kMaxServeShards) {
+    throw ConfigError("serve.shards",
+                      "must be in [1, " + std::to_string(kMaxServeShards) + "]");
   }
   if (!(spec.serve.window_seconds > 0.0)) {
     throw ConfigError("serve.window_seconds", "must be > 0");
@@ -493,8 +515,11 @@ void validate_common(const ScenarioSpec& spec) {
   if (spec.serve.skew_tolerance < 0.0) {
     throw ConfigError("serve.skew_tolerance", "must be >= 0");
   }
-  if (spec.serve.ring_capacity == 0) {
-    throw ConfigError("serve.ring_capacity", "must be >= 1");
+  if (spec.serve.ring_capacity == 0 ||
+      spec.serve.ring_capacity > kMaxServeRingCapacity) {
+    throw ConfigError(
+        "serve.ring_capacity",
+        "must be in [1, " + std::to_string(kMaxServeRingCapacity) + "]");
   }
   if (!(spec.serve.liveness_timeout > 0.0)) {
     throw ConfigError("serve.liveness_timeout", "must be > 0");

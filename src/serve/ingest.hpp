@@ -25,6 +25,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "core/online.hpp"
@@ -41,8 +42,15 @@ namespace forktail::serve {
 template <typename T>
 class BoundedQueue {
  public:
-  /// Capacity is rounded up to a power of two, minimum 2.
+  /// Capacity is rounded up to a power of two, minimum 2.  Throws
+  /// std::length_error when no power of two in std::size_t reaches
+  /// `min_capacity`.
   explicit BoundedQueue(std::size_t min_capacity) {
+    constexpr std::size_t kMaxCapacity =
+        std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
+    if (min_capacity > kMaxCapacity) {
+      throw std::length_error("BoundedQueue: capacity too large");
+    }
     std::size_t cap = 2;
     while (cap < min_capacity) cap <<= 1;
     cells_ = std::vector<Cell>(cap);

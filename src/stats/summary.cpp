@@ -1,73 +1,8 @@
 #include "stats/summary.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <sstream>
 #include <stdexcept>
 
-#include "stats/percentile.hpp"
-#include "stats/welford.hpp"
-#include "util/rng.hpp"
-
 namespace forktail::stats {
-
-std::string SampleSummary::to_string() const {
-  std::ostringstream os;
-  os << "n=" << count << " mean=" << mean << " var=" << variance
-     << " p50=" << p50 << " p90=" << p90 << " p95=" << p95 << " p99=" << p99
-     << " p99.9=" << p999 << " max=" << max;
-  return os.str();
-}
-
-SampleSummary summarize(std::span<const double> samples) {
-  if (samples.empty()) throw std::invalid_argument("summarize: empty sample");
-  SampleSummary s;
-  Welford w;
-  for (double v : samples) w.add(v);
-  s.count = w.count();
-  s.mean = w.mean();
-  s.variance = w.variance();
-  s.min = w.min();
-  s.max = w.max();
-  const double ps[] = {50, 90, 95, 99, 99.9};
-  const auto q = percentiles(samples, ps);
-  s.p50 = q[0];
-  s.p90 = q[1];
-  s.p95 = q[2];
-  s.p99 = q[3];
-  s.p999 = q[4];
-  return s;
-}
-
-BootstrapCi bootstrap_percentile_ci(std::span<const double> samples, double p,
-                                    double confidence, int resamples,
-                                    util::Rng& rng) {
-  if (samples.empty()) throw std::invalid_argument("bootstrap: empty sample");
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    throw std::invalid_argument("confidence must be in (0,1)");
-  }
-  BootstrapCi ci;
-  ci.point = percentile(samples, p);
-  const std::size_t n = samples.size();
-  std::vector<double> resample(n);
-  std::vector<double> estimates;
-  estimates.reserve(static_cast<std::size_t>(resamples));
-  for (int r = 0; r < resamples; ++r) {
-    for (std::size_t i = 0; i < n; ++i) {
-      resample[i] = samples[rng.uniform_int(static_cast<std::uint64_t>(n))];
-    }
-    estimates.push_back(percentile_inplace(resample, p));
-  }
-  std::sort(estimates.begin(), estimates.end());
-  const double alpha = (1.0 - confidence) / 2.0;
-  const auto idx = [&](double q) {
-    const double h = q * static_cast<double>(estimates.size() - 1);
-    return estimates[static_cast<std::size_t>(std::lround(h))];
-  };
-  ci.lo = idx(alpha);
-  ci.hi = idx(1.0 - alpha);
-  return ci;
-}
 
 double relative_error_pct(double predicted, double measured) {
   if (measured == 0.0) throw std::invalid_argument("relative error: measured == 0");

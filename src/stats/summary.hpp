@@ -1,47 +1,8 @@
-// Sample summaries with percentile estimates and bootstrap confidence
-// intervals; the standard result object returned by simulation runs.
+// The paper's prediction-error metric, shared by the benches, the scenario
+// runner and the examples.
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <string>
-#include <vector>
-
-namespace forktail::util {
-class Rng;
-}
-
 namespace forktail::stats {
-
-struct SampleSummary {
-  std::uint64_t count = 0;
-  double mean = 0.0;
-  double variance = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;
-
-  std::string to_string() const;
-};
-
-/// Summarise a sample (sorts a copy once for all percentiles).
-SampleSummary summarize(std::span<const double> samples);
-
-struct BootstrapCi {
-  double point = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// Percentile bootstrap CI for the p-th percentile of the sample.
-/// `confidence` in (0,1), e.g. 0.95.
-BootstrapCi bootstrap_percentile_ci(std::span<const double> samples, double p,
-                                    double confidence, int resamples,
-                                    util::Rng& rng);
 
 /// Relative error in percent, as defined in Section 4 of the paper:
 /// 100 * (predicted - measured) / measured.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "dist/heavy.hpp"
@@ -133,82 +132,6 @@ double FacebookWorkload::mean_background_tasks() const {
     m += bin.probability * 0.5 * static_cast<double>(bin.lo + bin.hi);
   }
   return m;
-}
-
-fjsim::JobGenerator make_replay_generator(std::vector<JobRecord> records,
-                                          std::uint32_t max_tasks) {
-  if (records.empty()) {
-    throw std::invalid_argument("make_replay_generator: empty trace");
-  }
-  // The index is shared mutable state inside the closure; the consolidated
-  // simulator drives the generator from a single thread.
-  auto cursor = std::make_shared<std::size_t>(0);
-  return [records = std::move(records), max_tasks,
-          cursor](util::Rng&) -> fjsim::JobSpec {
-    const JobRecord& rec = records[*cursor];
-    *cursor = (*cursor + 1) % records.size();
-    fjsim::JobSpec job;
-    job.target = false;
-    job.tasks = rec.num_tasks;
-    if (max_tasks > 0 && job.tasks > max_tasks) job.tasks = max_tasks;
-    job.mean_task_time = rec.mean_task_time;
-    return job;
-  };
-}
-
-double trace_mean_work(const std::vector<JobRecord>& records,
-                       double service_floor, std::uint32_t max_tasks) {
-  if (records.empty()) {
-    throw std::invalid_argument("trace_mean_work: empty trace");
-  }
-  double total = 0.0;
-  for (const JobRecord& rec : records) {
-    std::uint32_t tasks = rec.num_tasks;
-    if (max_tasks > 0 && tasks > max_tasks) tasks = max_tasks;
-    if (rec.task_times.size() == rec.num_tasks && rec.num_tasks > 0) {
-      // Exact: scale the recorded total work by any clamping ratio.
-      double sum = 0.0;
-      for (double s : rec.task_times) sum += s;
-      total += sum * static_cast<double>(tasks) /
-               static_cast<double>(rec.num_tasks);
-    } else {
-      // Mean-based: apply the truncation inflation of Normal(m, (2m)^2)
-      // clipped below at the floor (the replay resamples task times the
-      // same way).
-      const dist::TruncatedNormal t(rec.mean_task_time,
-                                    2.0 * rec.mean_task_time, service_floor);
-      total += static_cast<double>(tasks) * t.mean();
-    }
-  }
-  return total / static_cast<double>(records.size());
-}
-
-std::vector<JobRecord> synthesize_trace(const FacebookWorkload& workload,
-                                        std::uint64_t count, double lambda,
-                                        double service_floor, std::uint64_t seed) {
-  if (!(lambda > 0.0)) throw std::invalid_argument("synthesize_trace: lambda <= 0");
-  util::Rng rng(seed);
-  std::vector<JobRecord> records;
-  records.reserve(count);
-  double t = 0.0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    t += rng.exponential(1.0 / lambda);
-    const fjsim::JobSpec job = workload.sample_job(rng);
-    JobRecord rec;
-    rec.arrival_time = t;
-    rec.num_tasks = job.tasks;
-    rec.mean_task_time = job.mean_task_time;
-    rec.task_times.reserve(job.tasks);
-    for (std::uint32_t k = 0; k < job.tasks; ++k) {
-      double s;
-      do {
-        s = rng.normal(job.mean_task_time, 2.0 * job.mean_task_time);
-      } while (s < service_floor);
-      rec.task_times.push_back(s);
-    }
-    records.push_back(std::move(rec));
-  }
-  return records;
 }
 
 }  // namespace forktail::trace

@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "fjsim/consolidated.hpp"
-#include "trace/record.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::trace {
@@ -75,28 +74,5 @@ class FacebookWorkload {
  private:
   Params params_;
 };
-
-/// Materialise `count` jobs into records with explicit arrival times
-/// (Poisson at `lambda`) and per-task times, reproducing the paper's trace
-/// file format.  Used by the trace I/O round-trip tests and by examples.
-std::vector<JobRecord> synthesize_trace(const FacebookWorkload& workload,
-                                        std::uint64_t count, double lambda,
-                                        double service_floor, std::uint64_t seed);
-
-/// Adapt a recorded trace into a consolidated-simulator job generator:
-/// jobs replay cyclically in record order (as background jobs, with their
-/// recorded task count and mean task time; per-task times are re-drawn
-/// from the Hawk model at replay, since the simulator drives its own
-/// arrival process).  Task counts above `max_tasks` are clamped (0 = no
-/// clamp).  The records are copied into the generator.
-fjsim::JobGenerator make_replay_generator(std::vector<JobRecord> records,
-                                          std::uint32_t max_tasks = 0);
-
-/// E[tasks * task time] per job of a recorded trace -- exact when records
-/// carry explicit task times, mean-based otherwise (with the truncation
-/// inflation factor of the Hawk model applied).  Needed to calibrate the
-/// consolidated simulator's load.
-double trace_mean_work(const std::vector<JobRecord>& records,
-                       double service_floor, std::uint32_t max_tasks = 0);
 
 }  // namespace forktail::trace

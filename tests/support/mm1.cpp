@@ -1,4 +1,4 @@
-#include "queueing/mm1.hpp"
+#include "support/mm1.hpp"
 
 #include <cmath>
 #include <stdexcept>

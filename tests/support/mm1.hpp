@@ -1,5 +1,5 @@
-// M/M/1 exact results -- closed forms used as ground truth in unit tests
-// and as the degenerate case of the white-box pipeline.
+// M/M/1 exact results: closed forms the tests use as ground truth for the
+// simulators, the M/G/1 moments, the Laplace inversion and EAT.
 #pragma once
 
 namespace forktail::queueing {

@@ -1,4 +1,4 @@
-#include "queueing/mmc.hpp"
+#include "support/mmc.hpp"
 
 #include <cmath>
 #include <stdexcept>

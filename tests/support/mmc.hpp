@@ -1,6 +1,5 @@
-// M/M/c queue: Erlang-C delay probability and response moments.  Used by
-// the replicated-fork-node analysis and by provisioning examples comparing
-// pooled vs partitioned server configurations.
+// M/M/c queue: Erlang-C delay probability and response moments, the
+// pooled-server closed form next to Mm1.
 #pragma once
 
 namespace forktail::queueing {

@@ -11,8 +11,8 @@
 
 #include "dist/basic.hpp"
 #include "dist/factory.hpp"
-#include "queueing/mm1.hpp"
 #include "stats/spearman.hpp"
+#include "support/mm1.hpp"
 #include "support/sort_spearman.hpp"
 
 namespace forktail::baselines {

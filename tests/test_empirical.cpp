@@ -44,17 +44,6 @@ TEST(Empirical, SamplingMatchesMoments) {
   EXPECT_NEAR(m.moment(2), d.moment(2), 0.03);
 }
 
-TEST(Empirical, FromSamplesPreservesStatistics) {
-  util::Rng rng(31);
-  std::vector<double> samples(200000);
-  for (auto& x : samples) x = rng.exponential(2.0);
-  const Empirical d = Empirical::from_samples(samples);
-  EXPECT_NEAR(d.mean(), 2.0, 0.05);
-  EXPECT_NEAR(d.variance(), 4.0, 0.3);
-  // CDF should track the exponential closely in the body.
-  EXPECT_NEAR(d.cdf(2.0 * std::log(2.0)), 0.5, 0.01);
-}
-
 TEST(Empirical, ScaledMultipliesMoments) {
   const Empirical d = two_segment();
   const Empirical s = d.scaled(2.0);

@@ -7,8 +7,8 @@
 #include "dist/basic.hpp"
 #include "dist/factory.hpp"
 #include "queueing/mg1.hpp"
-#include "queueing/mm1.hpp"
 #include "stats/percentile.hpp"
+#include "support/mm1.hpp"
 
 namespace forktail::fjsim {
 namespace {

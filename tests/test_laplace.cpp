@@ -6,7 +6,7 @@
 
 #include "dist/basic.hpp"
 #include "queueing/mg1.hpp"
-#include "queueing/mm1.hpp"
+#include "support/mm1.hpp"
 
 namespace forktail::queueing {
 namespace {

@@ -6,9 +6,9 @@
 #include "dist/factory.hpp"
 #include "fjsim/homogeneous.hpp"
 #include "queueing/mg1.hpp"
-#include "queueing/mm1.hpp"
-#include "queueing/mmc.hpp"
 #include "stats/welford.hpp"
+#include "support/mm1.hpp"
+#include "support/mmc.hpp"
 
 namespace forktail::queueing {
 namespace {

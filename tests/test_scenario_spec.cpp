@@ -269,6 +269,31 @@ TEST(ScenarioSpec, RejectsNonIntegerCounts) {
                ConfigError);
 }
 
+// A whole number the field's integer type cannot hold is a ConfigError
+// naming the field, not an undefined double-to-integer conversion.
+TEST(ScenarioSpec, RejectsIntegersOutsideTheirType) {
+  expect_config_error("samples.requests", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous", "samples": {"requests": 1e20}})");
+  });
+  expect_config_error("nodes", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous", "nodes": 18446744073709551616})");
+  });
+  expect_config_error("group.replicas", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous", "group": {"replicas": 3e9}})");
+  });
+  expect_config_error("group.replicas", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous", "group": {"replicas": -3e9}})");
+  });
+  EXPECT_EQ(scenario::parse_scenario_text(
+                R"({"topology": "homogeneous", "seed": 18446744073709549568})")
+                .seed,
+            18446744073709549568u);
+}
+
 // ------------------------------------------- heavy tails & redundancy-d
 
 ScenarioSpec redundancy_spec() {
@@ -411,6 +436,23 @@ TEST(ScenarioSpec, ServeSectionValidation) {
   });
   expect_config_error("serve.stall_threshold", [&] {
     scenario::validate(with([](auto& s) { s.stall_threshold = 0.0; }));
+  });
+}
+
+// Both bounds hold on a parsed document, where a config file meets them;
+// validating starts no shard thread and allocates no ring.
+TEST(ScenarioSpec, ServeShardAndRingBounds) {
+  const auto parse = [](const std::string& serve) {
+    return scenario::parse_scenario_text(
+        R"({"topology": "homogeneous", "serve": )" + serve + "}");
+  };
+  EXPECT_NO_THROW(scenario::validate(parse(R"({"shards": 256})")));
+  expect_config_error("serve.shards", [&] {
+    scenario::validate(parse(R"({"shards": 257})"));
+  });
+  EXPECT_NO_THROW(scenario::validate(parse(R"({"ring_capacity": 65536})")));
+  expect_config_error("serve.ring_capacity", [&] {
+    scenario::validate(parse(R"({"ring_capacity": 65537})"));
   });
 }
 

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +31,9 @@ TEST(BoundedQueue, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(BoundedQueue<int>(2).capacity(), 2u);
   EXPECT_EQ(BoundedQueue<int>(3).capacity(), 4u);
   EXPECT_EQ(BoundedQueue<int>(1000).capacity(), 1024u);
+  // No power of two in size_t reaches SIZE_MAX: refused before allocating.
+  EXPECT_THROW(BoundedQueue<int>(std::numeric_limits<std::size_t>::max()),
+               std::length_error);
 }
 
 TEST(BoundedQueue, FifoOrder) {
@@ -367,7 +372,7 @@ TEST(IngestShard, ConcurrentSnapshotsSeeWholeEpochs) {
   config.ring_capacity = 64;
   IngestShard shard(config);
 
-  std::atomic<bool> fed{false}, worker_done{false};
+  std::atomic<bool> fed{false}, worker_done{false}, snapshot_taken{false};
   std::uint64_t submitted = 0;  // read after join
   std::thread feeder([&] {
     WireBatch batch;
@@ -397,6 +402,15 @@ TEST(IngestShard, ConcurrentSnapshotsSeeWholeEpochs) {
       if (drained == 0 && last) break;
       if (drained == 0) std::this_thread::yield();
     }
+    // A main thread descheduled for the whole run would otherwise see the
+    // worker done before its first snapshot; the wait is bounded so a
+    // broken snapshot fails the test instead of hanging it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!snapshot_taken.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
     worker_done.store(true, std::memory_order_release);
   });
 
@@ -405,6 +419,7 @@ TEST(IngestShard, ConcurrentSnapshotsSeeWholeEpochs) {
   while (violation.empty() && !worker_done.load(std::memory_order_acquire)) {
     const auto snap = shard.snapshot(1.0);
     ++snapshots;
+    snapshot_taken.store(true, std::memory_order_release);
     if (std::fmod(snap.pooled.count, double(kBatch)) != 0.0) {
       violation = "pooled.count " + std::to_string(snap.pooled.count);
     } else if (snap.pooled.filled_nodes > snap.seen_nodes) {

@@ -6,8 +6,8 @@
 #include <memory>
 
 #include "dist/basic.hpp"
-#include "queueing/mm1.hpp"
 #include "stats/percentile.hpp"
+#include "support/mm1.hpp"
 
 namespace forktail::sim {
 namespace {

@@ -2,74 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/percentile.hpp"
-#include "util/rng.hpp"
+#include <stdexcept>
 
 namespace forktail::stats {
 namespace {
-
-TEST(Summarize, MatchesComponentStatistics) {
-  util::Rng rng(1);
-  std::vector<double> v(50000);
-  for (auto& x : v) x = rng.exponential(3.0);
-  const SampleSummary s = summarize(v);
-  EXPECT_EQ(s.count, v.size());
-  EXPECT_NEAR(s.mean, 3.0, 0.05);
-  EXPECT_NEAR(s.variance, 9.0, 0.4);
-  EXPECT_DOUBLE_EQ(s.p99, percentile(v, 99.0));
-  EXPECT_DOUBLE_EQ(s.p50, percentile(v, 50.0));
-  EXPECT_LE(s.p50, s.p90);
-  EXPECT_LE(s.p90, s.p95);
-  EXPECT_LE(s.p95, s.p99);
-  EXPECT_LE(s.p99, s.p999);
-  EXPECT_LE(s.p999, s.max);
-}
-
-TEST(Summarize, RejectsEmpty) {
-  std::vector<double> v;
-  EXPECT_THROW(summarize(v), std::invalid_argument);
-}
-
-TEST(Summarize, ToStringMentionsKeyFields) {
-  std::vector<double> v = {1.0, 2.0, 3.0};
-  const std::string text = summarize(v).to_string();
-  EXPECT_NE(text.find("p99"), std::string::npos);
-  EXPECT_NE(text.find("mean"), std::string::npos);
-}
-
-TEST(Bootstrap, CiCoversTrueQuantile) {
-  util::Rng rng(2);
-  std::vector<double> v(20000);
-  for (auto& x : v) x = rng.exponential(1.0);
-  util::Rng boot_rng(3);
-  const BootstrapCi ci = bootstrap_percentile_ci(v, 99.0, 0.95, 200, boot_rng);
-  const double truth = -std::log(0.01);  // 4.605
-  EXPECT_LT(ci.lo, ci.point);
-  EXPECT_GT(ci.hi, ci.point);
-  EXPECT_LT(ci.lo, truth);
-  EXPECT_GT(ci.hi, truth);
-}
-
-TEST(Bootstrap, TightensWithSampleSize) {
-  util::Rng rng(4);
-  auto width_for = [&](std::size_t n) {
-    std::vector<double> v(n);
-    for (auto& x : v) x = rng.exponential(1.0);
-    util::Rng boot(5);
-    const BootstrapCi ci = bootstrap_percentile_ci(v, 99.0, 0.95, 120, boot);
-    return ci.hi - ci.lo;
-  };
-  EXPECT_LT(width_for(40000), width_for(2000));
-}
-
-TEST(Bootstrap, ValidatesInputs) {
-  std::vector<double> v = {1.0, 2.0};
-  util::Rng rng(6);
-  EXPECT_THROW(bootstrap_percentile_ci({}, 99.0, 0.95, 10, rng),
-               std::invalid_argument);
-  EXPECT_THROW(bootstrap_percentile_ci(v, 99.0, 1.5, 10, rng),
-               std::invalid_argument);
-}
 
 TEST(RelativeError, MatchesPaperDefinition) {
   // error = 100 (tp - tm)/tm.

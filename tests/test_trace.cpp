@@ -141,97 +141,5 @@ TEST(FacebookWorkload, ParamValidation) {
   EXPECT_THROW(FacebookWorkload{p}, std::invalid_argument);
 }
 
-TEST(TraceSynthesis, RecordsHaveExpectedShape) {
-  FacebookWorkload w(default_params());
-  const auto records = synthesize_trace(w, 500, 10.0, 0.05, 7);
-  ASSERT_EQ(records.size(), 500u);
-  double prev = 0.0;
-  for (const auto& rec : records) {
-    EXPECT_GT(rec.arrival_time, prev);
-    prev = rec.arrival_time;
-    EXPECT_EQ(rec.task_times.size(), rec.num_tasks);
-    for (double t : rec.task_times) EXPECT_GE(t, 0.05);
-  }
-}
-
-TEST(TraceReplay, CyclesRecordsInOrder) {
-  std::vector<JobRecord> records(3);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    records[i].num_tasks = i + 1;
-    records[i].mean_task_time = 10.0 * (i + 1);
-  }
-  auto gen = make_replay_generator(records);
-  util::Rng rng(1);
-  for (int round = 0; round < 2; ++round) {
-    for (std::uint32_t i = 0; i < 3; ++i) {
-      const auto job = gen(rng);
-      EXPECT_EQ(job.tasks, i + 1);
-      EXPECT_DOUBLE_EQ(job.mean_task_time, 10.0 * (i + 1));
-      EXPECT_FALSE(job.target);
-    }
-  }
-}
-
-TEST(TraceReplay, ClampsTaskCounts) {
-  std::vector<JobRecord> records(1);
-  records[0].num_tasks = 500;
-  records[0].mean_task_time = 1.0;
-  auto gen = make_replay_generator(records, /*max_tasks=*/64);
-  util::Rng rng(2);
-  EXPECT_EQ(gen(rng).tasks, 64u);
-}
-
-TEST(TraceReplay, EmptyTraceRejected) {
-  EXPECT_THROW(make_replay_generator({}), std::invalid_argument);
-}
-
-TEST(TraceMeanWork, ExactFromRecordedTimes) {
-  std::vector<JobRecord> records(2);
-  records[0].num_tasks = 2;
-  records[0].mean_task_time = 5.0;
-  records[0].task_times = {4.0, 6.0};
-  records[1].num_tasks = 1;
-  records[1].mean_task_time = 10.0;
-  records[1].task_times = {12.0};
-  EXPECT_NEAR(trace_mean_work(records, 0.05), (10.0 + 12.0) / 2.0, 1e-12);
-}
-
-TEST(TraceMeanWork, MeanBasedAppliesTruncationInflation) {
-  // Without recorded times, the Hawk model Normal(m, (2m)^2) truncated at
-  // ~0 inflates the mean to ~2x the nominal value.
-  std::vector<JobRecord> records(1);
-  records[0].num_tasks = 10;
-  records[0].mean_task_time = 1.0;
-  const double w = trace_mean_work(records, 0.001);
-  EXPECT_GT(w, 10.0 * 1.9);
-  EXPECT_LT(w, 10.0 * 2.2);
-}
-
-TEST(TraceReplay, DrivesConsolidatedSimulator) {
-  // End-to-end: synthesize a trace and replay it through the consolidated
-  // simulator at a fixed load.
-  FacebookWorkload::Params params = default_params();
-  params.max_tasks = 16;
-  params.target_fraction = 0.0;  // pure background trace
-  FacebookWorkload workload(params);
-  const auto records = synthesize_trace(workload, 2000, 5.0, 0.05, 11);
-
-  fjsim::ConsolidatedConfig cfg;
-  cfg.num_nodes = 16;
-  cfg.replicas = 3;
-  cfg.load = 0.6;
-  cfg.generator = make_replay_generator(records, 16);
-  cfg.mean_work_per_job = trace_mean_work(records, 0.05, 16);
-  cfg.num_jobs = 20000;
-  cfg.seed = 12;
-  const auto r = fjsim::run_consolidated(cfg);
-  EXPECT_GT(r.background_task_stats.count(), 0u);
-  // All jobs are background; no target jobs tracked.
-  EXPECT_TRUE(r.target_responses.empty());
-  // Load calibration sanity: mean background task response must exceed the
-  // mean service but stay finite (stable at 60% load).
-  EXPECT_GT(r.background_task_stats.mean(), 0.0);
-}
-
 }  // namespace
 }  // namespace forktail::trace
