@@ -5,8 +5,9 @@
 //                [--threads N] [--csv true] [--out BENCH_replay.json]
 //                [--metrics-out BENCH_replay.metrics.json]
 //
-// Each workload runs through four paths -- the scalar reference (batch =
-// 1, the pre-batching code), the batched legacy engine, the SIMD vector
+// Each workload runs through four paths -- the scalar reference (one
+// virtual sample() per task, tests/support/scalar_replay.hpp; subset runs
+// at batch = 1), the batched legacy engine, the SIMD vector
 // engine and the vector engine sharded over two threads -- with one
 // warm-up run plus `reps` timed repetitions per path, interleaved.  The
 // report (bench/common.hpp's forktail.bench.v1 envelope) has one row per
@@ -40,6 +41,7 @@
 #include "fjsim/vector_engine.hpp"
 #include "obs/report.hpp"
 #include "stats/percentile.hpp"
+#include "support/scalar_replay.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -91,10 +93,6 @@ std::array<double, 3> tail_percentiles(Path path,
   return {q[0], q[1], q[2]};
 }
 
-std::size_t batch_for(Path path) {
-  return path == Path::kScalar ? 1 : 0;  // 0 = default block size
-}
-
 fjsim::Engine engine_for(Path path) {
   return is_vector(path) ? fjsim::Engine::kVector : fjsim::Engine::kLegacy;
 }
@@ -111,11 +109,6 @@ struct PathResult {
   double rate_p95 = 0.0;
   double seconds_p50 = 0.0;
 };
-
-std::uint64_t warmup_requests(double warmup_fraction, std::uint64_t requests) {
-  return static_cast<std::uint64_t>(warmup_fraction / (1.0 - warmup_fraction) *
-                                    static_cast<double>(requests));
-}
 
 /// Accumulates interleaved reps of one (workload, path).
 class PathAccumulator {
@@ -181,9 +174,9 @@ std::vector<Workload> build_workloads(const BenchOptions& options) {
       cfg.seed = seed;
       cfg.engine = engine_for(path);
       cfg.max_parallelism = threads_for(path, threads);
-      cfg.batch = batch_for(path);
       util::Stopwatch watch;
-      auto sim = fjsim::run_homogeneous(cfg);
+      auto sim = path == Path::kScalar ? fjsim::scalar_homogeneous(cfg)
+                                       : fjsim::run_homogeneous(cfg);
       const auto tail = tail_percentiles(path, sim.responses);
       const double seconds = watch.elapsed_seconds();
       return RunOutcome{seconds, sim.total_tasks, tail};
@@ -216,13 +209,13 @@ std::vector<Workload> build_workloads(const BenchOptions& options) {
         cfg.seed = seed;
         cfg.engine = engine_for(path);
         cfg.max_parallelism = threads_for(path, threads);
-        cfg.batch = batch_for(path);
         const std::uint64_t tasks =
-            (warmup_requests(cfg.warmup_fraction, cfg.num_requests) +
+            (fjsim::warmup_requests(cfg.warmup_fraction, cfg.num_requests) +
              cfg.num_requests) *
             cfg.services.size();
         util::Stopwatch watch;
-        auto sim = fjsim::run_heterogeneous(cfg);
+        auto sim = path == Path::kScalar ? fjsim::scalar_heterogeneous(cfg)
+                                         : fjsim::run_heterogeneous(cfg);
         const auto tail = tail_percentiles(path, sim.responses);
         const double seconds = watch.elapsed_seconds();
         return RunOutcome{seconds, tasks, tail};
@@ -239,7 +232,9 @@ std::vector<Workload> build_workloads(const BenchOptions& options) {
         cfg.seed = seed;
         cfg.engine = engine_for(path);
         cfg.max_parallelism = threads_for(path, threads);
-        cfg.batch = batch_for(path);
+        // The subset engine has no tiles; batch = 1 makes its demand
+        // buffer draw one virtual sample() per task.
+        cfg.batch = path == Path::kScalar ? 1 : 0;
         util::Stopwatch watch;
         auto sim = fjsim::run_subset(cfg);
         const auto tail = tail_percentiles(path, sim.responses);
@@ -258,15 +253,15 @@ std::vector<Workload> build_workloads(const BenchOptions& options) {
         cfg.seed = seed;
         cfg.engine = engine_for(path);
         cfg.max_parallelism = threads_for(path, threads);
-        cfg.batch = batch_for(path);
         std::uint64_t nodes = 0;
         for (const auto& s : cfg.stages) nodes += s.num_nodes;
         const std::uint64_t tasks =
-            (warmup_requests(cfg.warmup_fraction, cfg.num_requests) +
+            (fjsim::warmup_requests(cfg.warmup_fraction, cfg.num_requests) +
              cfg.num_requests) *
             nodes;
         util::Stopwatch watch;
-        auto sim = fjsim::run_pipeline(cfg);
+        auto sim = path == Path::kScalar ? fjsim::scalar_pipeline(cfg)
+                                         : fjsim::run_pipeline(cfg);
         const auto tail = tail_percentiles(path, sim.responses);
         const double seconds = watch.elapsed_seconds();
         return RunOutcome{seconds, tasks, tail};
@@ -375,8 +370,7 @@ int run(const BenchOptions& options, const std::string& scale_name,
     const obs::RunReport telemetry =
         obs::RunReport::capture(obs::Registry::global(), "bench_replay");
     telemetry.write(metrics_out);
-    std::printf("wrote %s (run telemetry%s)\n", metrics_out.c_str(),
-                obs::enabled() ? "" : ", observability compiled out");
+    std::printf("wrote %s (run telemetry)\n", metrics_out.c_str());
   }
   return report.finish(out);
 }

@@ -83,22 +83,14 @@ MitigatedResult run_mitigated_homogeneous(const fjsim::HomogeneousConfig& config
 
   util::Rng master(config.seed);
   const double lambda = config.load / config.service->mean();
-  const auto warmup = static_cast<std::uint64_t>(
-      config.warmup_fraction / (1.0 - config.warmup_fraction) *
-      static_cast<double>(config.num_requests));
+  const std::uint64_t warmup =
+      fjsim::warmup_requests(config.warmup_fraction, config.num_requests);
   const std::uint64_t total = warmup + config.num_requests;
 
   // Shared arrival epochs: identical to the fault-free replay by
   // construction (same stream, same draws).
-  std::vector<double> arrivals(total);
-  {
-    util::Rng arrival_rng = master.split(0);
-    double t = 0.0;
-    for (auto& a : arrivals) {
-      t += arrival_rng.exponential(1.0 / lambda);
-      a = t;
-    }
-  }
+  const std::vector<double> arrivals =
+      fjsim::poisson_arrivals(master.split(0), lambda, total);
 
   MitigatedResult result;
   result.lambda = lambda;

@@ -20,7 +20,7 @@ namespace forktail::fjsim {
 
 /// Which replay implementation a simulator config selects.
 ///
-///  * kLegacy -- the scalar/batched engines.  Bit-identical for any batch
+///  * kLegacy -- the tiled Lindley engines.  Bit-identical for any batch
 ///    size; the default of a config built by hand (direct fjsim::run_*
 ///    callers and their goldens), and the only engine for the configs the
 ///    vector engine rejects (redundant policy, subset replicas != 1 or

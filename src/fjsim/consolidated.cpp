@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fjsim/replay.hpp"
 #include "fjsim/telemetry.hpp"
 
 namespace forktail::fjsim {
@@ -12,7 +13,6 @@ ConsolidatedResult run_consolidated(const ConsolidatedConfig& config) {
   validate(config);  // throws a field-typed ConfigError (fjsim/config.hpp)
 
   util::Rng master(config.seed);
-  util::Rng arrival_rng = master.split(0);
   util::Rng pick_rng = master.split(1);
   util::Rng job_rng = master.split(2);
   util::Rng service_rng = master.split(3);
@@ -21,9 +21,8 @@ ConsolidatedResult run_consolidated(const ConsolidatedConfig& config) {
                         static_cast<double>(config.replicas) /
                         config.mean_work_per_job;
 
-  const auto warmup = static_cast<std::uint64_t>(
-      config.warmup_fraction / (1.0 - config.warmup_fraction) *
-      static_cast<double>(config.num_jobs));
+  const std::uint64_t warmup =
+      warmup_requests(config.warmup_fraction, config.num_jobs);
   const std::uint64_t total = warmup + config.num_jobs;
 
   std::vector<FastNode> nodes;
@@ -33,7 +32,8 @@ ConsolidatedResult run_consolidated(const ConsolidatedConfig& config) {
                        master.split(100 + n));
   }
 
-  std::vector<double> arrivals(total);
+  const std::vector<double> arrivals =
+      poisson_arrivals(master.split(0), lambda, total);
   std::vector<double> completion_max(total, 0.0);
   std::vector<std::uint8_t> is_target(total, 0);
   std::vector<std::uint32_t> job_tasks(total, 0);
@@ -58,10 +58,8 @@ ConsolidatedResult run_consolidated(const ConsolidatedConfig& config) {
     if (completion > completion_max[id]) completion_max[id] = completion;
   };
 
-  double t = 0.0;
   for (std::uint64_t j = 0; j < total; ++j) {
-    t += arrival_rng.exponential(1.0 / lambda);
-    arrivals[j] = t;
+    const double t = arrivals[j];
     const JobSpec job = config.generator(job_rng);
     if (job.tasks < 1 ||
         static_cast<std::size_t>(job.tasks) > config.num_nodes) {

@@ -4,9 +4,7 @@
 #include <stdexcept>
 
 #include "fjsim/replay.hpp"
-#include "fjsim/telemetry.hpp"
 #include "fjsim/vector_engine.hpp"
-#include "util/thread_pool.hpp"
 
 namespace forktail::fjsim {
 
@@ -27,9 +25,7 @@ double lambda_for_max_load(const std::vector<dist::DistPtr>& services,
 }
 
 HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config) {
-  if (config.engine == Engine::kVector) {
-    return run_heterogeneous_vector(config);
-  }
+  if (config.engine == Engine::kVector) return run_heterogeneous_vector(config);
   const std::size_t n = config.services.size();
   if (n == 0) throw std::invalid_argument("run_heterogeneous: no nodes");
   if (!(config.lambda > 0.0)) {
@@ -45,100 +41,21 @@ HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config) {
         "run_heterogeneous: bottleneck node unstable (rho >= 1)");
   }
 
-  const obs::ScopedSpan run_span(ReplayMetrics::get().run_seconds);
-
-  util::Rng master(config.seed);
-  const auto warmup = static_cast<std::uint64_t>(
-      config.warmup_fraction / (1.0 - config.warmup_fraction) *
-      static_cast<double>(config.num_requests));
-  const std::uint64_t total = warmup + config.num_requests;
-
-  std::vector<double> arrivals(total);
-  {
-    util::Rng arrival_rng = master.split(0);
-    double t = 0.0;
-    for (auto& a : arrivals) {
-      t += arrival_rng.exponential(1.0 / config.lambda);
-      a = t;
-    }
-  }
-
-  // Per-node stats plus exact per-request maxima make the replay
-  // bit-identical for any block count and batch size (see run_homogeneous).
-  const std::size_t parallelism =
-      config.max_parallelism > 0
-          ? config.max_parallelism
-          : std::max<std::size_t>(1, util::global_pool().size());
-  const std::size_t num_blocks = std::min<std::size_t>(n, parallelism);
   const std::size_t batch = resolve_batch(config.batch);
-  MaxArena arena(num_blocks, total);
+  NodeMajorResult run = replay_node_major(
+      {n, config.lambda, config.num_requests, config.warmup_fraction,
+       config.seed, config.max_parallelism},
+      [&](const NodeBlock& block) {
+        replay_tiled(
+            block, batch,
+            [&](std::size_t node) { return config.services[node].get(); }, 1);
+      });
+
   HeterogeneousResult result;
+  result.responses = std::move(run.responses);
+  result.node_stats = std::move(run.node_stats);
   result.lambda = config.lambda;
   result.max_utilization = max_rho;
-  result.node_stats.resize(n);
-
-  const auto replay_block = [&](std::size_t b) {
-    std::span<double> row = arena.row(b);
-    const std::size_t lo = n * b / num_blocks;
-    const std::size_t hi = n * (b + 1) / num_blocks;
-    // Block-granular telemetry only (see run_homogeneous).
-    const obs::ScopedSpan block_span(ReplayMetrics::get().block_seconds);
-    ReplayMetrics::get().tasks_warmup.add(warmup * (hi - lo));
-    ReplayMetrics::get().tasks_measured.add((total - warmup) * (hi - lo));
-    if (batch <= 1) {  // scalar reference path
-      for (std::size_t node_id = lo; node_id < hi; ++node_id) {
-        FastNode node(config.services[node_id].get(), 1, Policy::kSingle,
-                      master.split(100 + node_id));
-        auto& welford = result.node_stats[node_id];  // block-owned: no race
-        auto on_done = [&](std::uint64_t id, double arrival, double completion) {
-          if (id >= warmup) welford.add(completion - arrival);
-          if (completion > row[id]) row[id] = completion;
-        };
-        for (std::uint64_t j = 0; j < total; ++j) {
-          node.submit_task(arrivals[j], j, on_done);
-        }
-        node.flush(on_done);
-      }
-      return;
-    }
-    // Batched tiled replay (see run_homogeneous): tiles outer, nodes inner.
-    std::vector<LindleyState> states;
-    states.reserve(hi - lo);
-    for (std::size_t node_id = lo; node_id < hi; ++node_id) {
-      states.emplace_back(config.services[node_id].get(), 1,
-                          master.split(100 + node_id));
-    }
-    std::uint64_t tiles = 0;
-    std::vector<double> demands(batch);
-    for (std::uint64_t t0 = 0; t0 < total; t0 += batch, ++tiles) {
-      const std::size_t len =
-          static_cast<std::size_t>(std::min<std::uint64_t>(batch, total - t0));
-      const std::span<const double> tile(arrivals.data() + t0, len);
-      const std::span<double> block(demands.data(), len);
-      for (std::size_t node_id = lo; node_id < hi; ++node_id) {
-        stats::Welford& welford = result.node_stats[node_id];
-        states[node_id - lo].replay_tile(
-            tile, t0, block,
-            [&](std::uint64_t id, double arrival, double completion) {
-              if (id >= warmup) welford.add(completion - arrival);
-              if (completion > row[id]) row[id] = completion;
-            });
-      }
-    }
-    ReplayMetrics::get().tiles.add(tiles);
-  };
-  if (num_blocks == 1) {
-    replay_block(0);
-  } else {
-    util::parallel_for(util::global_pool(), 0, num_blocks, replay_block);
-  }
-
-  result.responses.reserve(config.num_requests);
-  const std::span<const double> merged = arena.merged(num_blocks);
-  for (std::uint64_t j = warmup; j < total; ++j) {
-    result.responses.push_back(merged[j] - arrivals[j]);
-  }
-  ReplayMetrics::get().runs.add(1);
   return result;
 }
 

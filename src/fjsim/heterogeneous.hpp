@@ -32,7 +32,7 @@ struct HeterogeneousConfig {
   /// 1 = inline on the calling thread (safe inside a pool task).  Results
   /// are bit-identical for every value (see HomogeneousConfig).
   std::size_t max_parallelism = 0;
-  /// Service-demand block size: 0 = default, 1 = scalar reference path
+  /// Service-demand tile size: 0 = default, else an explicit tile size
   /// (see HomogeneousConfig::batch).  Bit-identical for every value.
   std::size_t batch = 0;
   /// Replay implementation (see fjsim/config.hpp::Engine).

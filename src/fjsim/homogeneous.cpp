@@ -1,231 +1,47 @@
 #include "fjsim/homogeneous.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "fjsim/redundant_node.hpp"
-#include "fjsim/vector_engine.hpp"
 #include "fjsim/replay.hpp"
-#include "fjsim/telemetry.hpp"
-#include "util/thread_pool.hpp"
+#include "fjsim/vector_engine.hpp"
 
 namespace forktail::fjsim {
-
-namespace {
-
-/// Scalar reference replay: one virtual sample per task through the node's
-/// submit path.  Kept verbatim as the baseline the batched path must match
-/// bit-for-bit (and as the only path for the event-driven redundant node).
-template <typename Node>
-std::uint64_t replay_node(Node& node, const std::vector<double>& arrivals,
-                          std::uint64_t warmup, std::span<double> local_max,
-                          stats::Welford& local_stats) {
-  auto on_done = [&](std::uint64_t id, double arrival, double completion) {
-    if (id >= warmup) local_stats.add(completion - arrival);
-    if (completion > local_max[id]) local_max[id] = completion;
-  };
-  for (std::uint64_t j = 0; j < arrivals.size(); ++j) {
-    node.submit_task(arrivals[j], j, on_done);
-  }
-  node.flush(on_done);
-  return node.redundant_issues();
-}
-
-}  // namespace
 
 HomogeneousResult run_homogeneous(const HomogeneousConfig& config) {
   if (config.engine == Engine::kVector) return run_homogeneous_vector(config);
   validate(config);  // throws a field-typed ConfigError (fjsim/config.hpp)
 
-  const obs::ScopedSpan run_span(ReplayMetrics::get().run_seconds);
-
-  util::Rng master(config.seed);
   const double lambda =
       config.load * static_cast<double>(config.replicas) / config.service->mean();
-
-  const auto warmup = static_cast<std::uint64_t>(
-      config.warmup_fraction / (1.0 - config.warmup_fraction) *
-      static_cast<double>(config.num_requests));
-  const std::uint64_t total = warmup + config.num_requests;
   const std::size_t batch = resolve_batch(config.batch);
-
-  // Shared arrival epochs: the correlation structure of the fork-join
-  // system lives entirely in this sequence.
-  std::vector<double> arrivals(total);
-  {
-    util::Rng arrival_rng = master.split(0);
-    double t = 0.0;
-    for (auto& a : arrivals) {
-      t += arrival_rng.exponential(1.0 / lambda);
-      a = t;
-    }
-  }
-
-  // Node-major replay, parallel across node blocks; each worker keeps one
-  // row of a flat completion-max arena, while moment accumulators are kept
-  // PER NODE and merged in node order afterwards.  Per-request maxima are
-  // exact under any grouping and the node-order Welford merge fixes the
-  // floating-point reduction order, so the result is bit-identical for any
-  // block count / pool width / schedule / batch size.
-  const std::size_t parallelism =
-      config.max_parallelism > 0
-          ? config.max_parallelism
-          : std::max<std::size_t>(1, util::global_pool().size());
-  const std::size_t num_blocks =
-      std::min<std::size_t>(config.num_nodes, parallelism);
-  MaxArena arena(num_blocks, total);
-  std::vector<stats::Welford> node_stats(config.num_nodes);
   std::vector<std::uint64_t> node_redundant(config.num_nodes, 0);
-
-  const auto replay_block = [&](std::size_t b) {
-    const std::size_t lo = config.num_nodes * b / num_blocks;
-    const std::size_t hi = config.num_nodes * (b + 1) / num_blocks;
-    // Block-granular telemetry only: counters are bumped once per block
-    // after the replay loops finish, so the per-task code is unchanged.
-    const obs::ScopedSpan block_span(ReplayMetrics::get().block_seconds);
-    const std::size_t block_nodes = hi - lo;
-    ReplayMetrics::get().tasks_warmup.add(warmup * block_nodes);
-    ReplayMetrics::get().tasks_measured.add((total - warmup) * block_nodes);
-    std::span<double> row = arena.row(b);
-    if (config.policy == Policy::kRedundant) {
-      // Event-driven path: batching happens inside the node's demand
-      // buffer; the replay loop itself stays scalar.
-      for (std::size_t n = lo; n < hi; ++n) {
-        RedundantNode node(config.service.get(), config.replicas,
-                           config.redundant_delay, master.split(100 + n), batch);
-        node_redundant[n] =
-            replay_node(node, arrivals, warmup, row, node_stats[n]);
-      }
-      return;
-    }
-    if (batch <= 1) {  // scalar reference path
-      for (std::size_t n = lo; n < hi; ++n) {
-        FastNode node(config.service.get(), config.replicas, config.policy,
-                      master.split(100 + n));
-        node_redundant[n] =
-            replay_node(node, arrivals, warmup, row, node_stats[n]);
-      }
-      return;
-    }
-    // Batched tiled replay: request tiles outer, block's nodes inner, so
-    // the arrival tile and the row segment stay cache-hot while every node
-    // replays them.  Per-node Welford order is unchanged (each node still
-    // sees its completions in request order) and row updates are exact
-    // maxima, so this is bit-identical to the scalar path above.
-    std::vector<LindleyState> states;
-    states.reserve(hi - lo);
-    for (std::size_t n = lo; n < hi; ++n) {
-      states.emplace_back(config.service.get(), config.replicas,
-                          master.split(100 + n));
-    }
-    // All nodes share the same service distribution and replica count, so
-    // pair eligibility is uniform across the block.
-    const bool paired =
-        states.size() >= 2 && states[0].fused_pairable(states[1]);
-    std::vector<double> demands(batch);
-    // Per-tile replay over the block's nodes, specialized on where the
-    // tile sits relative to the warm-up boundary:
-    //  * kWarmup   -- every task is discarded: advance the Lindley/RNG
-    //    state with an empty callback (no Welford, no row write; nothing
-    //    downstream reads the row below `warmup`, so outputs are
-    //    unchanged).
-    //  * kMeasured -- every task counts: no per-task warm-up compare.
-    //  * kStraddle -- the single tile containing the boundary keeps the
-    //    per-task check.
-    // Work on local Welford copies: row[id] stores are double writes that
-    // could alias the accumulators' fields if they lived in node_stats,
-    // forcing a reload per task on the serial mean/m2 chain.  The copies
-    // keep the accumulators in registers for the whole tile; the
-    // write-back preserves exact per-node request order, so this is still
-    // bit-identical.  Nodes go through the tile two at a time so their
-    // independent latency chains overlap, and the pair folds into the row
-    // with one max access (see LindleyState::replay_tile_pair).
-    enum class TileMode { kWarmup, kStraddle, kMeasured };
-    const auto replay_tiles = [&](auto mode_tag, std::uint64_t t0,
-                                  std::size_t len) {
-      constexpr TileMode kMode = decltype(mode_tag)::value;
-      const std::span<const double> tile(arrivals.data() + t0, len);
-      const std::span<double> block(demands.data(), len);
-      std::size_t n = lo;
-      for (; paired && n + 1 < hi; n += 2) {
-        if constexpr (kMode == TileMode::kWarmup) {
-          states[n - lo].replay_tile_pair(
-              states[n - lo + 1], tile, t0,
-              [](std::uint64_t, double, double, double) {});
-        } else {
-          stats::Welford ns0 = node_stats[n];
-          stats::Welford ns1 = node_stats[n + 1];
-          states[n - lo].replay_tile_pair(
-              states[n - lo + 1], tile, t0,
-              [&](std::uint64_t id, double arrival, double c0, double c1) {
-                if (kMode == TileMode::kMeasured || id >= warmup) {
-                  ns0.add(c0 - arrival);
-                  ns1.add(c1 - arrival);
-                  // Unconditional max: `if (m > row[id])` is an
-                  // unpredictable branch (a new global max gets rarer as
-                  // pairs accumulate); maxsd + store is branchless and
-                  // writes the same bits.
-                  row[id] = std::max(row[id], std::max(c0, c1));
-                }
-              });
-          node_stats[n] = ns0;
-          node_stats[n + 1] = ns1;
+  NodeMajorResult run = replay_node_major(
+      {config.num_nodes, lambda, config.num_requests, config.warmup_fraction,
+       config.seed, config.max_parallelism},
+      [&](const NodeBlock& block) {
+        if (config.policy == Policy::kRedundant) {
+          // Event-driven path: batching happens inside the node's demand
+          // buffer; the replay loop itself stays per task.
+          for (std::size_t n = block.lo; n < block.hi; ++n) {
+            RedundantNode node(config.service.get(), config.replicas,
+                               config.redundant_delay, block.node_rng(n),
+                               batch);
+            node_redundant[n] = replay_node(node, block, n);
+          }
+          return;
         }
-      }
-      for (; n < hi; ++n) {
-        if constexpr (kMode == TileMode::kWarmup) {
-          states[n - lo].replay_tile(tile, t0, block,
-                                     [](std::uint64_t, double, double) {});
-        } else {
-          stats::Welford ns = node_stats[n];
-          states[n - lo].replay_tile(
-              tile, t0, block,
-              [&](std::uint64_t id, double arrival, double completion) {
-                if (kMode == TileMode::kMeasured || id >= warmup) {
-                  ns.add(completion - arrival);
-                  row[id] = std::max(row[id], completion);
-                }
-              });
-          node_stats[n] = ns;
-        }
-      }
-    };
-    std::uint64_t tiles = 0;
-    for (std::uint64_t t0 = 0; t0 < total; t0 += batch, ++tiles) {
-      const std::size_t len =
-          static_cast<std::size_t>(std::min<std::uint64_t>(batch, total - t0));
-      if (t0 + len <= warmup) {
-        replay_tiles(
-            std::integral_constant<TileMode, TileMode::kWarmup>{}, t0, len);
-      } else if (t0 >= warmup) {
-        replay_tiles(
-            std::integral_constant<TileMode, TileMode::kMeasured>{}, t0, len);
-      } else {
-        replay_tiles(
-            std::integral_constant<TileMode, TileMode::kStraddle>{}, t0, len);
-      }
-    }
-    ReplayMetrics::get().tiles.add(tiles);
-  };
-  if (num_blocks == 1) {
-    replay_block(0);
-  } else {
-    util::parallel_for(util::global_pool(), 0, num_blocks, replay_block);
-  }
+        replay_tiled(
+            block, batch,
+            [&](std::size_t) { return config.service.get(); }, config.replicas);
+      });
 
   HomogeneousResult result;
+  result.responses = std::move(run.responses);
   result.lambda = lambda;
-  result.total_tasks = total * config.num_nodes;
-  result.responses.reserve(config.num_requests);
-  const std::span<const double> merged = arena.merged(num_blocks);
-  for (std::uint64_t j = warmup; j < total; ++j) {
-    result.responses.push_back(merged[j] - arrivals[j]);
-  }
+  result.total_tasks = run.total * config.num_nodes;
   for (std::size_t n = 0; n < config.num_nodes; ++n) {
-    result.task_stats.merge(node_stats[n]);
+    result.task_stats.merge(run.node_stats[n]);
     result.redundant_issues += node_redundant[n];
   }
-  ReplayMetrics::get().runs.add(1);
   return result;
 }
 

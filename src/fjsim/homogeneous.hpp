@@ -39,13 +39,13 @@ struct HomogeneousConfig : NodeGroupConfig {
   /// nested `wait_idle` from inside a pool task would deadlock.
   /// Results are bit-identical for every value of this knob.
   std::size_t max_parallelism = 0;
-  /// Service-demand block size for the batched replay path: 0 = default
-  /// (kDefaultReplayBatch), 1 = the scalar reference path (one virtual
-  /// sample per task, the pre-batching code), else an explicit block size.
+  /// Service-demand tile size of the replay: 0 = default
+  /// (kDefaultReplayBatch), else an explicit tile size (1 is a tile of one
+  /// task).  Under kRedundant it sizes the node's demand buffer instead.
   /// Results are bit-identical for every value.
   std::size_t batch = 0;
-  /// Replay implementation: kLegacy (scalar/batched, all historical
-  /// goldens) or kVector (SIMD engine; see fjsim/config.hpp::Engine and
+  /// Replay implementation: kLegacy (tiled, all historical goldens) or
+  /// kVector (SIMD engine; see fjsim/config.hpp::Engine and
   /// docs/performance.md).  kVector accepts what vector_supports() does.
   Engine engine = Engine::kLegacy;
 };

@@ -12,6 +12,23 @@ namespace forktail::fjsim {
 
 PipelineResult run_pipeline(const PipelineConfig& config) {
   if (config.engine == Engine::kVector) return run_pipeline_vector(config);
+  const std::size_t batch = resolve_batch(config.batch);
+  return run_pipeline(config, [batch](const dist::Distribution& service,
+                                      util::Rng rng,
+                                      std::span<const double> arrivals,
+                                      StageSink& sink) {
+    LindleyState state(&service, 1, rng);
+    std::vector<double> demands(batch);
+    for (std::size_t t0 = 0; t0 < arrivals.size(); t0 += batch) {
+      const std::size_t len = std::min(batch, arrivals.size() - t0);
+      state.replay_tile(arrivals.subspan(t0, len), t0, {demands.data(), len},
+                        sink);
+    }
+  });
+}
+
+PipelineResult run_pipeline(const PipelineConfig& config,
+                            const StageNodeReplay& replay) {
   const obs::ScopedSpan run_span(ReplayMetrics::get().run_seconds);
   if (config.stages.empty()) {
     throw std::invalid_argument("run_pipeline: no stages");
@@ -30,21 +47,13 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
   util::Rng master(config.seed);
   const double lambda = config.load / slowest_mean;
 
-  const auto warmup = static_cast<std::uint64_t>(
-      config.warmup_fraction / (1.0 - config.warmup_fraction) *
-      static_cast<double>(config.num_requests));
+  const std::uint64_t warmup =
+      warmup_requests(config.warmup_fraction, config.num_requests);
   const std::uint64_t total = warmup + config.num_requests;
 
   // Initial (stage-0) arrivals: Poisson, already time-ordered.
-  std::vector<double> origin(total);
-  {
-    util::Rng arrival_rng = master.split(0);
-    double t = 0.0;
-    for (auto& a : origin) {
-      t += arrival_rng.exponential(1.0 / lambda);
-      a = t;
-    }
-  }
+  const std::vector<double> origin =
+      poisson_arrivals(master.split(0), lambda, total);
 
   PipelineResult result;
   result.lambda = lambda;
@@ -66,33 +75,12 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
     // Node-major replay over this stage's nodes against the (sorted)
     // arrival sequence; completions land per arrival index.  Unlike the
     // homogeneous runner the per-task Welford is SHARED across the stage's
-    // nodes, so the batched path must keep the node-outer loop (tiling only
-    // the per-node demand draws) to preserve the accumulation order.
+    // nodes, so each node replays the whole sequence before the next
+    // starts, which fixes the accumulation order.
     std::fill(completion.begin(), completion.end(), 0.0);
-    const std::size_t batch = resolve_batch(config.batch);
+    StageSink sink{order, warmup, task_stats, completion};
     for (std::size_t n = 0; n < stage.num_nodes; ++n) {
-      auto on_done = [&](std::uint64_t idx, double arrival, double done) {
-        if (order[idx] >= warmup) task_stats.add(done - arrival);
-        if (done > completion[idx]) completion[idx] = done;
-      };
-      if (batch <= 1) {  // scalar reference path
-        FastNode node(stage.service.get(), 1, Policy::kSingle,
-                      master.split(1000 * (s + 1) + n));
-        for (std::uint64_t i = 0; i < total; ++i) {
-          node.submit_task(arrivals[i], i, on_done);
-        }
-        node.flush(on_done);
-        continue;
-      }
-      LindleyState state(stage.service.get(), 1,
-                         master.split(1000 * (s + 1) + n));
-      std::vector<double> demands(batch);
-      for (std::uint64_t t0 = 0; t0 < total; t0 += batch) {
-        const std::size_t len = static_cast<std::size_t>(
-            std::min<std::uint64_t>(batch, total - t0));
-        state.replay_tile({arrivals.data() + t0, len}, t0,
-                          {demands.data(), len}, on_done);
-      }
+      replay(*stage.service, master.split(1000 * (s + 1) + n), arrivals, sink);
     }
     for (std::uint64_t i = 0; i < total; ++i) {
       if (order[i] >= warmup) {

@@ -10,12 +10,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "dist/distribution.hpp"
 #include "fjsim/config.hpp"
-#include "fjsim/node.hpp"
 #include "stats/welford.hpp"
+#include "util/rng.hpp"
 
 namespace forktail::fjsim {
 
@@ -32,7 +34,7 @@ struct PipelineConfig {
   std::uint64_t num_requests = 10000;  ///< measured (post warm-up)
   double warmup_fraction = 0.25;
   std::uint64_t seed = 1;
-  /// Service-demand block size: 0 = default, 1 = scalar reference path
+  /// Service-demand tile size: 0 = default, else an explicit tile size
   /// (see HomogeneousConfig::batch).  Bit-identical for every value.
   std::size_t batch = 0;
   /// Replay implementation (see fjsim/config.hpp::Engine).
@@ -54,5 +56,31 @@ struct PipelineResult {
 };
 
 PipelineResult run_pipeline(const PipelineConfig& config);
+
+/// Receives a stage node's task `i` (the stage's i-th arrival): measured
+/// tasks go into the stage's pooled task moments, and every task raises the
+/// arrival's completion max.
+struct StageSink {
+  std::span<const std::uint32_t> order;  ///< request id of each arrival
+  std::uint64_t warmup;
+  stats::Welford& task_stats;
+  std::span<double> completion;
+
+  void operator()(std::uint64_t i, double arrival, double done) {
+    if (order[i] >= warmup) task_stats.add(done - arrival);
+    if (done > completion[i]) completion[i] = done;
+  }
+};
+
+/// Replays one single-server stage node (`service` drawn on `rng`) against
+/// the stage's time-ordered arrivals, reporting each task to `sink`.
+using StageNodeReplay =
+    std::function<void(const dist::Distribution& service, util::Rng rng,
+                       std::span<const double> arrivals, StageSink& sink)>;
+
+/// The legacy engine with the per-node replay supplied; run_pipeline(config)
+/// passes the tiled LindleyState replay at config.batch.
+PipelineResult run_pipeline(const PipelineConfig& config,
+                            const StageNodeReplay& replay);
 
 }  // namespace forktail::fjsim

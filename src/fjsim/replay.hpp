@@ -1,40 +1,35 @@
-// Batched Lindley replay kernel shared by the node-major fast simulators.
+// Node-major Lindley replay shared by the fast fork-join simulators.
 //
-// The scalar replay loops draw one service demand per task through a
-// virtual Distribution::sample() call; the opaque call boundary also stops
-// the compiler from overlapping the sampler's log/pow dependency chain with
-// the Lindley recursion and the caller's Welford update, so the three
-// serial chains run back to back.  LindleyState fixes both costs:
+// The k = N simulators (homogeneous, heterogeneous) replay one shared
+// arrival sequence through every fork node and reduce each request to the
+// max completion across nodes.  replay_node_major() owns what they share
+// (arrivals, warm-up, worker blocks, completion-max rows, per-node
+// moments); each simulator supplies only the block replay, which for the
+// FIFO policies is replay_tiled(): request tiles outer, nodes inner, so a
+// tile's arrivals and row segment stay cache-resident.  LindleyState runs
+// the common closed-form samplers through a fused kernel that calls the
+// concrete class's inline sample(), so the sampler's log/pow chain
+// overlaps the recursion and the caller's Welford update; every other
+// sampler fills the tile through one virtual sample_n().
 //
-//  * For the common closed-form samplers (exponential, Erlang, ...) the
-//    concrete type is classified once at construction and the tile loop
-//    dispatches to a fused kernel that calls the final class's inline
-//    sample() directly -- sampling, the Lindley recursion, and the
-//    completion callback all live in one loop body, so the CPU pipelines
-//    their dependency chains instead of serializing them.
-//  * Everything else falls back to pulling demands in blocks via
-//    Distribution::sample_n(), which still amortizes the virtual dispatch
-//    over the whole tile.
-//
-// Either way the per-request state (arrival tile, demand block,
-// completion-max row segment) stays cache-resident while every node of a
-// block replays it.
-//
-// Determinism contract: for a given node RNG the delivered demand sequence
-// and every floating-point operation match the scalar FastNode path
-// exactly, so batched results are bit-identical to the scalar reference
-// (test_replay_batched.cpp asserts this for every simulator).
+// Determinism: each node's demand sequence and floating-point operations
+// match a per-task FastNode replay exactly, so results are bit-identical
+// for every tile size (test_replay_batched.cpp checks every simulator
+// against tests/support/scalar_replay.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "dist/basic.hpp"
 #include "dist/distribution.hpp"
 #include "dist/heavy.hpp"
+#include "stats/welford.hpp"
 #include "util/rng.hpp"
 
 namespace forktail::fjsim {
@@ -44,11 +39,24 @@ namespace forktail::fjsim {
 /// virtual dispatch ~1000x while the block comfortably fits in L1.
 inline constexpr std::size_t kDefaultReplayBatch = 1024;
 
-/// Config knob semantics: 0 = use the default batch, 1 = scalar reference
-/// path (one virtual sample per task), anything else = explicit block size.
+/// Config knob semantics: 0 = use the default batch, anything else =
+/// explicit tile size (1 is a tile of one task).
 inline std::size_t resolve_batch(std::size_t batch) {
   return batch == 0 ? kDefaultReplayBatch : batch;
 }
+
+/// Warm-up requests replayed ahead of `num_requests` measured ones, so that
+/// they make up `warmup_fraction` of the run.
+inline std::uint64_t warmup_requests(double warmup_fraction,
+                                     std::uint64_t num_requests) {
+  return static_cast<std::uint64_t>(warmup_fraction /
+                                    (1.0 - warmup_fraction) *
+                                    static_cast<double>(num_requests));
+}
+
+/// `total` Poisson(lambda) arrival epochs drawn from `rng`, in time order.
+std::vector<double> poisson_arrivals(util::Rng rng, double lambda,
+                                     std::uint64_t total);
 
 /// One fork node's Lindley state for tiled replay: the per-replica
 /// next-free times plus the node's private service-demand stream.
@@ -61,86 +69,60 @@ class LindleyState {
         next_free_(static_cast<std::size_t>(replicas), 0.0) {}
 
   /// Replay one tile of the shared arrival sequence through this node.
-  /// `demands` is caller-provided scratch of the tile's length (reused
-  /// across nodes/tiles to avoid per-call allocation; only the generic
-  /// fallback touches it); `done(id, arrival, completion)` fires per task
-  /// with `id = base + i`, exactly as the scalar path's completion callback
-  /// does.
-  ///
-  /// Each fused kernel draws the i-th demand with the same inline sample()
-  /// body and the same RNG stream position as both the scalar path and the
-  /// sample_n block fill, so every path is bit-identical.
+  /// `demands` is caller-provided scratch of the tile's length (only the
+  /// sample_n fallback touches it); `done(id, arrival, completion)` fires
+  /// per task with `id = base + i`.  The fused kernels draw the i-th demand
+  /// with the same inline sample() body and RNG stream position as a
+  /// virtual sample() or the sample_n block fill, so every path is
+  /// bit-identical.
   template <typename OnComplete>
   void replay_tile(std::span<const double> arrivals, std::uint64_t base,
                    std::span<double> demands, OnComplete&& done) {
-    switch (kind_) {
-      case Kind::kExponential:
-        return fused_tile<dist::Exponential>(arrivals, base, done);
-      case Kind::kErlang:
-        return fused_tile<dist::Erlang>(arrivals, base, done);
-      case Kind::kHyperExp2:
-        return fused_tile<dist::HyperExp2>(arrivals, base, done);
-      case Kind::kWeibull:
-        return fused_tile<dist::Weibull>(arrivals, base, done);
-      case Kind::kTruncPareto:
-        return fused_tile<dist::TruncatedPareto>(arrivals, base, done);
-      case Kind::kLogNormal:
-        return fused_tile<dist::LogNormal>(arrivals, base, done);
-      case Kind::kDeterministic:
-        return fused_tile<dist::Deterministic>(arrivals, base, done);
-      case Kind::kUniform:
-        return fused_tile<dist::UniformReal>(arrivals, base, done);
-      case Kind::kGeneric:
-        break;
+    if (kind_ == Kind::kGeneric) {
+      service_->sample_n(rng_, demands);
+      return lindley(arrivals, base, [&](std::size_t i) { return demands[i]; },
+                     done);
     }
-    generic_tile(arrivals, base, demands, done);
+    with_kind([&]<typename D>(std::type_identity<D>) {
+      // Local copy: accessed through service_, the sampler's double fields
+      // could alias the caller's double stores (row updates), forcing a
+      // reload every task.  A local stays in registers.
+      const D d(*static_cast<const D*>(service_));
+      lindley(arrivals, base, [&](std::size_t) { return d.D::sample(rng_); },
+              done);
+    });
   }
 
   /// True when `this` and `other` can replay a tile through the fused pair
   /// kernel: same concrete sampler kind (with a fused kernel) and both
-  /// single-server.  Uniform across a block of identically-configured
-  /// nodes, so callers check it once, not per tile.
+  /// single-server.
   bool fused_pairable(const LindleyState& other) const {
     return kind_ != Kind::kGeneric && kind_ == other.kind_ &&
            next_free_.size() == 1 && other.next_free_.size() == 1;
   }
 
-  /// Replay the same tile through TWO nodes with their per-task work
-  /// interleaved in one loop body.  Each node's sampler, Lindley recursion,
-  /// and accumulator chain is latency-bound and strictly serial on its own,
-  /// but the two nodes are independent, so interleaving lets the CPU
-  /// overlap their divide/log chains.  `done(id, arrival, c0, c1)` receives
-  /// both completions at once so the caller can fold them into shared
-  /// structures (e.g. the completion-max row) with one access.
-  ///
-  /// Bit-identity: node A's operation sequence (RNG draws, recursion,
-  /// Welford order) is exactly what replay_tile would do, ditto node B;
-  /// only their interleaving in time changes.  The one shared structure is
-  /// the completion-max row, and max is exact and order-independent.
-  /// Requires fused_pairable(other).
+  /// Replay the same tile through TWO independent nodes in one loop body,
+  /// so the CPU overlaps their serial sampler/recursion/accumulator chains;
+  /// `done(id, arrival, c0, c1)` gets both completions for one row access.
+  /// Each node's own operation sequence is exactly replay_tile's, and max
+  /// is exact, so this is bit-identical.  Requires fused_pairable(other).
   template <typename OnComplete>
   void replay_tile_pair(LindleyState& other, std::span<const double> arrivals,
                         std::uint64_t base, OnComplete&& done) {
-    switch (kind_) {
-      case Kind::kExponential:
-        return fused_pair<dist::Exponential>(other, arrivals, base, done);
-      case Kind::kErlang:
-        return fused_pair<dist::Erlang>(other, arrivals, base, done);
-      case Kind::kHyperExp2:
-        return fused_pair<dist::HyperExp2>(other, arrivals, base, done);
-      case Kind::kWeibull:
-        return fused_pair<dist::Weibull>(other, arrivals, base, done);
-      case Kind::kTruncPareto:
-        return fused_pair<dist::TruncatedPareto>(other, arrivals, base, done);
-      case Kind::kLogNormal:
-        return fused_pair<dist::LogNormal>(other, arrivals, base, done);
-      case Kind::kDeterministic:
-        return fused_pair<dist::Deterministic>(other, arrivals, base, done);
-      case Kind::kUniform:
-        return fused_pair<dist::UniformReal>(other, arrivals, base, done);
-      case Kind::kGeneric:
-        break;  // excluded by fused_pairable()
-    }
+    with_kind([&]<typename D>(std::type_identity<D>) {
+      const D d0(*static_cast<const D*>(service_));
+      const D d1(*static_cast<const D*>(other.service_));
+      double nf0 = next_free_[0];
+      double nf1 = other.next_free_[0];
+      for (std::size_t i = 0; i < arrivals.size(); ++i) {
+        const double a = arrivals[i];
+        nf0 = std::max(a, nf0) + d0.D::sample(rng_);
+        nf1 = std::max(a, nf1) + d1.D::sample(other.rng_);
+        done(base + i, a, nf0, nf1);
+      }
+      next_free_[0] = nf0;
+      other.next_free_[0] = nf1;
+    });
   }
 
  private:
@@ -170,86 +152,47 @@ class LindleyState {
     return Kind::kGeneric;
   }
 
-  /// Sample + Lindley + callback in one loop body.  The qualified
-  /// D::sample call is non-virtual and inlines, which is what lets the CPU
-  /// overlap the sampler's log/pow chain with the recursion and the
-  /// caller's accumulator update.
-  template <typename D, typename OnComplete>
-  void fused_tile(std::span<const double> arrivals, std::uint64_t base,
-                  OnComplete&& done) {
-    // Local copy for the same aliasing reason as in fused_pair.
-    const D d(*static_cast<const D*>(service_));
+  /// Calls `f(std::type_identity<D>{})` with the concrete sampler type;
+  /// does nothing for kGeneric.
+  template <typename F>
+  void with_kind(F&& f) const {
+    switch (kind_) {
+      case Kind::kExponential: return f(std::type_identity<dist::Exponential>{});
+      case Kind::kErlang: return f(std::type_identity<dist::Erlang>{});
+      case Kind::kHyperExp2: return f(std::type_identity<dist::HyperExp2>{});
+      case Kind::kWeibull: return f(std::type_identity<dist::Weibull>{});
+      case Kind::kTruncPareto:
+        return f(std::type_identity<dist::TruncatedPareto>{});
+      case Kind::kLogNormal: return f(std::type_identity<dist::LogNormal>{});
+      case Kind::kDeterministic:
+        return f(std::type_identity<dist::Deterministic>{});
+      case Kind::kUniform: return f(std::type_identity<dist::UniformReal>{});
+      case Kind::kGeneric: return;
+    }
+  }
+
+  /// The Lindley recursion over one tile, the i-th demand from `draw(i)`,
+  /// with sampling, recursion and callback in one loop body.
+  template <typename Draw, typename OnComplete>
+  void lindley(std::span<const double> arrivals, std::uint64_t base,
+               Draw&& draw, OnComplete&& done) {
     const std::size_t len = arrivals.size();
     if (next_free_.size() == 1) {
       // Single-server fast path: the recursion's only loop-carried state is
       // one next-free time, kept in a register.
       double nf = next_free_[0];
       for (std::size_t i = 0; i < len; ++i) {
-        const double start = std::max(arrivals[i], nf);
-        nf = start + d.D::sample(rng_);
+        nf = std::max(arrivals[i], nf) + draw(i);
         done(base + i, arrivals[i], nf);
       }
       next_free_[0] = nf;
-    } else {
-      for (std::size_t i = 0; i < len; ++i) {
-        const double start = std::max(arrivals[i], next_free_[rr_]);
-        const double completion = start + d.D::sample(rng_);
-        next_free_[rr_] = completion;
-        rr_ = rr_ + 1 == next_free_.size() ? 0 : rr_ + 1;
-        done(base + i, arrivals[i], completion);
-      }
+      return;
     }
-  }
-
-  /// Two independent single-server nodes, one loop body (see
-  /// replay_tile_pair).  Both next-free times live in registers; the two
-  /// RNG streams and the callers' two accumulators are independent, so
-  /// their latency chains pipeline.
-  template <typename D, typename OnComplete>
-  void fused_pair(LindleyState& other, std::span<const double> arrivals,
-                  std::uint64_t base, OnComplete&& done) {
-    // Copy the sampler parameters to locals: accessed through service_,
-    // their double fields could alias the caller's double stores (row
-    // updates), forcing a reload every iteration.  Locals are provably
-    // unaliased, so the parameters stay in registers.
-    const D d0(*static_cast<const D*>(service_));
-    const D d1(*static_cast<const D*>(other.service_));
-    const std::size_t len = arrivals.size();
-    double nf0 = next_free_[0];
-    double nf1 = other.next_free_[0];
     for (std::size_t i = 0; i < len; ++i) {
-      const double a = arrivals[i];
-      nf0 = std::max(a, nf0) + d0.D::sample(rng_);
-      nf1 = std::max(a, nf1) + d1.D::sample(other.rng_);
-      done(base + i, a, nf0, nf1);
-    }
-    next_free_[0] = nf0;
-    other.next_free_[0] = nf1;
-  }
-
-  /// Fallback for samplers without a fused kernel: fill the demand block
-  /// through one virtual sample_n call, then run the recursion over it.
-  template <typename OnComplete>
-  void generic_tile(std::span<const double> arrivals, std::uint64_t base,
-                    std::span<double> demands, OnComplete&& done) {
-    service_->sample_n(rng_, demands);
-    const std::size_t len = arrivals.size();
-    if (next_free_.size() == 1) {
-      double nf = next_free_[0];
-      for (std::size_t i = 0; i < len; ++i) {
-        const double start = std::max(arrivals[i], nf);
-        nf = start + demands[i];
-        done(base + i, arrivals[i], nf);
-      }
-      next_free_[0] = nf;
-    } else {
-      for (std::size_t i = 0; i < len; ++i) {
-        const double start = std::max(arrivals[i], next_free_[rr_]);
-        const double completion = start + demands[i];
-        next_free_[rr_] = completion;
-        rr_ = rr_ + 1 == next_free_.size() ? 0 : rr_ + 1;
-        done(base + i, arrivals[i], completion);
-      }
+      const double completion = std::max(arrivals[i], next_free_[rr_]) + draw(i);
+      next_free_[rr_] = completion;
+      rr_ = rr_ + 1 == next_free_.size() ? 0 : rr_ + 1;
+      done(base + i, arrivals[i], completion);
     }
   }
 
@@ -327,5 +270,74 @@ class OrderStatArena {
   std::vector<std::size_t> counts_;
   std::vector<double> heaps_;
 };
+
+/// One worker's share of a node-major replay: nodes [lo, hi), node n on
+/// stream `node_rng(n)`, replay the shared arrivals, add measured task
+/// responses to `node_stats[n]` and raise `row[id]` to each measured task's
+/// completion (warm-up entries of the row are never read).
+struct NodeBlock {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::span<const double> arrivals;
+  std::uint64_t warmup = 0;
+  std::span<double> row;
+  std::span<stats::Welford> node_stats;  ///< indexed by node id
+  util::Rng master;
+
+  util::Rng node_rng(std::size_t n) const { return master.split(100 + n); }
+};
+
+/// `num_nodes` fork nodes under Poisson(lambda) arrivals, `num_requests`
+/// measured after the warm-up; max_parallelism 0 = pool width, 1 = inline.
+struct NodeMajorRun {
+  std::size_t num_nodes = 0;
+  double lambda = 0.0;
+  std::uint64_t num_requests = 0;
+  double warmup_fraction = 0.0;
+  std::uint64_t seed = 0;
+  std::size_t max_parallelism = 0;
+};
+
+struct NodeMajorResult {
+  std::vector<double> responses;           ///< measured request responses
+  std::vector<stats::Welford> node_stats;  ///< per-node measured task responses
+  std::uint64_t total = 0;                 ///< requests replayed incl. warm-up
+};
+
+using BlockReplay = std::function<void(const NodeBlock&)>;
+
+/// Draws the arrivals from stream 0 of `run.seed` and calls `replay` once
+/// per block of min(num_nodes, parallelism), on the global pool when there
+/// are several.  Maxima are exact under any grouping and callers merge the
+/// per-node moments in node order, so results are bit-identical for any
+/// block count or schedule.
+NodeMajorResult replay_node_major(const NodeMajorRun& run,
+                                  const BlockReplay& replay);
+
+/// Block replay for the FIFO policies: node n serves `service(n)` with
+/// `replicas` servers, tiles of `batch` requests outer, nodes inner;
+/// adjacent fused_pairable() nodes share each tile.
+void replay_tiled(
+    const NodeBlock& block, std::size_t batch,
+    const std::function<const dist::Distribution*(std::size_t)>& service,
+    int replicas);
+
+/// Replays node `n` of `block` one task at a time through `node`'s submit
+/// path (FastNode, RedundantNode) and returns its redundant issues.
+template <typename Node>
+std::uint64_t replay_node(Node& node, const NodeBlock& block, std::size_t n) {
+  const std::uint64_t warmup = block.warmup;
+  const std::span<double> row = block.row;
+  stats::Welford& node_stats = block.node_stats[n];
+  auto on_done = [&](std::uint64_t id, double arrival, double completion) {
+    if (id >= warmup) node_stats.add(completion - arrival);
+    if (completion > row[id]) row[id] = completion;
+  };
+  for (std::uint64_t j = 0; j < block.arrivals.size(); ++j) {
+    node.submit_task(block.arrivals[j], j, on_done);
+  }
+  node.flush(on_done);
+  return node.redundant_issues();
+}
 
 }  // namespace forktail::fjsim

@@ -11,48 +11,6 @@
 
 namespace forktail::fjsim {
 
-namespace {
-
-template <typename Node>
-void run_loop(const SubsetConfig& config, std::vector<Node>& nodes,
-              double lambda, std::uint64_t warmup, std::uint64_t total,
-              util::Rng& arrival_rng, util::Rng& pick_rng, util::Rng& k_rng,
-              std::vector<double>& arrivals, std::vector<double>& completion_max,
-              std::vector<int>& request_k, OrderStatArena* early_arena,
-              SubsetResult& result) {
-  std::vector<std::uint32_t> perm(config.num_nodes);
-  for (std::size_t i = 0; i < config.num_nodes; ++i) {
-    perm[i] = static_cast<std::uint32_t>(i);
-  }
-  auto on_done = [&](std::uint64_t id, double arrival, double completion) {
-    if (id >= warmup) result.task_stats.add(completion - arrival);
-    if (completion > completion_max[id]) completion_max[id] = completion;
-    if (early_arena != nullptr) early_arena->insert(id, completion);
-  };
-  double t = 0.0;
-  for (std::uint64_t j = 0; j < total; ++j) {
-    t += arrival_rng.exponential(1.0 / lambda);
-    arrivals[j] = t;
-    std::size_t k;
-    if (config.k_mode == KMode::kFixed) {
-      k = static_cast<std::size_t>(config.k_fixed);
-    } else {
-      k = static_cast<std::size_t>(k_rng.uniform_int(config.k_lo, config.k_hi));
-    }
-    if (config.group_by_k) request_k[j] = static_cast<int>(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t pick =
-          i + static_cast<std::size_t>(pick_rng.uniform_int(config.num_nodes - i));
-      std::swap(perm[i], perm[pick]);
-      nodes[perm[i]].submit_task(t, j, on_done);
-    }
-    result.total_tasks += k;
-  }
-  for (auto& node : nodes) node.flush(on_done);
-}
-
-}  // namespace
-
 SubsetResult run_subset(const SubsetConfig& config) {
   if (config.engine == Engine::kVector) return run_subset_vector(config);
   const obs::ScopedSpan run_span(ReplayMetrics::get().run_seconds);
@@ -63,7 +21,6 @@ SubsetResult run_subset(const SubsetConfig& config) {
           : 0.5 * static_cast<double>(config.k_lo + config.k_hi);
 
   util::Rng master(config.seed);
-  util::Rng arrival_rng = master.split(0);
   util::Rng pick_rng = master.split(1);
   util::Rng k_rng = master.split(2);
 
@@ -71,12 +28,12 @@ SubsetResult run_subset(const SubsetConfig& config) {
                         static_cast<double>(config.replicas) /
                         (mean_k * config.service->mean());
 
-  const auto warmup = static_cast<std::uint64_t>(
-      config.warmup_fraction / (1.0 - config.warmup_fraction) *
-      static_cast<double>(config.num_requests));
+  const std::uint64_t warmup =
+      warmup_requests(config.warmup_fraction, config.num_requests);
   const std::uint64_t total = warmup + config.num_requests;
 
-  std::vector<double> arrivals(total);
+  const std::vector<double> arrivals =
+      poisson_arrivals(master.split(0), lambda, total);
   std::vector<double> completion_max(total, 0.0);
   std::vector<int> request_k(config.group_by_k ? total : 0);
   // Early-return-at-k tracks each request's k smallest completions on the
@@ -89,6 +46,36 @@ SubsetResult run_subset(const SubsetConfig& config) {
   result.lambda = lambda;
   result.mean_k = mean_k;
 
+  // Request-major replay: each request forks to k distinct random nodes.
+  const auto run_loop = [&](auto& nodes) {
+    std::vector<std::uint32_t> perm(config.num_nodes);
+    for (std::size_t i = 0; i < config.num_nodes; ++i) {
+      perm[i] = static_cast<std::uint32_t>(i);
+    }
+    auto on_done = [&](std::uint64_t id, double arrival, double completion) {
+      if (id >= warmup) result.task_stats.add(completion - arrival);
+      if (completion > completion_max[id]) completion_max[id] = completion;
+      if (early_arena) early_arena->insert(id, completion);
+    };
+    for (std::uint64_t j = 0; j < total; ++j) {
+      const double t = arrivals[j];
+      std::size_t k;
+      if (config.k_mode == KMode::kFixed) {
+        k = static_cast<std::size_t>(config.k_fixed);
+      } else {
+        k = static_cast<std::size_t>(k_rng.uniform_int(config.k_lo, config.k_hi));
+      }
+      if (config.group_by_k) request_k[j] = static_cast<int>(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        const std::size_t pick =
+            i + static_cast<std::size_t>(pick_rng.uniform_int(config.num_nodes - i));
+        std::swap(perm[i], perm[pick]);
+        nodes[perm[i]].submit_task(t, j, on_done);
+      }
+      result.total_tasks += k;
+    }
+    for (auto& node : nodes) node.flush(on_done);
+  };
   const std::size_t batch = resolve_batch(config.batch);
   if (config.policy == Policy::kRedundant) {
     std::vector<RedundantNode> nodes;
@@ -97,9 +84,7 @@ SubsetResult run_subset(const SubsetConfig& config) {
       nodes.emplace_back(config.service.get(), config.replicas,
                          config.redundant_delay, master.split(100 + n), batch);
     }
-    run_loop(config, nodes, lambda, warmup, total, arrival_rng, pick_rng, k_rng,
-             arrivals, completion_max, request_k,
-             early_arena ? &*early_arena : nullptr, result);
+    run_loop(nodes);
   } else {
     std::vector<FastNode> nodes;
     nodes.reserve(config.num_nodes);
@@ -107,9 +92,7 @@ SubsetResult run_subset(const SubsetConfig& config) {
       nodes.emplace_back(config.service.get(), config.replicas, config.policy,
                          master.split(100 + n), batch);
     }
-    run_loop(config, nodes, lambda, warmup, total, arrival_rng, pick_rng, k_rng,
-             arrivals, completion_max, request_k,
-             early_arena ? &*early_arena : nullptr, result);
+    run_loop(nodes);
   }
 
   result.responses.reserve(config.num_requests);

@@ -2,8 +2,7 @@
 //
 // Every metric here is recorded at run or block granularity -- never per
 // task -- so the replay hot loops are byte-for-byte the code they were
-// before instrumentation and the batched/scalar bit-identity contract is
-// untouched.  Catalog in docs/observability.md.
+// before instrumentation and the bit-identity contract is untouched.  Catalog in docs/observability.md.
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -18,7 +17,8 @@ struct ReplayMetrics {
       obs::Registry::global().counter("fjsim.tasks.measured");
   obs::Counter& tasks_warmup =
       obs::Registry::global().counter("fjsim.tasks.warmup");
-  /// Arrival tiles processed by the batched paths (0 on scalar runs).
+  /// Arrival tiles processed by the tiled replay (one per request at
+  /// batch = 1).
   obs::Counter& tiles = obs::Registry::global().counter("fjsim.tiles");
   /// Wall-clock of one full simulator run / of one worker's node block.
   obs::Histogram& run_seconds =

@@ -27,8 +27,6 @@ double HistogramSnapshot::quantile(double q) const {
   return max;
 }
 
-#if FORKTAIL_OBS_ENABLED
-
 namespace {
 void atomic_add(std::atomic<double>& a, double v) noexcept {
   double cur = a.load(std::memory_order_relaxed);
@@ -153,7 +151,5 @@ Registry& Registry::global() {
   static auto* registry = new Registry();
   return *registry;
 }
-
-#endif  // FORKTAIL_OBS_ENABLED
 
 }  // namespace forktail::obs

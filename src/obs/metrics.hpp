@@ -21,12 +21,6 @@
 //
 // so the registry's mutex is only touched at first use per call site.
 //
-// Compile-out: configuring with -DFORKTAIL_OBS=OFF defines
-// FORKTAIL_OBS_ENABLED=0 and swaps every class for a no-op stub with the
-// identical API; instrumented code compiles unchanged and the optimizer
-// deletes it.  Wrap any timing/clock reads in `if constexpr
-// (obs::enabled())` so disabled builds also skip the clock calls.
-//
 // Determinism note: metrics observe, they never feed back into simulation
 // state or RNG streams, so the bit-identity contracts (batched vs scalar
 // replay, --threads invariance) are unaffected by construction.
@@ -43,14 +37,7 @@
 
 #include "stats/log2_histogram.hpp"
 
-#ifndef FORKTAIL_OBS_ENABLED
-#define FORKTAIL_OBS_ENABLED 1
-#endif
-
 namespace forktail::obs {
-
-/// True when the library was built with instrumentation compiled in.
-inline constexpr bool enabled() { return FORKTAIL_OBS_ENABLED != 0; }
 
 /// Point-in-time copy of one histogram (see Histogram::snapshot).
 struct HistogramSnapshot {
@@ -72,7 +59,6 @@ struct HistogramSnapshot {
   double mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
 };
 
-#if FORKTAIL_OBS_ENABLED
 
 class Counter {
  public:
@@ -161,80 +147,21 @@ class Registry {
   Impl* impl_;
 };
 
-#else  // !FORKTAIL_OBS_ENABLED -- no-op stubs with the identical API
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Gauge {
- public:
-  void set(double) noexcept {}
-  void set_max(double) noexcept {}
-  void add(double) noexcept {}
-  double value() const noexcept { return 0.0; }
-  void reset() noexcept {}
-};
-
-class Histogram {
- public:
-  void record(double) noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-  HistogramSnapshot snapshot() const { return {}; }
-  void reset() noexcept {}
-};
-
-class Registry {
- public:
-  Counter& counter(std::string_view) {
-    static Counter c;
-    return c;
-  }
-  Gauge& gauge(std::string_view) {
-    static Gauge g;
-    return g;
-  }
-  Histogram& histogram(std::string_view) {
-    static Histogram h;
-    return h;
-  }
-  struct Snapshot {
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, double>> gauges;
-    std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
-  };
-  Snapshot snapshot() const { return {}; }
-  void reset() {}
-  static Registry& global() {
-    static Registry r;
-    return r;
-  }
-};
-
-#endif  // FORKTAIL_OBS_ENABLED
-
 /// RAII wall-clock span: records elapsed SECONDS into `hist` on destruction.
-/// In disabled builds the clock is never read.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(Histogram& hist) noexcept : hist_(&hist) {
-    if constexpr (enabled()) start_ = std::chrono::steady_clock::now();
-  }
+  explicit ScopedSpan(Histogram& hist) noexcept
+      : hist_(&hist), start_(std::chrono::steady_clock::now()) {}
   ~ScopedSpan() {
-    if constexpr (enabled()) {
-      const auto end = std::chrono::steady_clock::now();
-      hist_->record(std::chrono::duration<double>(end - start_).count());
-    }
+    const auto end = std::chrono::steady_clock::now();
+    hist_->record(std::chrono::duration<double>(end - start_).count());
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
   Histogram* hist_;
-  std::chrono::steady_clock::time_point start_{};
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace forktail::obs

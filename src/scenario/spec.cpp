@@ -133,6 +133,15 @@ std::uint64_t get_u64(const util::Json& obj, const char* key,
   return static_cast<std::uint64_t>(v);
 }
 
+std::uint32_t get_u32(const util::Json& obj, const char* key,
+                      std::uint32_t fallback, const std::string& where) {
+  const std::uint64_t v = get_u64(obj, key, fallback, where);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    throw ConfigError(field_name(where, key), "must be below 2^32");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 int get_int(const util::Json& obj, const char* key, int fallback,
             const std::string& where) {
   if (!obj.contains(key)) return fallback;
@@ -341,8 +350,8 @@ ScenarioSpec parse_scenario(const util::Json& doc) {
     spec.workload.max_mean_ms = get_number(w, "max_mean_ms", spec.workload.max_mean_ms);
     spec.workload.target_fraction =
         get_number(w, "target_fraction", spec.workload.target_fraction);
-    spec.workload.target_tasks = static_cast<std::uint32_t>(
-        get_u64(w, "target_tasks", spec.workload.target_tasks, "workload"));
+    spec.workload.target_tasks =
+        get_u32(w, "target_tasks", spec.workload.target_tasks, "workload");
     spec.workload.target_mean_ms =
         get_number(w, "target_mean_ms", spec.workload.target_mean_ms);
     spec.workload.service_floor =
@@ -395,12 +404,11 @@ ScenarioSpec parse_scenario(const util::Json& doc) {
                {"udp_port", "tcp_port", "service", "shards", "window_seconds",
                 "min_samples", "skew_tolerance", "ring_capacity",
                 "liveness_timeout", "sweep_interval", "stall_threshold"});
-    spec.serve.udp_port = static_cast<std::uint32_t>(
-        get_u64(serve, "udp_port", spec.serve.udp_port, "serve"));
-    spec.serve.tcp_port = static_cast<std::uint32_t>(
-        get_u64(serve, "tcp_port", spec.serve.tcp_port, "serve"));
-    spec.serve.service = static_cast<std::uint32_t>(
-        get_u64(serve, "service", spec.serve.service, "serve"));
+    spec.serve.udp_port =
+        get_u32(serve, "udp_port", spec.serve.udp_port, "serve");
+    spec.serve.tcp_port =
+        get_u32(serve, "tcp_port", spec.serve.tcp_port, "serve");
+    spec.serve.service = get_u32(serve, "service", spec.serve.service, "serve");
     spec.serve.shards = static_cast<std::size_t>(
         get_u64(serve, "shards", spec.serve.shards, "serve"));
     spec.serve.window_seconds =

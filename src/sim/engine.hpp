@@ -214,8 +214,8 @@ class Engine {
   /// Fire one event through the bound dispatcher.
   void fire(const Event& ev) { dispatcher_(ctx_, *this, ev); }
 
-  /// Flush run-loop telemetry into the global metrics registry (no-op when
-  /// observability is compiled out).  Deltas are this run's counts.
+  /// Flush run-loop telemetry into the global metrics registry.  Deltas
+  /// are this run's counts.
   void publish_metrics(std::uint64_t events, std::uint64_t compactions) const;
 
   // --- calendar storage -------------------------------------------------

@@ -10,8 +10,7 @@ namespace forktail::util {
 namespace {
 // Pool telemetry (docs/observability.md): task counts, submit-to-start
 // queue wait, and aggregate busy time.  Utilization over a run is
-// busy_seconds / (wall * pool size).  All of this compiles out with
-// FORKTAIL_OBS=OFF -- including the clock reads.
+// busy_seconds / (wall * pool size).
 struct PoolMetrics {
   obs::Counter& tasks = obs::Registry::global().counter("threadpool.tasks");
   obs::Counter& exceptions =
@@ -49,10 +48,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  Job job{std::move(task), {}};
-  if constexpr (obs::enabled()) {
-    job.enqueued = std::chrono::steady_clock::now();
-  }
+  Job job{std::move(task), std::chrono::steady_clock::now()};
   {
     std::lock_guard lock(mutex_);
     queue_.push_back(std::move(job));
@@ -84,25 +80,20 @@ void ThreadPool::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    std::chrono::steady_clock::time_point start{};
-    if constexpr (obs::enabled()) {
-      start = std::chrono::steady_clock::now();
-      PoolMetrics::get().queue_wait.record(
-          std::chrono::duration<double>(start - job.enqueued).count());
-    }
+    const auto start = std::chrono::steady_clock::now();
+    PoolMetrics::get().queue_wait.record(
+        std::chrono::duration<double>(start - job.enqueued).count());
     std::exception_ptr error;
     try {
       job.fn();
     } catch (...) {
       error = std::current_exception();
     }
-    if constexpr (obs::enabled()) {
-      const auto end = std::chrono::steady_clock::now();
-      PoolMetrics& m = PoolMetrics::get();
-      m.busy_seconds.add(std::chrono::duration<double>(end - start).count());
-      m.tasks.add(1);
-      if (error) m.exceptions.add(1);
-    }
+    const auto end = std::chrono::steady_clock::now();
+    PoolMetrics& m = PoolMetrics::get();
+    m.busy_seconds.add(std::chrono::duration<double>(end - start).count());
+    m.tasks.add(1);
+    if (error) m.exceptions.add(1);
     {
       std::lock_guard lock(mutex_);
       if (error && !first_error_) first_error_ = error;

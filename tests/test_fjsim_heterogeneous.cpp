@@ -35,6 +35,31 @@ TEST(Heterogeneous, LambdaForMaxLoadUsesBottleneck) {
   EXPECT_THROW(lambda_for_max_load(services, 1.0), std::invalid_argument);
 }
 
+TEST(Heterogeneous, BitIdenticalAcrossParallelismLevels) {
+  HeterogeneousConfig c;
+  c.services = mixed_cluster(13, 3.0);
+  c.services[6] = dist::make_named("Weibull");  // breaks a run of pairs
+  c.lambda = lambda_for_max_load(c.services, 0.75);
+  c.num_requests = 5000;
+  c.seed = 17;
+  c.max_parallelism = 1;  // inline, no pool
+  const auto serial = run_heterogeneous(c);
+  for (const std::size_t parallelism : {0u, 3u, 13u}) {
+    c.max_parallelism = parallelism;
+    const auto r = run_heterogeneous(c);
+    ASSERT_EQ(r.responses.size(), serial.responses.size());
+    for (std::size_t i = 0; i < r.responses.size(); ++i) {
+      ASSERT_EQ(r.responses[i], serial.responses[i]);
+    }
+    ASSERT_EQ(r.node_stats.size(), serial.node_stats.size());
+    for (std::size_t n = 0; n < r.node_stats.size(); ++n) {
+      EXPECT_EQ(r.node_stats[n].count(), serial.node_stats[n].count());
+      EXPECT_EQ(r.node_stats[n].mean(), serial.node_stats[n].mean());
+      EXPECT_EQ(r.node_stats[n].variance(), serial.node_stats[n].variance());
+    }
+  }
+}
+
 TEST(Heterogeneous, IdenticalNodesMatchHomogeneousRunner) {
   // With all services equal, the heterogeneous runner must reproduce the
   // homogeneous one bit-for-bit at equal seeds (same stream layout).

@@ -180,9 +180,7 @@ TEST(OnlineTailPredictor, InfiniteTimestampRejectedAndIgnored) {
   const std::uint64_t before = rejected.value();
   EXPECT_EQ(p.record(0, inf, 1.0), RecordOutcome::kRejected);
   EXPECT_EQ(p.record(0, -inf, 1.0), RecordOutcome::kRejected);
-  if (obs::enabled()) {
-    EXPECT_EQ(rejected.value(), before + 2);
-  }
+  EXPECT_EQ(rejected.value(), before + 2);
   EXPECT_FALSE(p.last_timestamp(0).has_value());
   EXPECT_EQ(p.record(0, 1.0, 1.0), RecordOutcome::kAccepted);
   p.advance(0, inf);  // ignored: does not poison the node's clock
@@ -284,13 +282,11 @@ TEST(OnlineTailPredictor, RecordBatchMatchesSampleBySampleRecord) {
       }
       ASSERT_EQ(got, want) << "step " << step;
       ASSERT_TRUE(kept == 0 || kept == batch.size());
-      if (obs::enabled()) {
-        ASSERT_EQ(clamped.value() - clamped0, 2 * batch_clamped);
-        ASSERT_EQ(rejected.value() - rejected0, 2 * batch_rejected);
-        ASSERT_EQ(batch_clamped,
-                  got == RecordOutcome::kClamped ? batch.size() : 0u);
-        ASSERT_EQ(batch_rejected, got == RecordOutcome::kRejected ? 1u : 0u);
-      }
+      ASSERT_EQ(clamped.value() - clamped0, 2 * batch_clamped);
+      ASSERT_EQ(rejected.value() - rejected0, 2 * batch_rejected);
+      ASSERT_EQ(batch_clamped,
+                got == RecordOutcome::kClamped ? batch.size() : 0u);
+      ASSERT_EQ(batch_rejected, got == RecordOutcome::kRejected ? 1u : 0u);
       if (kept > 0) {
         accepted[node].insert(accepted[node].end(), batch.begin(), batch.end());
       }

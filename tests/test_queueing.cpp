@@ -8,7 +8,6 @@
 #include "queueing/mg1.hpp"
 #include "stats/welford.hpp"
 #include "support/mm1.hpp"
-#include "support/mmc.hpp"
 
 namespace forktail::queueing {
 namespace {
@@ -91,28 +90,6 @@ INSTANTIATE_TEST_SUITE_P(AllServiceDistributions, Mg1SimValidation,
                          ::testing::Values("Exponential", "Erlang-2",
                                            "HyperExp2", "Weibull",
                                            "TruncPareto", "Empirical"));
-
-TEST(Mmc, ErlangCKnownValue) {
-  // M/M/2, lambda = 1.5, mu = 1: rho = 0.75, Erlang-C = 0.6428571...
-  Mmc q(1.5, 1.0, 2);
-  EXPECT_NEAR(q.prob_wait(), 0.642857142857, 1e-9);
-  EXPECT_NEAR(q.mean_wait(), 0.642857142857 / 0.5, 1e-9);
-}
-
-TEST(Mmc, SingleServerReducesToMm1) {
-  Mmc q(0.7, 1.0, 1);
-  Mm1 m(0.7, 1.0);
-  EXPECT_NEAR(q.prob_wait(), 0.7, 1e-12);  // P(wait) = rho in M/M/1
-  EXPECT_NEAR(q.mean_response(), m.mean_response(), 1e-12);
-}
-
-TEST(Mmc, PoolingBeatsPartitioning) {
-  // Classic result: one M/M/3 at rho outperforms three M/M/1 at the same
-  // per-server rho -- relevant to replicated fork nodes.
-  Mmc pooled(2.4, 1.0, 3);
-  Mm1 partitioned(0.8, 1.0);
-  EXPECT_LT(pooled.mean_response(), partitioned.mean_response());
-}
 
 }  // namespace
 }  // namespace forktail::queueing

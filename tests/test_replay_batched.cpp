@@ -1,9 +1,11 @@
-// Batched replay determinism: for every fork-join runner, the batched
-// engine (any block size) must reproduce the scalar reference path
-// (batch = 1) bit for bit -- responses, moment accumulators, everything.
-// Block sizes are chosen so tiles cross the warm-up boundary mid-tile, the
-// last tile is partial, and odd node counts exercise the paired kernel's
-// remainder lane (fjsim::LindleyState::replay_tile_pair).
+// Batched replay determinism: for every fork-join runner, the tiled engine
+// (any tile size) must reproduce the per-task reference replay
+// (support/scalar_replay.hpp) bit for bit -- responses, moment
+// accumulators, everything.  Tile sizes are chosen so tiles cross the
+// warm-up boundary mid-tile, the last tile is partial, and odd node counts
+// exercise the paired kernel's remainder lane
+// (fjsim::LindleyState::replay_tile_pair).  The subset engine has no tiles;
+// its reference is its own batch = 1 (one virtual sample() per task).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,11 +21,12 @@
 #include "fjsim/pipeline.hpp"
 #include "fjsim/subset.hpp"
 #include "stats/welford.hpp"
+#include "support/scalar_replay.hpp"
 
 namespace forktail::fjsim {
 namespace {
 
-// The scalar path is the reference; "equal" means bitwise equal, not just
+// The per-task replay is the reference; "equal" means bitwise equal, not just
 // within tolerance -- the engines must replay the identical float stream.
 void expect_bitwise_equal(const std::vector<double>& ref,
                           const std::vector<double>& got, const char* what) {
@@ -52,12 +55,13 @@ void expect_welford_equal(const stats::Welford& ref, const stats::Welford& got,
       << what << " max";
 }
 
-// Batch sizes per case: default (1024), a prime that misaligns every tile
-// against the warm-up boundary, and one tile spanning the whole run.
-constexpr std::size_t kBatches[] = {0, 193, 1u << 20};
+// Batch sizes per case: default (1024), tiles of one task, a prime that
+// misaligns every tile against the warm-up boundary, and one tile spanning
+// the whole run.
+constexpr std::size_t kBatches[] = {0, 1, 193, 1u << 20};
 
-HomogeneousResult run_homog(std::size_t batch, std::size_t nodes,
-                            Policy policy, int replicas, dist::DistPtr dist) {
+HomogeneousConfig homog(std::size_t nodes, Policy policy, int replicas,
+                        dist::DistPtr dist) {
   HomogeneousConfig cfg;
   cfg.num_nodes = nodes;
   cfg.replicas = replicas;
@@ -67,15 +71,16 @@ HomogeneousResult run_homog(std::size_t batch, std::size_t nodes,
   cfg.load = 0.9;
   cfg.num_requests = 4000;
   cfg.seed = 123;
-  cfg.batch = batch;
-  return run_homogeneous(cfg);
+  return cfg;
 }
 
 void check_homogeneous(std::size_t nodes, Policy policy, int replicas,
                        const dist::DistPtr& dist) {
-  const auto ref = run_homog(1, nodes, policy, replicas, dist);
+  HomogeneousConfig cfg = homog(nodes, policy, replicas, dist);
+  const auto ref = scalar_homogeneous(cfg);
   for (const std::size_t batch : kBatches) {
-    const auto got = run_homog(batch, nodes, policy, replicas, dist);
+    cfg.batch = batch;
+    const auto got = run_homogeneous(cfg);
     expect_bitwise_equal(ref.responses, got.responses, "responses");
     expect_welford_equal(ref.task_stats, got.task_stats, "task_stats");
     EXPECT_EQ(ref.redundant_issues, got.redundant_issues);
@@ -114,17 +119,13 @@ TEST(ReplayBatched, HomogeneousRedundantEventPath) {
   check_homogeneous(4, Policy::kRedundant, 2, dist::make_named("Exponential"));
 }
 
-TEST(ReplayBatched, Heterogeneous) {
+void check_heterogeneous(std::vector<dist::DistPtr> services) {
   HeterogeneousConfig cfg;
-  cfg.services = {dist::make_named("Exponential"), dist::make_named("Weibull"),
-                  std::make_shared<dist::LogNormal>(
-                      dist::LogNormal::from_mean_cv(4.22, 1.2)), dist::make_named("Erlang-2"),
-                  dist::make_named("Exponential")};
+  cfg.services = std::move(services);
   cfg.lambda = lambda_for_max_load(cfg.services, 0.8);
   cfg.num_requests = 4000;
   cfg.seed = 321;
-  cfg.batch = 1;
-  const auto ref = run_heterogeneous(cfg);
+  const auto ref = scalar_heterogeneous(cfg);
   for (const std::size_t batch : kBatches) {
     cfg.batch = batch;
     const auto got = run_heterogeneous(cfg);
@@ -134,6 +135,25 @@ TEST(ReplayBatched, Heterogeneous) {
       expect_welford_equal(ref.node_stats[n], got.node_stats[n], "node_stats");
     }
   }
+}
+
+TEST(ReplayBatched, Heterogeneous) {
+  check_heterogeneous({dist::make_named("Exponential"),
+                       dist::make_named("Weibull"),
+                       std::make_shared<dist::LogNormal>(
+                           dist::LogNormal::from_mean_cv(4.22, 1.2)),
+                       dist::make_named("Erlang-2"),
+                       dist::make_named("Exponential")});
+  // Runs of same-kind nodes with different parameters go through the
+  // paired kernel; the odd run leaves a remainder lane, and the Empirical
+  // node (no fused kernel) breaks the runs.
+  check_heterogeneous({std::make_shared<dist::Exponential>(1.0),
+                       std::make_shared<dist::Exponential>(2.5),
+                       std::make_shared<dist::Exponential>(0.7),
+                       dist::make_named("Empirical"),
+                       dist::make_named("Weibull"),
+                       dist::make_named("Weibull"),
+                       dist::make_named("Erlang-2")});
 }
 
 TEST(ReplayBatched, Subset) {
@@ -163,8 +183,7 @@ TEST(ReplayBatched, Pipeline) {
   cfg.load = 0.8;
   cfg.num_requests = 4000;
   cfg.seed = 55;
-  cfg.batch = 1;
-  const auto ref = run_pipeline(cfg);
+  const auto ref = scalar_pipeline(cfg);
   for (const std::size_t batch : kBatches) {
     cfg.batch = batch;
     const auto got = run_pipeline(cfg);

@@ -109,10 +109,6 @@ TEST(ReportSchema, RunReportV1KeySet) {
   EXPECT_EQ(doc.at("version").as_number(), obs::kRunReportVersion);
   EXPECT_EQ(doc.at("tool").as_string(), "schema-test");
 
-  if (!obs::enabled()) {
-    EXPECT_FALSE(doc.at("observability_enabled").as_bool());
-    return;  // stub registry carries no metrics
-  }
   EXPECT_TRUE(doc.at("observability_enabled").as_bool());
   EXPECT_EQ(doc.at("counters").at("events").as_number(), 5.0);
   EXPECT_EQ(doc.at("gauges").at("depth").as_number(), 2.0);

@@ -288,6 +288,23 @@ TEST(ScenarioSpec, RejectsIntegersOutsideTheirType) {
     scenario::parse_scenario_text(
         R"({"topology": "homogeneous", "group": {"replicas": -3e9}})");
   });
+  // 2^32 + 80 once wrapped to port 80 and passed the port-range check.
+  expect_config_error("serve.udp_port", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous", "serve": {"udp_port": 4294967376}})");
+  });
+  expect_config_error("serve.tcp_port", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous", "serve": {"tcp_port": 4294967296}})");
+  });
+  expect_config_error("serve.service", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous", "serve": {"service": 4294967297}})");
+  });
+  expect_config_error("workload.target_tasks", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "consolidated", "workload": {"target_tasks": 4294967298}})");
+  });
   EXPECT_EQ(scenario::parse_scenario_text(
                 R"({"topology": "homogeneous", "seed": 18446744073709549568})")
                 .seed,

@@ -241,12 +241,10 @@ TEST(IngestShard, ClampAndStaleCountersMovePerDatagram) {
   EXPECT_EQ(shard.drain(10.0), 3u);
   EXPECT_EQ(shard.samples_ingested(), 5u);
   EXPECT_EQ(shard.stale_rejected(), 1u);
-  if (obs::enabled()) {
-    EXPECT_EQ(clamped.value() - c0, 3u);
-    EXPECT_EQ(online_clamped.value() - oc0, 3u);
-    EXPECT_EQ(stale.value() - s0, 1u);
-    EXPECT_EQ(online_rejected.value() - or0, 1u);
-  }
+  EXPECT_EQ(clamped.value() - c0, 3u);
+  EXPECT_EQ(online_clamped.value() - oc0, 3u);
+  EXPECT_EQ(stale.value() - s0, 1u);
+  EXPECT_EQ(online_rejected.value() - or0, 1u);
 }
 
 TEST(IngestShard, SweepMarksDeadAgentStaleAndDegradesPooledStats) {
