@@ -1,6 +1,5 @@
 #include "fault/plan.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace forktail::fault {
@@ -8,33 +7,6 @@ namespace forktail::fault {
 using fjsim::ConfigError;
 
 namespace {
-
-/// Mirror of scenario/spec.cpp's unknown-key rejection: a typo in a fault
-/// plan must not silently run the inert defaults.
-void check_keys(const util::Json& obj, const std::string& where,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& key : obj.keys()) {
-    if (std::find_if(allowed.begin(), allowed.end(), [&](const char* a) {
-          return key == a;
-        }) == allowed.end()) {
-      throw ConfigError(where + "." + key, "unknown key in fault plan");
-    }
-  }
-}
-
-double get_number(const util::Json& obj, const char* key, double fallback) {
-  return obj.contains(key) ? obj.at(key).as_number() : fallback;
-}
-
-int get_int(const util::Json& obj, const char* key, int fallback,
-            const std::string& where) {
-  if (!obj.contains(key)) return fallback;
-  const double v = obj.at(key).as_number();
-  if (v != std::floor(v)) {
-    throw ConfigError(where + "." + key, "must be an integer");
-  }
-  return static_cast<int>(v);
-}
 
 void require_finite_nonneg(double v, const std::string& field) {
   if (!(v >= 0.0) || !std::isfinite(v)) {
@@ -92,71 +64,6 @@ void validate(const FaultPlan& plan, const std::string& where) {
     throw ConfigError(where + ".mitigation.early_k",
                       "must be >= 0 (0 = wait for every task)");
   }
-}
-
-FaultPlan parse_fault_plan(const util::Json& obj, const std::string& where) {
-  if (!obj.is_object()) {
-    throw ConfigError(where, "must be a JSON object");
-  }
-  check_keys(obj, where, {"inject", "mitigation"});
-  FaultPlan plan;
-  if (obj.contains("inject")) {
-    const util::Json& inject = obj.at("inject");
-    const std::string iw = where + ".inject";
-    check_keys(inject, iw,
-               {"crash_rate", "crash_mean_duration", "slowdown_rate",
-                "slowdown_mean_duration", "slowdown_factor", "blip_rate",
-                "blip_duration"});
-    FaultProcess& f = plan.inject;
-    f.crash_rate = get_number(inject, "crash_rate", f.crash_rate);
-    f.crash_mean_duration =
-        get_number(inject, "crash_mean_duration", f.crash_mean_duration);
-    f.slowdown_rate = get_number(inject, "slowdown_rate", f.slowdown_rate);
-    f.slowdown_mean_duration =
-        get_number(inject, "slowdown_mean_duration", f.slowdown_mean_duration);
-    f.slowdown_factor = get_number(inject, "slowdown_factor", f.slowdown_factor);
-    f.blip_rate = get_number(inject, "blip_rate", f.blip_rate);
-    f.blip_duration = get_number(inject, "blip_duration", f.blip_duration);
-  }
-  if (obj.contains("mitigation")) {
-    const util::Json& mit = obj.at("mitigation");
-    const std::string mw = where + ".mitigation";
-    check_keys(mit, mw,
-               {"timeout", "max_retries", "backoff_base", "backoff_mult",
-                "hedge_quantile", "early_k"});
-    MitigationPolicy& m = plan.mitigation;
-    m.timeout = get_number(mit, "timeout", m.timeout);
-    m.max_retries = get_int(mit, "max_retries", m.max_retries, mw);
-    m.backoff_base = get_number(mit, "backoff_base", m.backoff_base);
-    m.backoff_mult = get_number(mit, "backoff_mult", m.backoff_mult);
-    m.hedge_quantile = get_number(mit, "hedge_quantile", m.hedge_quantile);
-    m.early_k = get_int(mit, "early_k", m.early_k, mw);
-  }
-  return plan;
-}
-
-util::Json to_json(const FaultPlan& plan) {
-  util::Json inject = util::Json::object();
-  inject.set("crash_rate", plan.inject.crash_rate);
-  inject.set("crash_mean_duration", plan.inject.crash_mean_duration);
-  inject.set("slowdown_rate", plan.inject.slowdown_rate);
-  inject.set("slowdown_mean_duration", plan.inject.slowdown_mean_duration);
-  inject.set("slowdown_factor", plan.inject.slowdown_factor);
-  inject.set("blip_rate", plan.inject.blip_rate);
-  inject.set("blip_duration", plan.inject.blip_duration);
-
-  util::Json mitigation = util::Json::object();
-  mitigation.set("timeout", plan.mitigation.timeout);
-  mitigation.set("max_retries", plan.mitigation.max_retries);
-  mitigation.set("backoff_base", plan.mitigation.backoff_base);
-  mitigation.set("backoff_mult", plan.mitigation.backoff_mult);
-  mitigation.set("hedge_quantile", plan.mitigation.hedge_quantile);
-  mitigation.set("early_k", plan.mitigation.early_k);
-
-  util::Json doc = util::Json::object();
-  doc.set("inject", std::move(inject));
-  doc.set("mitigation", std::move(mitigation));
-  return doc;
 }
 
 }  // namespace forktail::fault

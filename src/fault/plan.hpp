@@ -8,8 +8,8 @@
 // node (crash / slowdown / blip windows, each an independent renewal
 // process driven by its own util::Rng stream) and the mitigation policy the
 // request path uses against them.  It extends the forktail.scenario.v1
-// document under a "faults" key (parsed in scenario/spec.cpp with the same
-// field-typed ConfigError discipline as the rest of the spec).
+// document under a "faults" key; scenario/spec.cpp declares its fields and
+// reads and writes them with the rest of the document.
 //
 // The default-constructed plan is inert: every rate is zero and every
 // mitigation knob is off, and an inert plan routes scenarios through the
@@ -19,7 +19,6 @@
 #include <string>
 
 #include "fjsim/config.hpp"
-#include "util/json.hpp"
 
 namespace forktail::fault {
 
@@ -84,11 +83,5 @@ struct FaultPlan {
 /// Field-typed validation (throws fjsim::ConfigError); `where` prefixes the
 /// offending field ("faults" from the scenario parser).
 void validate(const FaultPlan& plan, const std::string& where);
-
-/// JSON layer for the scenario document's "faults" section.  Unknown keys
-/// are rejected; missing keys take the inert defaults; parse(to_json(p))
-/// == p for every plan.
-FaultPlan parse_fault_plan(const util::Json& obj, const std::string& where);
-util::Json to_json(const FaultPlan& plan);
 
 }  // namespace forktail::fault

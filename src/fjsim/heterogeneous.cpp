@@ -24,10 +24,10 @@ double lambda_for_max_load(const std::vector<dist::DistPtr>& services,
   return rho / slowest;
 }
 
-HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config) {
-  if (config.engine == Engine::kVector) return run_heterogeneous_vector(config);
-  const std::size_t n = config.services.size();
-  if (n == 0) throw std::invalid_argument("run_heterogeneous: no nodes");
+double checked_max_utilization(const HeterogeneousConfig& config) {
+  if (config.services.empty()) {
+    throw std::invalid_argument("run_heterogeneous: no nodes");
+  }
   if (!(config.lambda > 0.0)) {
     throw std::invalid_argument("run_heterogeneous: lambda <= 0");
   }
@@ -40,7 +40,13 @@ HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config) {
     throw std::invalid_argument(
         "run_heterogeneous: bottleneck node unstable (rho >= 1)");
   }
+  return max_rho;
+}
 
+HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config) {
+  if (config.engine == Engine::kVector) return run_heterogeneous_vector(config);
+  const double max_rho = checked_max_utilization(config);
+  const std::size_t n = config.services.size();
   const std::size_t batch = resolve_batch(config.batch);
   NodeMajorResult run = replay_node_major(
       {n, config.lambda, config.num_requests, config.warmup_fraction,

@@ -48,6 +48,11 @@ struct HeterogeneousResult {
 
 HeterogeneousResult run_heterogeneous(const HeterogeneousConfig& config);
 
+/// Checks `config` for both engines (at least one node, lambda > 0, no null
+/// service, every node stable) and returns the bottleneck utilization.
+/// Throws std::invalid_argument.
+double checked_max_utilization(const HeterogeneousConfig& config);
+
 /// Arrival rate at which the SLOWEST node reaches `rho` utilization
 /// (every node sees the full request stream when k = N).
 double lambda_for_max_load(const std::vector<dist::DistPtr>& services, double rho);

@@ -10,6 +10,23 @@
 
 namespace forktail::fjsim {
 
+double checked_lambda(const PipelineConfig& config) {
+  if (config.stages.empty()) {
+    throw std::invalid_argument("run_pipeline: no stages");
+  }
+  double slowest_mean = 0.0;
+  for (const auto& stage : config.stages) {
+    if (stage.num_nodes == 0 || !stage.service) {
+      throw std::invalid_argument("run_pipeline: invalid stage");
+    }
+    slowest_mean = std::max(slowest_mean, stage.service->mean());
+  }
+  if (!(config.load > 0.0 && config.load < 1.0)) {
+    throw std::invalid_argument("run_pipeline: load must be in (0,1)");
+  }
+  return config.load / slowest_mean;
+}
+
 PipelineResult run_pipeline(const PipelineConfig& config) {
   if (config.engine == Engine::kVector) return run_pipeline_vector(config);
   const std::size_t batch = resolve_batch(config.batch);
@@ -30,22 +47,8 @@ PipelineResult run_pipeline(const PipelineConfig& config) {
 PipelineResult run_pipeline(const PipelineConfig& config,
                             const StageNodeReplay& replay) {
   const obs::ScopedSpan run_span(ReplayMetrics::get().run_seconds);
-  if (config.stages.empty()) {
-    throw std::invalid_argument("run_pipeline: no stages");
-  }
-  double slowest_mean = 0.0;
-  for (const auto& stage : config.stages) {
-    if (stage.num_nodes == 0 || !stage.service) {
-      throw std::invalid_argument("run_pipeline: invalid stage");
-    }
-    slowest_mean = std::max(slowest_mean, stage.service->mean());
-  }
-  if (!(config.load > 0.0 && config.load < 1.0)) {
-    throw std::invalid_argument("run_pipeline: load must be in (0,1)");
-  }
-
+  const double lambda = checked_lambda(config);
   util::Rng master(config.seed);
-  const double lambda = config.load / slowest_mean;
 
   const std::uint64_t warmup =
       warmup_requests(config.warmup_fraction, config.num_requests);

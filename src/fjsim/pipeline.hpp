@@ -57,6 +57,11 @@ struct PipelineResult {
 
 PipelineResult run_pipeline(const PipelineConfig& config);
 
+/// Checks `config` for both engines (at least one stage, every stage with
+/// nodes and a service, load in (0, 1)) and returns the arrival rate that
+/// puts the slowest stage at `load`.  Throws std::invalid_argument.
+double checked_lambda(const PipelineConfig& config);
+
 /// Receives a stage node's task `i` (the stage's i-th arrival): measured
 /// tasks go into the stage's pooled task moments, and every task raises the
 /// arrival's completion max.

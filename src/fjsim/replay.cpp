@@ -7,6 +7,12 @@
 
 namespace forktail::fjsim {
 
+std::size_t resolve_parallelism(std::size_t max_parallelism) {
+  return max_parallelism > 0
+             ? max_parallelism
+             : std::max<std::size_t>(1, util::global_pool().size());
+}
+
 std::vector<double> poisson_arrivals(util::Rng rng, double lambda,
                                      std::uint64_t total) {
   std::vector<double> arrivals(total);
@@ -30,11 +36,8 @@ NodeMajorResult replay_node_major(const NodeMajorRun& run,
   const std::vector<double> arrivals =
       poisson_arrivals(master.split(0), run.lambda, total);
 
-  const std::size_t parallelism =
-      run.max_parallelism > 0
-          ? run.max_parallelism
-          : std::max<std::size_t>(1, util::global_pool().size());
-  const std::size_t num_blocks = std::min(run.num_nodes, parallelism);
+  const std::size_t num_blocks =
+      std::min(run.num_nodes, resolve_parallelism(run.max_parallelism));
   MaxArena arena(num_blocks, total);
   NodeMajorResult result{{}, std::vector<stats::Welford>(run.num_nodes), total};
 

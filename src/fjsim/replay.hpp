@@ -54,6 +54,10 @@ inline std::uint64_t warmup_requests(double warmup_fraction,
                                     static_cast<double>(num_requests));
 }
 
+/// Worker count for a `max_parallelism` knob: 0 = the global pool's width
+/// (at least 1), anything else = that many.
+std::size_t resolve_parallelism(std::size_t max_parallelism);
+
 /// `total` Poisson(lambda) arrival epochs drawn from `rng`, in time order.
 std::vector<double> poisson_arrivals(util::Rng rng, double lambda,
                                      std::uint64_t total);

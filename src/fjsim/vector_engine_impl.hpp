@@ -73,17 +73,6 @@ std::size_t resolve_tile(std::size_t batch) {
   return batch == 0 ? kDefaultTileRows : batch;
 }
 
-std::uint64_t warmup_count(std::uint64_t num_requests, double warmup_fraction) {
-  return static_cast<std::uint64_t>(warmup_fraction / (1.0 - warmup_fraction) *
-                                    static_cast<double>(num_requests));
-}
-
-std::size_t resolve_parallelism(std::size_t max_parallelism) {
-  return max_parallelism > 0
-             ? max_parallelism
-             : std::max<std::size_t>(1, util::global_pool().size());
-}
-
 // ---------------------------------------------------------------------------
 // Per-lane moment accumulators (structure of arrays).
 //
@@ -600,7 +589,7 @@ HomogeneousResult homogeneous_impl(const HomogeneousConfig& config) {
   const double lambda = config.load * static_cast<double>(config.replicas) /
                         config.service->mean();
   const std::uint64_t warmup =
-      warmup_count(config.num_requests, config.warmup_fraction);
+      warmup_requests(config.warmup_fraction, config.num_requests);
   const std::uint64_t total = warmup + config.num_requests;
   const std::size_t tile_rows = resolve_tile(config.batch);
 
@@ -637,24 +626,12 @@ HomogeneousResult homogeneous_impl(const HomogeneousConfig& config) {
 }
 
 HeterogeneousResult heterogeneous_impl(const HeterogeneousConfig& config) {
+  const double max_rho = checked_max_utilization(config);
   const std::size_t n = config.services.size();
-  if (n == 0) throw std::invalid_argument("run_heterogeneous: no nodes");
-  if (!(config.lambda > 0.0)) {
-    throw std::invalid_argument("run_heterogeneous: lambda <= 0");
-  }
-  double max_rho = 0.0;
-  for (const auto& s : config.services) {
-    if (!s) throw std::invalid_argument("run_heterogeneous: null service");
-    max_rho = std::max(max_rho, config.lambda * s->mean());
-  }
-  if (max_rho >= 1.0) {
-    throw std::invalid_argument(
-        "run_heterogeneous: bottleneck node unstable (rho >= 1)");
-  }
   const obs::ScopedSpan run_span(ReplayMetrics::get().run_seconds);
 
   const std::uint64_t warmup =
-      warmup_count(config.num_requests, config.warmup_fraction);
+      warmup_requests(config.warmup_fraction, config.num_requests);
   const std::uint64_t total = warmup + config.num_requests;
   const std::size_t tile_rows = resolve_tile(config.batch);
 
@@ -710,23 +687,9 @@ HeterogeneousResult heterogeneous_impl(const HeterogeneousConfig& config) {
 
 PipelineResult pipeline_impl(const PipelineConfig& config) {
   const obs::ScopedSpan run_span(ReplayMetrics::get().run_seconds);
-  if (config.stages.empty()) {
-    throw std::invalid_argument("run_pipeline: no stages");
-  }
-  double slowest_mean = 0.0;
-  for (const auto& stage : config.stages) {
-    if (stage.num_nodes == 0 || !stage.service) {
-      throw std::invalid_argument("run_pipeline: invalid stage");
-    }
-    slowest_mean = std::max(slowest_mean, stage.service->mean());
-  }
-  if (!(config.load > 0.0 && config.load < 1.0)) {
-    throw std::invalid_argument("run_pipeline: load must be in (0,1)");
-  }
-
-  const double lambda = config.load / slowest_mean;
+  const double lambda = checked_lambda(config);
   const std::uint64_t warmup =
-      warmup_count(config.num_requests, config.warmup_fraction);
+      warmup_requests(config.warmup_fraction, config.num_requests);
   const std::uint64_t total = warmup + config.num_requests;
   const std::size_t tile_rows = resolve_tile(config.batch);
   const std::size_t parallelism = resolve_parallelism(config.max_parallelism);
@@ -1047,7 +1010,7 @@ SubsetResult subset_impl(const SubsetConfig& config) {
   const double lambda = config.load * static_cast<double>(config.num_nodes) /
                         (mean_k * config.service->mean());
   const std::uint64_t warmup =
-      warmup_count(config.num_requests, config.warmup_fraction);
+      warmup_requests(config.warmup_fraction, config.num_requests);
   const std::uint64_t total = warmup + config.num_requests;
 
   std::vector<double> arrivals(total);

@@ -2,7 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "dist/basic.hpp"
 #include "dist/factory.hpp"
@@ -15,253 +22,344 @@ namespace forktail::scenario {
 
 using fjsim::ConfigError;
 
-// ---------------------------------------------------------------- enums
-
-std::string topology_name(Topology topology) {
-  switch (topology) {
-    case Topology::kHomogeneous: return "homogeneous";
-    case Topology::kHeterogeneous: return "heterogeneous";
-    case Topology::kSubset: return "subset";
-    case Topology::kConsolidated: return "consolidated";
-    case Topology::kPipeline: return "pipeline";
-  }
-  throw ConfigError("topology", "unhandled topology enum value");
-}
-
-Topology topology_from_name(const std::string& name) {
-  if (name == "homogeneous") return Topology::kHomogeneous;
-  if (name == "heterogeneous") return Topology::kHeterogeneous;
-  if (name == "subset") return Topology::kSubset;
-  if (name == "consolidated") return Topology::kConsolidated;
-  if (name == "pipeline") return Topology::kPipeline;
-  throw ConfigError("topology", "unknown topology: " + name +
-                                    " (want homogeneous | heterogeneous | "
-                                    "subset | consolidated | pipeline)");
-}
-
-std::string sampler_name(Sampler sampler) {
-  switch (sampler) {
-    case Sampler::kReplay: return "replay";
-    case Sampler::kPerfect: return "perfect";
-  }
-  throw ConfigError("sampler", "unhandled sampler enum value");
-}
-
-Sampler sampler_from_name(const std::string& name) {
-  if (name == "replay") return Sampler::kReplay;
-  if (name == "perfect") return Sampler::kPerfect;
-  throw ConfigError("sampler",
-                    "unknown sampler: " + name + " (want replay | perfect)");
-}
+// ---------------------------------------------------------- document format
+//
+// The forktail.scenario.v1 document is declared once, here: every enum in it
+// has one name table, every struct lists its fields as (key, member) pairs,
+// and one reader and one writer walk those lists (what the reader rejects is
+// listed at parse_scenario() in spec.hpp).  A section groups members of the
+// enclosing struct under a key of its own ("samples", "execution").
 
 namespace {
 
-std::string policy_name(fjsim::Policy policy) {
-  switch (policy) {
-    case fjsim::Policy::kSingle: return "single";
-    case fjsim::Policy::kRoundRobin: return "round-robin";
-    case fjsim::Policy::kRedundant: return "redundant";
+constexpr std::pair<Topology, const char*> kTopologyNames[] = {
+    {Topology::kHomogeneous, "homogeneous"},
+    {Topology::kHeterogeneous, "heterogeneous"},
+    {Topology::kSubset, "subset"},
+    {Topology::kConsolidated, "consolidated"},
+    {Topology::kPipeline, "pipeline"},
+};
+constexpr std::pair<Sampler, const char*> kSamplerNames[] = {
+    {Sampler::kReplay, "replay"},
+    {Sampler::kPerfect, "perfect"},
+};
+constexpr std::pair<fjsim::Policy, const char*> kPolicyNames[] = {
+    {fjsim::Policy::kSingle, "single"},
+    {fjsim::Policy::kRoundRobin, "round-robin"},
+    {fjsim::Policy::kRedundant, "redundant"},
+};
+constexpr std::pair<KSpec::Mode, const char*> kKModeNames[] = {
+    {KSpec::Mode::kAll, "all"},
+    {KSpec::Mode::kFixed, "fixed"},
+    {KSpec::Mode::kUniform, "uniform"},
+    {KSpec::Mode::kRedundant, "redundancy-d"},
+};
+
+template <typename E>
+using NameTable = std::span<const std::pair<E, const char*>>;
+
+NameTable<Topology> names(Topology) { return kTopologyNames; }
+NameTable<Sampler> names(Sampler) { return kSamplerNames; }
+NameTable<fjsim::Policy> names(fjsim::Policy) { return kPolicyNames; }
+NameTable<KSpec::Mode> names(KSpec::Mode) { return kKModeNames; }
+
+template <typename E>
+const char* name_of(E value) {
+  for (const auto& [v, name] : names(value)) {
+    if (v == value) return name;
   }
-  throw ConfigError("group.policy", "unhandled policy enum value");
+  throw std::invalid_argument("enum value outside its name table");
 }
 
-fjsim::Policy policy_from_name(const std::string& name) {
-  if (name == "single") return fjsim::Policy::kSingle;
-  if (name == "round-robin") return fjsim::Policy::kRoundRobin;
-  if (name == "redundant") return fjsim::Policy::kRedundant;
-  throw ConfigError("group.policy",
-                    "unknown policy: " + name +
-                        " (want single | round-robin | redundant)");
-}
-
-std::string k_mode_name(KSpec::Mode mode) {
-  switch (mode) {
-    case KSpec::Mode::kAll: return "all";
-    case KSpec::Mode::kFixed: return "fixed";
-    case KSpec::Mode::kUniform: return "uniform";
-    case KSpec::Mode::kRedundant: return "redundancy-d";
+template <typename E>
+E from_name(const std::string& name, const std::string& where) {
+  std::string want;
+  for (const auto& [v, n] : names(E{})) {
+    if (name == n) return v;
+    want += (want.empty() ? "" : " | ") + std::string(n);
   }
-  throw ConfigError("k.mode", "unhandled k mode enum value");
+  throw ConfigError(where, "unknown name: " + name + " (want " + want + ")");
 }
 
-KSpec::Mode k_mode_from_name(const std::string& name) {
-  if (name == "all") return KSpec::Mode::kAll;
-  if (name == "fixed") return KSpec::Mode::kFixed;
-  if (name == "uniform") return KSpec::Mode::kUniform;
-  if (name == "redundancy-d") return KSpec::Mode::kRedundant;
-  throw ConfigError("k.mode", "unknown k mode: " + name +
-                                  " (want all | fixed | uniform | "
-                                  "redundancy-d)");
+template <typename S, typename M>
+struct Field {
+  const char* key;
+  M S::*member;
+};
+
+template <typename... Entries>
+struct Section {
+  const char* key;
+  std::tuple<Entries...> entries;
+};
+
+constexpr auto fields(std::type_identity<ServiceSpec>) {
+  using S = ServiceSpec;
+  return std::tuple{Field{"dist", &S::dist}, Field{"mean", &S::mean},
+                    Field{"tail", &S::tail}};
 }
 
-// ------------------------------------------------------- parse utilities
+constexpr auto fields(std::type_identity<fjsim::NodeGroupConfig>) {
+  using S = fjsim::NodeGroupConfig;
+  return std::tuple{Field{"replicas", &S::replicas},
+                    Field{"policy", &S::policy},
+                    Field{"redundant_delay", &S::redundant_delay}};
+}
+
+constexpr auto fields(std::type_identity<HeterogeneitySpec>) {
+  using S = HeterogeneitySpec;
+  return std::tuple{Field{"spread", &S::spread}, Field{"seed", &S::seed}};
+}
+
+/// The "d" sugar key is read by hand (see read()).
+constexpr auto fields(std::type_identity<KSpec>) {
+  using S = KSpec;
+  return std::tuple{Field{"mode", &S::mode}, Field{"fixed", &S::fixed},
+                    Field{"lo", &S::lo}, Field{"hi", &S::hi}};
+}
+
+constexpr auto fields(std::type_identity<WorkloadSpec>) {
+  using S = WorkloadSpec;
+  return std::tuple{Field{"min_mean_ms", &S::min_mean_ms},
+                    Field{"max_mean_ms", &S::max_mean_ms},
+                    Field{"target_fraction", &S::target_fraction},
+                    Field{"target_tasks", &S::target_tasks},
+                    Field{"target_mean_ms", &S::target_mean_ms},
+                    Field{"service_floor", &S::service_floor}};
+}
+
+constexpr auto fields(std::type_identity<StageSpec>) {
+  using S = StageSpec;
+  return std::tuple{Field{"nodes", &S::nodes}, Field{"service", &S::service}};
+}
+
+constexpr auto fields(std::type_identity<fault::FaultProcess>) {
+  using S = fault::FaultProcess;
+  return std::tuple{Field{"crash_rate", &S::crash_rate},
+                    Field{"crash_mean_duration", &S::crash_mean_duration},
+                    Field{"slowdown_rate", &S::slowdown_rate},
+                    Field{"slowdown_mean_duration", &S::slowdown_mean_duration},
+                    Field{"slowdown_factor", &S::slowdown_factor},
+                    Field{"blip_rate", &S::blip_rate},
+                    Field{"blip_duration", &S::blip_duration}};
+}
+
+constexpr auto fields(std::type_identity<fault::MitigationPolicy>) {
+  using S = fault::MitigationPolicy;
+  return std::tuple{Field{"timeout", &S::timeout},
+                    Field{"max_retries", &S::max_retries},
+                    Field{"backoff_base", &S::backoff_base},
+                    Field{"backoff_mult", &S::backoff_mult},
+                    Field{"hedge_quantile", &S::hedge_quantile},
+                    Field{"early_k", &S::early_k}};
+}
+
+constexpr auto fields(std::type_identity<fault::FaultPlan>) {
+  using S = fault::FaultPlan;
+  return std::tuple{Field{"inject", &S::inject},
+                    Field{"mitigation", &S::mitigation}};
+}
+
+constexpr auto fields(std::type_identity<ServeSpec>) {
+  using S = ServeSpec;
+  return std::tuple{Field{"udp_port", &S::udp_port},
+                    Field{"tcp_port", &S::tcp_port},
+                    Field{"service", &S::service},
+                    Field{"shards", &S::shards},
+                    Field{"window_seconds", &S::window_seconds},
+                    Field{"min_samples", &S::min_samples},
+                    Field{"skew_tolerance", &S::skew_tolerance},
+                    Field{"ring_capacity", &S::ring_capacity},
+                    Field{"liveness_timeout", &S::liveness_timeout},
+                    Field{"sweep_interval", &S::sweep_interval},
+                    Field{"stall_threshold", &S::stall_threshold}};
+}
+
+/// The "schema" tag and the required "topology" are checked by hand (see
+/// parse_scenario()).
+constexpr auto fields(std::type_identity<ScenarioSpec>) {
+  using S = ScenarioSpec;
+  return std::tuple{
+      Field{"name", &S::name},
+      Field{"topology", &S::topology},
+      Field{"nodes", &S::nodes},
+      Field{"group", &S::group},
+      Field{"service", &S::service},
+      Field{"services", &S::services},
+      Field{"heterogeneity", &S::heterogeneity},
+      Field{"k", &S::k},
+      Field{"load", &S::load},
+      Field{"workload", &S::workload},
+      Field{"stages", &S::stages},
+      Section{"samples",
+              std::tuple{Field{"requests", &S::requests},
+                         Field{"warmup_fraction", &S::warmup_fraction}}},
+      Field{"sampler", &S::sampler},
+      Field{"seed", &S::seed},
+      Section{"execution",
+              std::tuple{Field{"max_parallelism", &S::max_parallelism},
+                         Field{"batch", &S::batch}}},
+      Field{"group_by_k", &S::group_by_k},
+      Field{"faults", &S::faults},
+      Field{"serve", &S::serve}};
+}
 
 /// Dotted name of `key` inside the section `where` ("" = document root).
 std::string field_name(const std::string& where, const std::string& key) {
   return where.empty() ? key : where + "." + key;
 }
 
-/// Reject unknown keys so a typo fails loudly instead of silently running
-/// the default configuration (the CliFlags philosophy, applied to JSON).
-void check_keys(const util::Json& obj, const std::string& where,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& key : obj.keys()) {
-    if (std::find_if(allowed.begin(), allowed.end(), [&](const char* a) {
-          return key == a;
-        }) == allowed.end()) {
+// ----------------------------------------------------------------- reader
+
+template <typename T>
+void read(const util::Json& j, T& out, const std::string& where);
+
+/// Reads the listed entries of `obj` into `s`; `extra_keys` are accepted
+/// but left to the caller.
+template <typename S, typename Entries>
+void read_entries(const util::Json& obj, S& s, const std::string& where,
+                  const Entries& entries,
+                  std::initializer_list<const char*> extra_keys = {}) {
+  if (!obj.is_object()) throw ConfigError(where, "must be an object");
+  for (const auto& [key, value] : obj.fields()) {
+    const bool listed =
+        std::apply([&](const auto&... e) { return ((key == e.key) || ...); },
+                   entries) ||
+        std::ranges::find(extra_keys, key) != extra_keys.end();
+    if (!listed) {
       throw ConfigError(field_name(where, key),
                         "unknown key in scenario document");
     }
   }
+  const auto read_one = [&](const auto& e) {
+    if (!obj.contains(e.key)) return;
+    const std::string path = field_name(where, e.key);
+    if constexpr (requires { e.member; }) {
+      read(obj.at(e.key), s.*e.member, path);
+    } else {
+      read_entries(obj.at(e.key), s, path, e.entries);
+    }
+  };
+  std::apply([&](const auto&... e) { (read_one(e), ...); }, entries);
 }
 
-double get_number(const util::Json& obj, const char* key, double fallback) {
-  return obj.contains(key) ? obj.at(key).as_number() : fallback;
-}
-
-std::uint64_t get_u64(const util::Json& obj, const char* key,
-                      std::uint64_t fallback, const std::string& where) {
-  if (!obj.contains(key)) return fallback;
-  const double v = obj.at(key).as_number();
-  if (!(v >= 0.0) || v != std::floor(v)) {
-    throw ConfigError(field_name(where, key), "must be a non-negative integer");
+template <typename T>
+void read(const util::Json& j, T& out, const std::string& where) {
+  if constexpr (std::is_same_v<T, double>) {
+    if (!j.is_number()) throw ConfigError(where, "must be a number");
+    out = j.as_number();
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (!j.is_bool()) throw ConfigError(where, "must be true or false");
+    out = j.as_bool();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!j.is_string()) throw ConfigError(where, "must be a string");
+    out = j.as_string();
+  } else if constexpr (std::is_enum_v<T>) {
+    std::string name;
+    read(j, name, where);
+    out = from_name<T>(name, where);
+  } else if constexpr (std::is_integral_v<T>) {
+    // Converting a double the type cannot hold is undefined, so the range
+    // comes from the member's type: 2^digits is exact in a double and one
+    // past the type's maximum.
+    static_assert(std::is_unsigned_v<T> || std::is_same_v<T, int>);
+    constexpr bool kUnsigned = std::is_unsigned_v<T>;
+    constexpr int kDigits = std::numeric_limits<T>::digits;
+    const char* kind =
+        kUnsigned ? "must be a non-negative integer" : "must be an integer";
+    if (!j.is_number()) throw ConfigError(where, kind);
+    const double v = j.as_number();
+    if (v != std::floor(v) || (kUnsigned && v < 0.0)) {
+      throw ConfigError(where, kind);
+    }
+    const double limit = std::ldexp(1.0, kDigits);
+    if (!(v < limit && v >= (kUnsigned ? 0.0 : -limit))) {
+      throw ConfigError(where, kUnsigned ? "must be below 2^" +
+                                               std::to_string(kDigits)
+                                         : std::string("must fit in an int"));
+    }
+    out = static_cast<T>(v);
+  } else if constexpr (requires { out.emplace_back(); }) {  // std::vector
+    if (!j.is_array()) throw ConfigError(where, "must be an array");
+    out.assign(j.items().size(), {});
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      read(j.items()[i], out[i], where + "[" + std::to_string(i) + "]");
+    }
+  } else if constexpr (std::is_same_v<T, KSpec>) {
+    read_entries(j, out, where, fields(std::type_identity<KSpec>{}), {"d"});
+    if (j.contains("d")) {
+      // "d" is redundancy-mode sugar for "fixed" (the replica count).
+      const std::string path = field_name(where, "d");
+      int d = 0;
+      read(j.at("d"), d, path);
+      if (out.fixed != 0 && out.fixed != d) {
+        throw ConfigError(path, "conflicts with k.fixed (" + std::to_string(d) +
+                                    " vs " + std::to_string(out.fixed) +
+                                    "); give one of the two");
+      }
+      out.fixed = d;
+    }
+  } else {
+    read_entries(j, out, where, fields(std::type_identity<T>{}));
   }
-  // Converting a double at or above 2^64 to uint64 is undefined.
-  if (!(v < 0x1p64)) {
-    throw ConfigError(field_name(where, key), "must be below 2^64");
-  }
-  return static_cast<std::uint64_t>(v);
 }
 
-std::uint32_t get_u32(const util::Json& obj, const char* key,
-                      std::uint32_t fallback, const std::string& where) {
-  const std::uint64_t v = get_u64(obj, key, fallback, where);
-  if (v > std::numeric_limits<std::uint32_t>::max()) {
-    throw ConfigError(field_name(where, key), "must be below 2^32");
-  }
-  return static_cast<std::uint32_t>(v);
-}
+// ----------------------------------------------------------------- writer
 
-int get_int(const util::Json& obj, const char* key, int fallback,
-            const std::string& where) {
-  if (!obj.contains(key)) return fallback;
-  const double v = obj.at(key).as_number();
-  if (v != std::floor(v)) {
-    throw ConfigError(field_name(where, key), "must be an integer");
-  }
-  if (!(v >= std::numeric_limits<int>::min() &&
-        v <= std::numeric_limits<int>::max())) {
-    throw ConfigError(field_name(where, key), "must fit in an int");
-  }
-  return static_cast<int>(v);
-}
+template <typename T>
+util::Json write(const T& value);
 
-std::string get_string(const util::Json& obj, const char* key,
-                       const std::string& fallback) {
-  return obj.contains(key) ? obj.at(key).as_string() : fallback;
-}
-
-ServiceSpec parse_service(const util::Json& obj, const std::string& where) {
-  check_keys(obj, where, {"dist", "mean", "tail"});
-  ServiceSpec service;
-  service.dist = get_string(obj, "dist", service.dist);
-  service.mean = get_number(obj, "mean", service.mean);
-  service.tail = get_number(obj, "tail", service.tail);
-  return service;
-}
-
-util::Json service_to_json(const ServiceSpec& service) {
+template <typename S, typename Entries>
+util::Json write_entries(const S& s, const Entries& entries) {
   util::Json obj = util::Json::object();
-  obj.set("dist", service.dist);
-  obj.set("mean", service.mean);
-  obj.set("tail", service.tail);
+  const auto write_one = [&](const auto& e) {
+    if constexpr (requires { e.member; }) {
+      obj.set(e.key, write(s.*e.member));
+    } else {
+      obj.set(e.key, write_entries(s, e.entries));
+    }
+  };
+  std::apply([&](const auto&... e) { (write_one(e), ...); }, entries);
   return obj;
+}
+
+template <typename T>
+util::Json write(const T& value) {
+  if constexpr (std::is_same_v<T, double> || std::is_same_v<T, bool> ||
+                std::is_same_v<T, std::string>) {
+    return util::Json(value);
+  } else if constexpr (std::is_enum_v<T>) {
+    return util::Json(name_of(value));
+  } else if constexpr (std::is_integral_v<T>) {
+    return util::Json(static_cast<double>(value));
+  } else if constexpr (requires { value.begin(); }) {  // std::vector
+    util::Json items = util::Json::array();
+    for (const auto& item : value) items.push_back(write(item));
+    return items;
+  } else {
+    return write_entries(value, fields(std::type_identity<T>{}));
+  }
 }
 
 }  // namespace
 
+std::string topology_name(Topology topology) { return name_of(topology); }
+
+Topology topology_from_name(const std::string& name) {
+  return from_name<Topology>(name, "topology");
+}
+
+std::string sampler_name(Sampler sampler) { return name_of(sampler); }
+
+Sampler sampler_from_name(const std::string& name) {
+  return from_name<Sampler>(name, "sampler");
+}
+
 // ------------------------------------------------------------- serialize
 
 util::Json to_json(const ScenarioSpec& spec) {
-  util::Json doc = util::Json::object();
+  util::Json doc = write(spec);
   doc.set("schema", kScenarioSchema);
-  doc.set("name", spec.name);
-  doc.set("topology", topology_name(spec.topology));
-  doc.set("nodes", spec.nodes);
-
-  util::Json group = util::Json::object();
-  group.set("replicas", spec.group.replicas);
-  group.set("policy", policy_name(spec.group.policy));
-  group.set("redundant_delay", spec.group.redundant_delay);
-  doc.set("group", std::move(group));
-
-  doc.set("service", service_to_json(spec.service));
-
-  util::Json services = util::Json::array();
-  for (const ServiceSpec& s : spec.services) services.push_back(service_to_json(s));
-  doc.set("services", std::move(services));
-
-  util::Json het = util::Json::object();
-  het.set("spread", spec.heterogeneity.spread);
-  het.set("seed", spec.heterogeneity.seed);
-  doc.set("heterogeneity", std::move(het));
-
-  util::Json k = util::Json::object();
-  k.set("mode", k_mode_name(spec.k.mode));
-  k.set("fixed", spec.k.fixed);
-  k.set("lo", spec.k.lo);
-  k.set("hi", spec.k.hi);
-  doc.set("k", std::move(k));
-
-  doc.set("load", spec.load);
-
-  util::Json workload = util::Json::object();
-  workload.set("min_mean_ms", spec.workload.min_mean_ms);
-  workload.set("max_mean_ms", spec.workload.max_mean_ms);
-  workload.set("target_fraction", spec.workload.target_fraction);
-  workload.set("target_tasks", static_cast<std::uint64_t>(spec.workload.target_tasks));
-  workload.set("target_mean_ms", spec.workload.target_mean_ms);
-  workload.set("service_floor", spec.workload.service_floor);
-  doc.set("workload", std::move(workload));
-
-  util::Json stages = util::Json::array();
-  for (const StageSpec& stage : spec.stages) {
-    util::Json s = util::Json::object();
-    s.set("nodes", stage.nodes);
-    s.set("service", service_to_json(stage.service));
-    stages.push_back(std::move(s));
-  }
-  doc.set("stages", std::move(stages));
-
-  util::Json samples = util::Json::object();
-  samples.set("requests", spec.requests);
-  samples.set("warmup_fraction", spec.warmup_fraction);
-  doc.set("samples", std::move(samples));
-
-  doc.set("sampler", sampler_name(spec.sampler));
-  doc.set("seed", spec.seed);
-
-  util::Json execution = util::Json::object();
-  execution.set("max_parallelism", spec.max_parallelism);
-  execution.set("batch", spec.batch);
-  doc.set("execution", std::move(execution));
-
-  doc.set("group_by_k", spec.group_by_k);
-  doc.set("faults", fault::to_json(spec.faults));
-
-  util::Json serve = util::Json::object();
-  serve.set("udp_port", static_cast<std::uint64_t>(spec.serve.udp_port));
-  serve.set("tcp_port", static_cast<std::uint64_t>(spec.serve.tcp_port));
-  serve.set("service", static_cast<std::uint64_t>(spec.serve.service));
-  serve.set("shards", spec.serve.shards);
-  serve.set("window_seconds", spec.serve.window_seconds);
-  serve.set("min_samples", spec.serve.min_samples);
-  serve.set("skew_tolerance", spec.serve.skew_tolerance);
-  serve.set("ring_capacity", spec.serve.ring_capacity);
-  serve.set("liveness_timeout", spec.serve.liveness_timeout);
-  serve.set("sweep_interval", spec.serve.sweep_interval);
-  serve.set("stall_threshold", spec.serve.stall_threshold);
-  doc.set("serve", std::move(serve));
   return doc;
 }
 
@@ -271,160 +369,19 @@ ScenarioSpec parse_scenario(const util::Json& doc) {
   if (!doc.is_object()) {
     throw ConfigError("scenario", "document must be a JSON object");
   }
-  check_keys(doc, "",
-             {"schema", "name", "topology", "nodes", "group", "service",
-              "services", "heterogeneity", "k", "load", "workload", "stages",
-              "samples", "sampler", "seed", "execution", "group_by_k",
-              "faults", "serve"});
-  if (doc.contains("schema") &&
-      doc.at("schema").as_string() != kScenarioSchema) {
-    throw ConfigError("schema", "unsupported schema: " +
-                                    doc.at("schema").as_string() + " (want " +
-                                    kScenarioSchema + ")");
+  if (doc.contains("schema")) {
+    std::string schema;
+    read(doc.at("schema"), schema, "schema");
+    if (schema != kScenarioSchema) {
+      throw ConfigError("schema", "unsupported schema: " + schema + " (want " +
+                                      kScenarioSchema + ")");
+    }
   }
-
   ScenarioSpec spec;
-  spec.name = get_string(doc, "name", spec.name);
+  read_entries(doc, spec, "", fields(std::type_identity<ScenarioSpec>{}),
+               {"schema"});
   if (!doc.contains("topology")) {
     throw ConfigError("topology", "required key missing");
-  }
-  spec.topology = topology_from_name(doc.at("topology").as_string());
-  spec.nodes = static_cast<std::size_t>(get_u64(doc, "nodes", spec.nodes, ""));
-
-  if (doc.contains("group")) {
-    const util::Json& group = doc.at("group");
-    check_keys(group, "group", {"replicas", "policy", "redundant_delay"});
-    spec.group.replicas = get_int(group, "replicas", spec.group.replicas, "group");
-    spec.group.policy =
-        policy_from_name(get_string(group, "policy", policy_name(spec.group.policy)));
-    spec.group.redundant_delay =
-        get_number(group, "redundant_delay", spec.group.redundant_delay);
-  }
-
-  if (doc.contains("service")) {
-    spec.service = parse_service(doc.at("service"), "service");
-  }
-  if (doc.contains("services")) {
-    const util::Json& services = doc.at("services");
-    if (!services.is_array()) {
-      throw ConfigError("services", "must be an array of service objects");
-    }
-    for (std::size_t i = 0; i < services.items().size(); ++i) {
-      spec.services.push_back(parse_service(
-          services.items()[i], "services[" + std::to_string(i) + "]"));
-    }
-  }
-  if (doc.contains("heterogeneity")) {
-    const util::Json& het = doc.at("heterogeneity");
-    check_keys(het, "heterogeneity", {"spread", "seed"});
-    spec.heterogeneity.spread =
-        get_number(het, "spread", spec.heterogeneity.spread);
-    spec.heterogeneity.seed =
-        get_u64(het, "seed", spec.heterogeneity.seed, "heterogeneity");
-  }
-  if (doc.contains("k")) {
-    const util::Json& k = doc.at("k");
-    check_keys(k, "k", {"mode", "fixed", "lo", "hi", "d"});
-    spec.k.mode = k_mode_from_name(get_string(k, "mode", k_mode_name(spec.k.mode)));
-    spec.k.fixed = get_int(k, "fixed", spec.k.fixed, "k");
-    spec.k.lo = get_int(k, "lo", spec.k.lo, "k");
-    spec.k.hi = get_int(k, "hi", spec.k.hi, "k");
-    if (k.contains("d")) {
-      // "d" is redundancy-mode sugar for "fixed" (the replica count).
-      const int d = get_int(k, "d", 0, "k");
-      if (spec.k.fixed != 0 && spec.k.fixed != d) {
-        throw ConfigError("k.d", "conflicts with k.fixed (" + std::to_string(d) +
-                                     " vs " + std::to_string(spec.k.fixed) +
-                                     "); give one of the two");
-      }
-      spec.k.fixed = d;
-    }
-  }
-  spec.load = get_number(doc, "load", spec.load);
-  if (doc.contains("workload")) {
-    const util::Json& w = doc.at("workload");
-    check_keys(w, "workload",
-               {"min_mean_ms", "max_mean_ms", "target_fraction", "target_tasks",
-                "target_mean_ms", "service_floor"});
-    spec.workload.min_mean_ms = get_number(w, "min_mean_ms", spec.workload.min_mean_ms);
-    spec.workload.max_mean_ms = get_number(w, "max_mean_ms", spec.workload.max_mean_ms);
-    spec.workload.target_fraction =
-        get_number(w, "target_fraction", spec.workload.target_fraction);
-    spec.workload.target_tasks =
-        get_u32(w, "target_tasks", spec.workload.target_tasks, "workload");
-    spec.workload.target_mean_ms =
-        get_number(w, "target_mean_ms", spec.workload.target_mean_ms);
-    spec.workload.service_floor =
-        get_number(w, "service_floor", spec.workload.service_floor);
-  }
-  if (doc.contains("stages")) {
-    const util::Json& stages = doc.at("stages");
-    if (!stages.is_array()) {
-      throw ConfigError("stages", "must be an array of stage objects");
-    }
-    for (std::size_t i = 0; i < stages.items().size(); ++i) {
-      const util::Json& s = stages.items()[i];
-      const std::string where = "stages[" + std::to_string(i) + "]";
-      check_keys(s, where, {"nodes", "service"});
-      StageSpec stage;
-      stage.nodes = static_cast<std::size_t>(get_u64(s, "nodes", stage.nodes, where));
-      if (s.contains("service")) {
-        stage.service = parse_service(s.at("service"), where + ".service");
-      }
-      spec.stages.push_back(std::move(stage));
-    }
-  }
-  if (doc.contains("samples")) {
-    const util::Json& samples = doc.at("samples");
-    check_keys(samples, "samples", {"requests", "warmup_fraction"});
-    spec.requests = get_u64(samples, "requests", spec.requests, "samples");
-    spec.warmup_fraction =
-        get_number(samples, "warmup_fraction", spec.warmup_fraction);
-  }
-  spec.sampler =
-      sampler_from_name(get_string(doc, "sampler", sampler_name(spec.sampler)));
-  spec.seed = get_u64(doc, "seed", spec.seed, "");
-  if (doc.contains("execution")) {
-    const util::Json& execution = doc.at("execution");
-    check_keys(execution, "execution", {"max_parallelism", "batch"});
-    spec.max_parallelism = static_cast<std::size_t>(
-        get_u64(execution, "max_parallelism", spec.max_parallelism, "execution"));
-    spec.batch = static_cast<std::size_t>(
-        get_u64(execution, "batch", spec.batch, "execution"));
-  }
-  if (doc.contains("group_by_k")) {
-    spec.group_by_k = doc.at("group_by_k").as_bool();
-  }
-  if (doc.contains("faults")) {
-    spec.faults = fault::parse_fault_plan(doc.at("faults"), "faults");
-  }
-  if (doc.contains("serve")) {
-    const util::Json& serve = doc.at("serve");
-    check_keys(serve, "serve",
-               {"udp_port", "tcp_port", "service", "shards", "window_seconds",
-                "min_samples", "skew_tolerance", "ring_capacity",
-                "liveness_timeout", "sweep_interval", "stall_threshold"});
-    spec.serve.udp_port =
-        get_u32(serve, "udp_port", spec.serve.udp_port, "serve");
-    spec.serve.tcp_port =
-        get_u32(serve, "tcp_port", spec.serve.tcp_port, "serve");
-    spec.serve.service = get_u32(serve, "service", spec.serve.service, "serve");
-    spec.serve.shards = static_cast<std::size_t>(
-        get_u64(serve, "shards", spec.serve.shards, "serve"));
-    spec.serve.window_seconds =
-        get_number(serve, "window_seconds", spec.serve.window_seconds);
-    spec.serve.min_samples = static_cast<std::size_t>(
-        get_u64(serve, "min_samples", spec.serve.min_samples, "serve"));
-    spec.serve.skew_tolerance =
-        get_number(serve, "skew_tolerance", spec.serve.skew_tolerance);
-    spec.serve.ring_capacity = static_cast<std::size_t>(
-        get_u64(serve, "ring_capacity", spec.serve.ring_capacity, "serve"));
-    spec.serve.liveness_timeout =
-        get_number(serve, "liveness_timeout", spec.serve.liveness_timeout);
-    spec.serve.sweep_interval =
-        get_number(serve, "sweep_interval", spec.serve.sweep_interval);
-    spec.serve.stall_threshold =
-        get_number(serve, "stall_threshold", spec.serve.stall_threshold);
   }
   return spec;
 }

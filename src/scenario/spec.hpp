@@ -182,8 +182,10 @@ util::Json to_json(const ScenarioSpec& spec);
 
 /// Parse a forktail.scenario.v1 document.  Unknown keys are rejected (a
 /// typo must not silently run the default configuration); missing keys take
-/// the documented defaults.  Throws fjsim::ConfigError on structural
-/// problems and std::runtime_error on malformed JSON.
+/// the documented defaults.  Throws fjsim::ConfigError naming the dotted
+/// field on an unknown key, a non-object section or array item, a wrong
+/// JSON type, or an integer outside its member's type; parse_scenario_text
+/// throws util::JsonParseError on malformed JSON.
 ScenarioSpec parse_scenario(const util::Json& doc);
 ScenarioSpec parse_scenario_text(const std::string& text);
 ScenarioSpec load_scenario_file(const std::string& path);

@@ -1,5 +1,5 @@
-// FaultPlan value type: validation discipline, JSON round-trip, and the
-// scenario-layer integration ("faults" section of forktail.scenario.v1).
+// FaultPlan value type: validation discipline, and its JSON round-trip and
+// key checks as the "faults" section of a forktail.scenario.v1 document.
 #include "fault/plan.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include <string>
 
 #include "scenario/spec.hpp"
+#include "util/json.hpp"
 
 namespace forktail::fault {
 namespace {
@@ -39,22 +40,34 @@ TEST(FaultPlan, DefaultIsInert) {
   EXPECT_NO_THROW(validate(plan, "faults"));
 }
 
+// A scenario document whose "faults" section is `plan`.
+util::Json document_with(const FaultPlan& plan) {
+  scenario::ScenarioSpec spec;
+  spec.faults = plan;
+  return scenario::to_json(spec);
+}
+
 TEST(FaultPlan, JsonRoundTripIsIdentity) {
   const FaultPlan plan = sample_plan();
-  EXPECT_EQ(parse_fault_plan(to_json(plan), "faults"), plan);
-  EXPECT_EQ(parse_fault_plan(to_json(FaultPlan{}), "faults"), FaultPlan{});
+  EXPECT_EQ(scenario::parse_scenario(document_with(plan)).faults, plan);
+  EXPECT_EQ(scenario::parse_scenario(document_with(FaultPlan{})).faults,
+            FaultPlan{});
 }
 
 TEST(FaultPlan, UnknownKeysRejected) {
-  util::Json doc = to_json(sample_plan());
-  doc.set("typo", 1.0);
-  EXPECT_THROW(parse_fault_plan(doc, "faults"), ConfigError);
+  util::Json doc = document_with(sample_plan());
+  util::Json faults = doc.at("faults");
+  faults.set("typo", 1.0);
+  doc.set("faults", std::move(faults));
+  EXPECT_THROW(scenario::parse_scenario(doc), ConfigError);
 
-  util::Json doc2 = to_json(sample_plan());
-  util::Json inject = doc2.at("inject");
+  util::Json doc2 = document_with(sample_plan());
+  util::Json faults2 = doc2.at("faults");
+  util::Json inject = faults2.at("inject");
   inject.set("crashrate", 1.0);
-  doc2.set("inject", std::move(inject));
-  EXPECT_THROW(parse_fault_plan(doc2, "faults"), ConfigError);
+  faults2.set("inject", std::move(inject));
+  doc2.set("faults", std::move(faults2));
+  EXPECT_THROW(scenario::parse_scenario(doc2), ConfigError);
 }
 
 TEST(FaultPlan, ValidationNamesTheField) {

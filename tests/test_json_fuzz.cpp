@@ -128,7 +128,10 @@ TEST(JsonFuzz, RandomByteSoupNeverCrashes) {
         soup.push_back(
             structural[static_cast<std::size_t>(rng.uniform() * (sizeof(structural) - 1))]);
       } else {
-        soup.push_back(static_cast<char>(rng.uniform() * 256.0));
+        // Through unsigned char: a double above 127 does not fit a signed
+        // char, and converting it directly is undefined.
+        soup.push_back(
+            static_cast<char>(static_cast<unsigned char>(rng.uniform() * 256.0)));
       }
     }
     try {

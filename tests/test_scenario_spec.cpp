@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fjsim/config.hpp"
 #include "scenario/spec.hpp"
@@ -305,10 +307,143 @@ TEST(ScenarioSpec, RejectsIntegersOutsideTheirType) {
     scenario::parse_scenario_text(
         R"({"topology": "consolidated", "workload": {"target_tasks": 4294967298}})");
   });
+  // The fault plan's integers take the same checks as the rest.
+  expect_config_error("faults.mitigation.max_retries", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous",
+            "faults": {"mitigation": {"max_retries": 4294967297}}})");
+  });
+  expect_config_error("faults.mitigation.early_k", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous",
+            "faults": {"mitigation": {"early_k": 2147483648}}})");
+  });
+  expect_config_error("faults.mitigation.early_k", [] {
+    scenario::parse_scenario_text(
+        R"({"topology": "homogeneous",
+            "faults": {"mitigation": {"early_k": -2147483649}}})");
+  });
   EXPECT_EQ(scenario::parse_scenario_text(
                 R"({"topology": "homogeneous", "seed": 18446744073709549568})")
                 .seed,
             18446744073709549568u);
+}
+
+// Parse a homogeneous document with `body` added to its top level.
+ScenarioSpec parse_with(const std::string& body) {
+  return scenario::parse_scenario_text(R"({"topology": "homogeneous", )" +
+                                       body + "}");
+}
+
+// A section that is not an object must not read as an empty one that runs
+// the defaults.
+TEST(ScenarioSpec, RejectsNonObjectSections) {
+  for (const std::string section :
+       {"group", "service", "heterogeneity", "k", "workload", "samples",
+        "execution", "faults", "serve"}) {
+    expect_config_error(section, [&] { parse_with("\"" + section + "\": 5"); });
+    expect_config_error(section,
+                        [&] { parse_with("\"" + section + "\": [1, 2]"); });
+  }
+  expect_config_error("faults.inject",
+                      [] { parse_with(R"("faults": {"inject": 7})"); });
+  expect_config_error("faults.mitigation",
+                      [] { parse_with(R"("faults": {"mitigation": [1]})"); });
+  expect_config_error("services", [] { parse_with(R"("services": 2)"); });
+  expect_config_error("services[1]",
+                      [] { parse_with(R"("services": [{}, 3])"); });
+  expect_config_error("stages[0]", [] { parse_with(R"("stages": ["x"])"); });
+  expect_config_error("stages[0].service",
+                      [] { parse_with(R"("stages": [{"service": 1}])"); });
+}
+
+// A value of the wrong JSON type is a ConfigError naming the dotted field
+// and the type it must have.
+TEST(ScenarioSpec, WrongTypedValueNamesItsField) {
+  try {
+    parse_with(R"("faults": {"mitigation": {"hedge_quantile": "high"}})");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.field(), "faults.mitigation.hedge_quantile");
+    EXPECT_STREQ(e.what(),
+                 "faults.mitigation.hedge_quantile: must be a number");
+  }
+  expect_config_error("nodes", [] { parse_with(R"("nodes": "ten")"); });
+  expect_config_error("name", [] { parse_with(R"("name": 3)"); });
+  expect_config_error("load", [] { parse_with(R"("load": true)"); });
+  expect_config_error("group_by_k", [] { parse_with(R"("group_by_k": 1)"); });
+  expect_config_error("group.policy",
+                      [] { parse_with(R"("group": {"policy": 2})"); });
+  expect_config_error("service.dist",
+                      [] { parse_with(R"("service": {"dist": null})"); });
+  expect_config_error("samples.requests",
+                      [] { parse_with(R"("samples": {"requests": "many"})"); });
+  expect_config_error("k.d", [] { parse_with(R"("k": {"d": "three"})"); });
+  expect_config_error("schema", [] { parse_with(R"("schema": 1)"); });
+  expect_config_error("topology", [] {
+    scenario::parse_scenario_text(R"({"topology": ["homogeneous"]})");
+  });
+}
+
+// Every way to break `node` at or below the dotted path `where`, each as
+// (the broken node, the field the reader must name): any key renamed, and
+// any object or array below the root replaced by a number.
+std::vector<std::pair<util::Json, std::string>> breakages(
+    const util::Json& node, const std::string& where) {
+  std::vector<std::pair<util::Json, std::string>> out;
+  if (node.is_object()) {
+    for (const auto& [key, value] : node.fields()) {
+      const std::string path = where.empty() ? key : where + "." + key;
+      util::Json renamed = util::Json::object();
+      for (const auto& [k, v] : node.fields()) {
+        renamed.set(k == key ? key + "_x" : k, v);
+      }
+      out.emplace_back(std::move(renamed), path + "_x");
+      for (auto& [broken, field] : breakages(value, path)) {
+        util::Json copy = node;
+        copy.set(key, std::move(broken));
+        out.emplace_back(std::move(copy), field);
+      }
+    }
+  } else if (node.is_array()) {
+    const auto& items = node.items();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const std::string path = where + "[" + std::to_string(i) + "]";
+      for (auto& [broken, field] : breakages(items[i], path)) {
+        util::Json copy = util::Json::array();
+        for (std::size_t j = 0; j < items.size(); ++j) {
+          copy.push_back(j == i ? broken : items[j]);
+        }
+        out.emplace_back(std::move(copy), field);
+      }
+    }
+  }
+  if (!where.empty() && (node.is_object() || node.is_array())) {
+    out.emplace_back(util::Json(5.0), where);
+  }
+  return out;
+}
+
+// The reader's key checks cover exactly what the writer emits: driven by
+// to_json of a spec with every section populated, so a field added to one
+// side only is caught.
+TEST(ScenarioSpec, SchemaSurfaceFollowsTheWriter) {
+  ScenarioSpec spec = heterogeneous_spec();
+  spec.stages = pipeline_spec().stages;
+  spec.faults.inject.crash_rate = 0.001;
+  spec.faults.inject.crash_mean_duration = 50.0;
+  spec.faults.mitigation.timeout = 400.0;
+  spec.faults.mitigation.max_retries = 2;
+  spec.serve.udp_port = 9464;
+  spec.serve.tcp_port = 9465;
+  const util::Json doc = scenario::to_json(spec);
+  ASSERT_EQ(scenario::parse_scenario(doc), spec);
+
+  const auto broken = breakages(doc, "");
+  EXPECT_GT(broken.size(), 100u);
+  for (const auto& [bad, field] : broken) {
+    expect_config_error(field, [&] { scenario::parse_scenario(bad); });
+  }
 }
 
 // ------------------------------------------- heavy tails & redundancy-d
