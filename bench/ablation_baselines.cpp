@@ -10,7 +10,8 @@
 // Paper context: Section 3 ("this distribution significantly outperforms
 // the exponential distribution in terms of tail latency predictive
 // accuracy") and the Fig. 3 comparison.
-#include "baselines/baseline.hpp"
+#include "baselines/eat.hpp"
+#include "baselines/expfit.hpp"
 #include "common.hpp"
 #include "core/predictor.hpp"
 #include "dist/factory.hpp"
@@ -29,10 +30,6 @@ int main(int argc, char** argv) {
 
   util::Table table({"distribution", "load%", "sim_p99_ms", "expfit_err%",
                      "forktail_err%", "eat_err%"});
-  const baselines::BaselineRegistry& registry =
-      baselines::BaselineRegistry::global();
-  const baselines::Baseline& expfit_baseline = *registry.find("expfit");
-  const baselines::Baseline& eat_baseline = *registry.find("eat");
   for (const char* name :
        {"Erlang-2", "Exponential", "HyperExp2", "Weibull", "TruncPareto",
         "Empirical"}) {
@@ -50,25 +47,16 @@ int main(int argc, char** argv) {
       const double measured = stats::percentile_inplace(sim.responses, 99.0);
       const core::TaskStats stats{sim.task_stats.mean(),
                                   sim.task_stats.variance()};
-      baselines::BaselineInput in;
-      in.task_stats = stats;
-      in.service = service;
-      in.lambda = sim.lambda;
-      in.load = load;
-      in.cluster_nodes = 100;
-      in.fanout = 100;
-      in.join = 100;
-      in.mean_fanout = 100.0;
-      in.single_server_fifo = true;
-      in.homogeneous_topology = true;
-      in.nk_clean = true;
-      const double expfit = expfit_baseline.predict(in, 99.0);
+      const double expfit =
+          baselines::exponential_fit_quantile(stats, 100.0, 99.0);
       const double forktail = core::homogeneous_quantile(stats, 100.0, 99.0);
+      // EAT needs the service's LST (phase-type services only).
       std::string eat_err = "n/a";
-      if (eat_baseline.applicable(in)) {
-        eat_err = util::format_fixed(
-            stats::relative_error_pct(eat_baseline.predict(in, 99.0), measured),
-            1);
+      if (service->has_lst()) {
+        const double eat =
+            baselines::EatPredictor(sim.lambda, service, 100).quantile(99.0);
+        eat_err =
+            util::format_fixed(stats::relative_error_pct(eat, measured), 1);
       }
       table.row()
           .str(name)

@@ -7,7 +7,7 @@
 // within 10% across the whole load range for these light-tailed cases.
 #include <vector>
 
-#include "baselines/baseline.hpp"
+#include "baselines/eat.hpp"
 #include "common.hpp"
 #include "core/predictor.hpp"
 #include "dist/factory.hpp"
@@ -47,8 +47,6 @@ int main(int argc, char** argv) {
   const std::vector<std::string> dists = {"Erlang-2", "Exponential", "HyperExp2"};
   const double loads[] = {0.10, 0.50, 0.90};
   const std::size_t node_counts[] = {100, 500, 1000};
-  const baselines::Baseline& eat =
-      *baselines::BaselineRegistry::global().find("eat");
 
   for (const auto& name : dists) {
     const dist::DistPtr service = dist::make_named(name);
@@ -70,20 +68,9 @@ int main(int argc, char** argv) {
             lambda, *service, static_cast<double>(nodes), 99.0);
         const double ft_ms = ft_watch.elapsed_ms();
 
-        baselines::BaselineInput in;
-        in.lambda = lambda;
-        in.load = load;
-        in.service = service;
-        in.cluster_nodes = nodes;
-        in.fanout = static_cast<int>(nodes);
-        in.join = in.fanout;
-        in.mean_fanout = static_cast<double>(nodes);
-        in.single_server_fifo = true;
-        in.homogeneous_topology = true;
-        in.nk_clean = true;
-
         util::Stopwatch eat_watch;
-        const double eat_p99 = eat.predict(in, 99.0);
+        const double eat_p99 =
+            baselines::EatPredictor(lambda, service, nodes).quantile(99.0);
         const double eat_ms = eat_watch.elapsed_ms();
 
         table.row()

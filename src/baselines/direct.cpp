@@ -1,9 +1,7 @@
 #include "baselines/direct.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace forktail::baselines {
 
@@ -27,37 +25,6 @@ double measurement_time_seconds(double percentile, double lambda,
   }
   return static_cast<double>(required_samples(percentile, expected_exceedances)) /
          lambda;
-}
-
-PercentileCi direct_percentile_ci(std::span<const double> samples,
-                                  double percentile) {
-  if (!(percentile > 0.0 && percentile < 100.0)) {
-    throw std::invalid_argument("direct_percentile_ci: bad percentile");
-  }
-  PercentileCi ci;
-  if (samples.empty()) return ci;
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double n = static_cast<double>(sorted.size());
-  const double q = percentile / 100.0;
-  // Normal approximation to the binomial order-statistic interval:
-  // rank ~ n q +- 1.96 sqrt(n q (1-q)).
-  const double centre = n * q;
-  const double half = 1.96 * std::sqrt(n * q * (1.0 - q));
-  const auto clamp_index = [&](double r) {
-    const auto i = static_cast<std::ptrdiff_t>(std::floor(r));
-    return std::clamp<std::ptrdiff_t>(i, 0,
-                                      static_cast<std::ptrdiff_t>(sorted.size()) - 1);
-  };
-  const auto lo_i = clamp_index(centre - half);
-  const auto hi_i = clamp_index(centre + half);
-  ci.point = sorted[static_cast<std::size_t>(clamp_index(centre))];
-  ci.lo = sorted[static_cast<std::size_t>(lo_i)];
-  ci.hi = sorted[static_cast<std::size_t>(hi_i)];
-  // The interval is meaningful only if the upper rank stays inside the
-  // sample (enough observations beyond the percentile).
-  ci.valid = centre + half < n;
-  return ci;
 }
 
 }  // namespace forktail::baselines

@@ -1,11 +1,10 @@
 // Direct tail-latency measurement: the alternative ForkTail argues against
-// (Section 2's 33-minute example).  Provides the sample-size arithmetic and
-// a distribution-free confidence interval for measured percentiles, used by
-// the online-prediction example to contrast measurement cost.
+// (Section 2's 33-minute example).  Provides the sample-size arithmetic the
+// online-prediction example and the sample-count ablation use to contrast
+// measurement cost.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace forktail::baselines {
 
@@ -17,17 +16,5 @@ std::uint64_t required_samples(double percentile, double expected_exceedances = 
 /// Wall-clock measurement time at the given request rate.
 double measurement_time_seconds(double percentile, double lambda,
                                 double expected_exceedances = 100.0);
-
-struct PercentileCi {
-  double point = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-  bool valid = false;  ///< false when the sample is too small for the level
-};
-
-/// Distribution-free (order-statistics / binomial) two-sided CI for the
-/// p-th percentile at ~95% confidence.  Demonstrates how wide direct
-/// measurement remains at small sample counts.
-PercentileCi direct_percentile_ci(std::span<const double> samples, double percentile);
 
 }  // namespace forktail::baselines

@@ -6,9 +6,9 @@
 // request forks n = `fanout` tasks onto single-server FIFO queues fed by
 // common Poisson arrivals (possibly thinned over a larger cluster, the
 // subset topology) and completes at its k = `join`-th task completion.
-// Two families of provable bounds are combined:
+// The bracket on the p-th response-time quantile combines two provable
+// bounds:
 //
-//   Quantiles (the brackets every report row carries).
 //   * Upper: Boole/Markov on the exceedance count -- P(X_(k:n) > t)
 //     <= n P(T > t) / (n - k + 1) under ANY dependence among the task
 //     sojourns, where T is the single-node M/G/1 sojourn at the thinned
@@ -29,67 +29,25 @@
 //     regularized incomplete beta applied through the service CDF.  At
 //     join == fanout the single-sojourn bound F_T^{-1}(p) tightens it.
 //
-//   Means (the Wang et al. linear transformation, exercised by the oracle
-//   suite).  E[X_(r:n)] = sum_{j=r}^{n} (-1)^{j-r} C(j-1, r-1) C(n, j)
-//   E[M_j], where M_j is the max over a j-subset; substituting certified
-//   bounds on E[M_j] sign-by-sign yields mean brackets.  The alternating
-//   weights explode for r << n, so the transform is guarded by a
-//   log-binomial cap and intersected with the always-valid order-statistic
-//   fallback.
-//
-// Purging vs non-purging: every ingredient above is valid for both
-// variants (purging only removes work, so the purging system is dominated
-// pathwise by the non-purging one whose bounds we compute, and the
-// service-draw lower bound needs nothing beyond the task's own service).
-// The `purging` flag therefore documents which system a bracket claims to
-// contain; the implemented certified interval coincides -- asserted by the
-// oracle suite.
+// Both bounds hold for the non-purging engines the repository runs; a
+// purging variant (tasks past the join are killed) only removes work, so
+// it is dominated pathwise and the same interval contains it too.
 #pragma once
 
 #include "baselines/baseline.hpp"
 
 namespace forktail::baselines {
 
-struct LinearBoundsConfig {
-  /// Bracket the purging variant (tasks past the join are killed) instead
-  /// of the repository's non-purging engines.  See the header comment.
-  bool purging = false;
-  /// Relative safety pad applied to quantile bounds recovered through
-  /// numerical Laplace inversion (the inversion is exact only up to
-  /// ~1e-8 absolute CDF error; the pad keeps the bracket conservative).
-  double inversion_pad = 1e-4;
-  /// Chernoff optimisation grid density over (0, theta*).
-  int chernoff_grid = 128;
-  /// Right-Riemann grid for the certified order-statistic mean integrals.
-  int mean_grid = 8192;
-};
+/// Whether a certified bracket exists for `in`: a clean (n, k) system of
+/// single-server FIFO nodes, a feasible join index, a stable node queue and
+/// a service with an exact sojourn law, an LST or an MGF.
+bool linear_bounds_applicable(const BaselineInput& in);
 
-class LinearBoundsBaseline final : public Baseline {
- public:
-  explicit LinearBoundsBaseline(LinearBoundsConfig config = {});
-
-  std::string name() const override { return "linear-bounds"; }
-  bool applicable(const BaselineInput& in) const override;
-  /// Point prediction = the certified upper bound (the SLO-safe edge of
-  /// the bracket).
-  double predict(const BaselineInput& in, double percentile) const override;
-  /// Certified [lower, upper] containing the true stationary percentile.
-  Bracket bracket(const BaselineInput& in, double percentile) const override;
-
-  /// Certified bracket on the mean response E[X_(join:fanout)] via the
-  /// Wang et al. linear transformation (intersected with the
-  /// order-statistic fallback).
-  Bracket mean_bracket(const BaselineInput& in) const;
-
-  const LinearBoundsConfig& config() const noexcept { return config_; }
-
- private:
-  LinearBoundsConfig config_;
-
-  Bracket fixed_k_bracket(const BaselineInput& in, int fanout, int join,
-                          double percentile) const;
-  Bracket fixed_k_mean_bracket(const BaselineInput& in, int fanout,
-                               int join) const;
-};
+/// Certified [lower, upper] containing the true stationary `percentile`
+/// (in (0, 100)) of the request response time.  The "linear-bounds"
+/// predictor reports the upper edge, the SLO-safe one.  Requires
+/// linear_bounds_applicable(in); otherwise returns the uncertified
+/// [0, +inf] sentinel.
+Bracket linear_bounds_bracket(const BaselineInput& in, double percentile);
 
 }  // namespace forktail::baselines

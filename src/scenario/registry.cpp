@@ -1,10 +1,12 @@
 #include "scenario/registry.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "baselines/baseline.hpp"
+#include "baselines/eat.hpp"
+#include "baselines/expfit.hpp"
 #include "baselines/linear_bounds.hpp"
 #include "core/evt.hpp"
 #include "fjsim/consolidated.hpp"
@@ -178,6 +180,13 @@ bool pooled_stats_available(const Outcome& outcome) {
   return false;
 }
 
+/// True when each fork node is one FIFO server (replicas == 1, policy
+/// "single"): the M/G/1 structure the white-box models need.
+bool single_server_fifo(const ScenarioSpec& spec) {
+  return spec.group.replicas == 1 &&
+         spec.group.policy == fjsim::Policy::kSingle;
+}
+
 core::TaskCountMixture mixture_for(const Outcome& outcome) {
   return core::TaskCountMixture::uniform_int(outcome.spec.k.lo,
                                              outcome.spec.k.hi);
@@ -272,8 +281,7 @@ class WhiteboxMg1Predictor final : public Predictor {
     // Degradation PAST that point (infinite E[S^3]) is handled inside the
     // model, which substitutes an exponential surrogate for the variance.
     return outcome.spec.topology == Topology::kHomogeneous &&
-           outcome.service != nullptr && outcome.spec.group.replicas == 1 &&
-           outcome.spec.group.policy == fjsim::Policy::kSingle &&
+           outcome.service != nullptr && single_server_fifo(outcome.spec) &&
            outcome.service->capabilities().moment_finite(2);
   }
   double predict(const Outcome& outcome, double p) const override {
@@ -293,8 +301,7 @@ class EvtPredictor final : public Predictor {
     // tail capability), and a per-node M/G/1 structure.  Redundancy-d is a
     // min, not a max -- out of scope.
     return pooled_stats_available(outcome) && outcome.service != nullptr &&
-           outcome.lambda > 0.0 && outcome.spec.group.replicas == 1 &&
-           outcome.spec.group.policy == fjsim::Policy::kSingle &&
+           outcome.lambda > 0.0 && single_server_fifo(outcome.spec) &&
            outcome.spec.k.mode != KSpec::Mode::kRedundant;
   }
   double predict(const Outcome& outcome, double p) const override {
@@ -306,30 +313,64 @@ class EvtPredictor final : public Predictor {
   }
 };
 
-/// Adapter exposing one baselines::Baseline through the predictor
-/// interface.  The registry used to re-implement each baseline's
-/// applicability gate and construction here (hand-built EatPredictor,
-/// inline expfit); dispatch now goes through BaselineRegistry so the
-/// benches, the report layer, and the CLI all see the same roster.
-class BaselinePredictor final : public Predictor {
+/// "expfit": the authors' earlier plain-exponential model (HotCloud'16),
+/// fed the measured mean only.
+class ExpFitPredictor final : public Predictor {
  public:
-  explicit BaselinePredictor(const baselines::Baseline* baseline)
-      : baseline_(baseline) {}
-  std::string name() const override { return baseline_->name(); }
+  std::string name() const override { return "expfit"; }
   bool applicable(const Outcome& outcome) const override {
-    return baseline_->applicable(baseline_input(outcome));
+    return outcome.task_stats.mean > 0.0;
   }
   double predict(const Outcome& outcome, double p) const override {
-    return baseline_->predict(baseline_input(outcome), p);
+    return baselines::exponential_fit_quantile(outcome.task_stats,
+                                               outcome.mean_k, p);
   }
+};
+
+/// "eat" (Qiu, Perez & Harrison): exact M/PH/1 marginal + copula max.
+/// Needs the k = N homogeneous structure, single-server FIFO nodes, and a
+/// service with an LST.
+class EatModelPredictor final : public Predictor {
+ public:
+  std::string name() const override { return "eat"; }
+  bool applicable(const Outcome& outcome) const override {
+    return outcome.spec.topology == Topology::kHomogeneous &&
+           single_server_fifo(outcome.spec) && outcome.service != nullptr &&
+           outcome.service->has_lst();
+  }
+  double predict(const Outcome& outcome, double p) const override {
+    return make(outcome).quantile(p);
+  }
+  // The constructor's calibration is nearly all of EAT's cost and does not
+  // depend on the percentile: build it once.
   std::vector<double> predict_many(
       const Outcome& outcome,
       std::span<const double> percentiles) const override {
-    return baseline_->predict_many(baseline_input(outcome), percentiles);
+    const baselines::EatPredictor eat = make(outcome);
+    std::vector<double> out;
+    out.reserve(percentiles.size());
+    for (const double p : percentiles) out.push_back(eat.quantile(p));
+    return out;
   }
 
  private:
-  const baselines::Baseline* baseline_;
+  static baselines::EatPredictor make(const Outcome& outcome) {
+    return baselines::EatPredictor(outcome.lambda, outcome.service,
+                                   outcome.spec.nodes);
+  }
+};
+
+/// "linear-bounds": the upper edge of the certified bracket (the SLO-safe
+/// one), wherever a certified bracket exists.
+class LinearBoundsPredictor final : public Predictor {
+ public:
+  std::string name() const override { return "linear-bounds"; }
+  bool applicable(const Outcome& outcome) const override {
+    return baselines::linear_bounds_applicable(baseline_input(outcome));
+  }
+  double predict(const Outcome& outcome, double p) const override {
+    return baselines::linear_bounds_bracket(baseline_input(outcome), p).upper;
+  }
 };
 
 /// Degraded-mode model: GE order statistics composed with the retry /
@@ -352,15 +393,11 @@ class DegradedPredictor final : public Predictor {
 baselines::BaselineInput baseline_input(const Outcome& outcome) {
   const ScenarioSpec& spec = outcome.spec;
   baselines::BaselineInput in;
-  in.task_stats = outcome.task_stats;
   in.service = outcome.service;
-  in.responses = std::span<const double>(outcome.responses);
   in.lambda = outcome.lambda;
-  in.load = spec.load;
   in.cluster_nodes = spec.nodes;
   in.mean_fanout = outcome.mean_k;
-  in.single_server_fifo = spec.group.replicas == 1 &&
-                          spec.group.policy == fjsim::Policy::kSingle;
+  in.single_server_fifo = single_server_fifo(spec);
   in.homogeneous_topology = spec.topology == Topology::kHomogeneous;
   switch (spec.topology) {
     case Topology::kHomogeneous:
@@ -406,13 +443,12 @@ baselines::BaselineInput baseline_input(const Outcome& outcome) {
 
 baselines::Bracket certified_bracket(const Outcome& outcome,
                                      double percentile) {
-  static const baselines::LinearBoundsBaseline bounds;
   const baselines::BaselineInput in = baseline_input(outcome);
-  if (!bounds.applicable(in)) {
+  if (!baselines::linear_bounds_applicable(in)) {
     return baselines::Bracket{0.0,
                               std::numeric_limits<double>::infinity(), false};
   }
-  return bounds.bracket(in, percentile);
+  return baselines::linear_bounds_bracket(in, percentile);
 }
 
 fault::DegradedPrediction predict_degraded(const Outcome& outcome,
@@ -467,14 +503,9 @@ PredictorRegistry::PredictorRegistry() {
   predictors_.push_back(std::make_unique<PipelineStagePredictor>());
   predictors_.push_back(std::make_unique<WhiteboxMg1Predictor>());
   predictors_.push_back(std::make_unique<EvtPredictor>());
-  for (const char* name : {"expfit", "eat", "linear-bounds"}) {
-    const baselines::Baseline* baseline =
-        baselines::BaselineRegistry::global().find(name);
-    if (baseline == nullptr) {
-      throw std::logic_error(std::string("baseline roster is missing ") + name);
-    }
-    predictors_.push_back(std::make_unique<BaselinePredictor>(baseline));
-  }
+  predictors_.push_back(std::make_unique<ExpFitPredictor>());
+  predictors_.push_back(std::make_unique<EatModelPredictor>());
+  predictors_.push_back(std::make_unique<LinearBoundsPredictor>());
   predictors_.push_back(std::make_unique<DegradedPredictor>());
 }
 

@@ -105,24 +105,25 @@ class Predictor {
 fault::DegradedPrediction predict_degraded(const Outcome& outcome,
                                            double percentile);
 
-/// Normalise an Outcome into the shape the baselines consume: the (n, k)
-/// fork-join structure (homogeneous: (N, N); subset: (k, early_k | k);
-/// uniform-k mixtures carry their range), the measurements, and the
-/// structural flags the applicability gates check.  The returned input
-/// borrows `outcome.responses` -- keep the outcome alive while using it.
+/// Normalise an Outcome into the shape the linear-transformation bounds
+/// consume: the (n, k) fork-join structure (homogeneous: (N, N); subset:
+/// (k, early_k | k); uniform-k mixtures carry their range), the service
+/// and arrival rate, and the structural flags their applicability gate
+/// checks.
 baselines::BaselineInput baseline_input(const Outcome& outcome);
 
 /// The certified [lower, upper] bracket for the outcome's percentile from
-/// the linear-bounds baseline, or a nullopt-style uncertified sentinel
-/// (lower 0, upper +inf, certified false) when the baseline does not apply
+/// the linear-transformation bounds, or a nullopt-style uncertified
+/// sentinel (lower 0, upper +inf, certified false) when they do not apply
 /// (dirty topology, heavy-tailed service, ...).
 baselines::Bracket certified_bracket(const Outcome& outcome,
                                      double percentile);
 
-/// Name -> model dispatch: the ForkTail predictors (homogeneous /
-/// inhomogeneous / mixture / white-box M/G/1 / pipeline), the baselines
-/// (expfit, EAT), and "forktail", which picks the paper's model for the
-/// outcome's topology.
+/// Name -> model dispatch, the one roster of tail-latency models: the
+/// ForkTail predictors (homogeneous / inhomogeneous / mixture / pipeline /
+/// white-box M/G/1 / evt), the baselines (expfit, EAT, the certified
+/// linear-bounds upper edge), the degraded-mode model, and "forktail",
+/// which picks the paper's model for the outcome's topology.
 class PredictorRegistry {
  public:
   static PredictorRegistry& global();

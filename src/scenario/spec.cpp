@@ -345,16 +345,6 @@ util::Json write(const T& value) {
 
 std::string topology_name(Topology topology) { return name_of(topology); }
 
-Topology topology_from_name(const std::string& name) {
-  return from_name<Topology>(name, "topology");
-}
-
-std::string sampler_name(Sampler sampler) { return name_of(sampler); }
-
-Sampler sampler_from_name(const std::string& name) {
-  return from_name<Sampler>(name, "sampler");
-}
-
 // ------------------------------------------------------------- serialize
 
 util::Json to_json(const ScenarioSpec& spec) {
@@ -497,6 +487,21 @@ void validate_common(const ScenarioSpec& spec) {
   }
 }
 
+/// The spec's fan-out as an fjsim config's (k_mode, k_fixed, k_lo, k_hi,
+/// early_k).  Redundancy-d issues d replicas and takes the first finisher:
+/// fjsim expresses min-of-d as fan-out d with early return at 1.
+template <typename Config>
+void set_fanout(const ScenarioSpec& spec, Config& config) {
+  config.k_mode = spec.k.mode == KSpec::Mode::kUniform ? fjsim::KMode::kUniformInt
+                                                       : fjsim::KMode::kFixed;
+  config.k_fixed = spec.k.fixed;
+  config.k_lo = spec.k.lo;
+  config.k_hi = spec.k.hi;
+  config.early_k = spec.k.mode == KSpec::Mode::kRedundant
+                       ? 1
+                       : spec.faults.mitigation.early_k;
+}
+
 }  // namespace
 
 void validate(const ScenarioSpec& spec) {
@@ -613,8 +618,6 @@ void validate(const ScenarioSpec& spec) {
       probe.load = spec.load;
       probe.num_requests = spec.requests;
       probe.warmup_fraction = spec.warmup_fraction;
-      probe.k_mode = spec.k.mode == KSpec::Mode::kUniform ? fjsim::KMode::kUniformInt
-                                                          : fjsim::KMode::kFixed;
       if (spec.k.mode == KSpec::Mode::kAll) {
         throw ConfigError("k.mode",
                           "subset topology needs k.mode = fixed | uniform | "
@@ -626,12 +629,7 @@ void validate(const ScenarioSpec& spec) {
                           "redundancy-d already returns at the first "
                           "finisher; drop the early_k mitigation");
       }
-      probe.k_fixed = spec.k.fixed;
-      probe.k_lo = spec.k.lo;
-      probe.k_hi = spec.k.hi;
-      probe.early_k = spec.k.mode == KSpec::Mode::kRedundant
-                          ? 1
-                          : spec.faults.mitigation.early_k;
+      set_fanout(spec, probe);
       fjsim::validate(probe);
       break;
     }
@@ -750,22 +748,13 @@ fjsim::SubsetConfig to_subset_config(const ScenarioSpec& spec) {
   config.num_nodes = spec.nodes;
   config.service = make_service(spec.service);
   config.load = spec.load;
-  config.k_mode = spec.k.mode == KSpec::Mode::kUniform ? fjsim::KMode::kUniformInt
-                                                       : fjsim::KMode::kFixed;
-  config.k_fixed = spec.k.fixed;
-  config.k_lo = spec.k.lo;
-  config.k_hi = spec.k.hi;
+  set_fanout(spec, config);
   config.num_requests = spec.requests;
   config.warmup_fraction = spec.warmup_fraction;
   config.seed = spec.seed;
   config.group_by_k = spec.group_by_k;
   config.max_parallelism = spec.max_parallelism;
   config.batch = spec.batch;
-  // Redundancy-d issues d replicas and takes the first finisher: the
-  // subset engine expresses min-of-d as fan-out d with early return at 1.
-  config.early_k = spec.k.mode == KSpec::Mode::kRedundant
-                       ? 1
-                       : spec.faults.mitigation.early_k;
   config.engine = pick_engine(config);
   return config;
 }
@@ -783,12 +772,9 @@ fjsim::PerfectSamplerConfig to_perfect_config(const ScenarioSpec& spec) {
   config.service = make_service(spec.service);
   config.load = spec.load;
   config.subset = spec.topology == Topology::kSubset;
-  config.k_mode = spec.k.mode == KSpec::Mode::kUniform ? fjsim::KMode::kUniformInt
-                                                       : fjsim::KMode::kFixed;
-  config.k_fixed = spec.k.fixed;
-  config.k_lo = spec.k.lo;
-  config.k_hi = spec.k.hi;
-  config.early_k = spec.k.mode == KSpec::Mode::kRedundant ? 1 : 0;
+  // validate() admits perfect sampling only under an inert fault plan, so
+  // early_k is 1 (redundancy-d) or 0 here.
+  set_fanout(spec, config);
   config.draws = spec.requests;
   config.seed = spec.seed;
   config.engine = pick_engine(config);

@@ -47,7 +47,6 @@ enum class Topology : std::uint8_t {
 };
 
 std::string topology_name(Topology topology);
-Topology topology_from_name(const std::string& name);
 
 /// How stationary responses are drawn ("sampler" key).
 enum class Sampler : std::uint8_t {
@@ -55,9 +54,6 @@ enum class Sampler : std::uint8_t {
   kPerfect,  ///< exact-stationary coupling-from-the-past draws
              ///< (fjsim/perfect_sampler.hpp; homogeneous/subset only)
 };
-
-std::string sampler_name(Sampler sampler);
-Sampler sampler_from_name(const std::string& name);
 
 /// One service-time distribution: a name from the paper's roster
 /// (dist::factory) with an optional mean override (0 = the paper's mean)

@@ -173,19 +173,6 @@ double regularized_incomplete_beta(double a, double b, double x) {
   return 1.0 - front * beta_continued_fraction(b, a, 1.0 - x) / b;
 }
 
-double log_binomial(double n, double r) {
-  if (!(n >= 0.0) || !(r >= 0.0) || r > n) {
-    throw std::domain_error("log_binomial requires 0 <= r <= n");
-  }
-  return std::lgamma(n + 1.0) - std::lgamma(r + 1.0) - std::lgamma(n - r + 1.0);
-}
-
-double harmonic_number(double n) {
-  if (!(n >= 0.0)) throw std::domain_error("harmonic_number requires n >= 0");
-  if (n == 0.0) return 0.0;
-  return digamma(n + 1.0) + kEulerGamma;
-}
-
 double ge_unit_mean(double alpha) {
   return digamma(alpha + 1.0) + kEulerGamma;  // psi(1) = -gamma
 }

@@ -52,11 +52,4 @@ double normal_quantile(double p);
 /// ~1e-12 over the integer-parameter ranges the bounds use.
 double regularized_incomplete_beta(double a, double b, double x);
 
-/// ln C(n, r) via lgamma -- the linear-transformation combination weights
-/// (Wang et al., arXiv 1707.08860) need binomials far beyond 2^64.
-double log_binomial(double n, double r);
-
-/// Harmonic number H_n = sum_{i=1..n} 1/i (digamma shortcut for large n).
-double harmonic_number(double n);
-
 }  // namespace forktail::stats

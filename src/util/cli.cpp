@@ -55,11 +55,11 @@ std::string CliFlags::get_string(const std::string& name) const {
 }
 
 double CliFlags::get_double(const std::string& name) const {
-  return std::stod(get_string(name));
+  return parse_double(name, get_string(name));
 }
 
 std::int64_t CliFlags::get_int(const std::string& name) const {
-  return std::stoll(get_string(name));
+  return parse_int(name, get_string(name));
 }
 
 bool CliFlags::get_bool(const std::string& name) const {
@@ -77,6 +77,38 @@ std::string CliFlags::usage(const std::string& program) const {
        << flag.help << "\n";
   }
   return os.str();
+}
+
+namespace {
+
+std::invalid_argument not_a_number(const std::string& flag,
+                                   const std::string& token) {
+  return std::invalid_argument("flag --" + flag + " expects a number, got: " +
+                               token);
+}
+
+}  // namespace
+
+double parse_double(const std::string& flag, const std::string& token) {
+  std::size_t used = 0;
+  try {
+    const double value = std::stod(token, &used);
+    if (used == token.size()) return value;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument (no number at all) or std::out_of_range
+  }
+  throw not_a_number(flag, token);
+}
+
+std::int64_t parse_int(const std::string& flag, const std::string& token) {
+  std::size_t used = 0;
+  try {
+    const long long value = std::stoll(token, &used);
+    if (used == token.size()) return value;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument (no number at all) or std::out_of_range
+  }
+  throw not_a_number(flag, token);
 }
 
 BenchScale parse_scale(const std::string& text) {

@@ -24,6 +24,7 @@ class CliFlags {
   bool parse(int argc, const char* const* argv);
 
   std::string get_string(const std::string& name) const;
+  /// Numeric values go through parse_double / parse_int (below).
   double get_double(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   bool get_bool(const std::string& name) const;
@@ -40,6 +41,12 @@ class CliFlags {
 
   std::map<std::string, Flag> flags_;
 };
+
+/// `token`, a value of flag --`flag`, as a number.  The whole token must
+/// parse ("5x" and "" do not); otherwise throws std::invalid_argument
+/// "flag --<flag> expects a number, got: <token>".
+double parse_double(const std::string& flag, const std::string& token);
+std::int64_t parse_int(const std::string& flag, const std::string& token);
 
 /// The standard scale knob shared by all figure-reproduction binaries.
 enum class BenchScale { kSmoke, kDefault, kFull };

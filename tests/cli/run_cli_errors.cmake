@@ -39,6 +39,10 @@ endfunction()
 expect("no-command" 1)
 expect("unknown-command" 1 frobnicate)
 expect("run-without-file" 1 run)
+expect("bad-percentile" 1 run ${DATA}/tiny_scenario.json --p 99x)
+expect("empty-predictor-list" 1 run ${DATA}/tiny_scenario.json --predict ,)
+expect("bad-stage-number" 1 pipeline --stage a:4.1x:80:64)
+expect("nonpositive-node-count" 1 sweep --node-counts 0 --scale smoke)
 
 # --- exit 2: configuration errors ---------------------------------------
 expect("malformed-json" 2 run ${DATA}/malformed_scenario.json)

@@ -5,7 +5,6 @@
 #include "baselines/direct.hpp"
 #include "baselines/expfit.hpp"
 #include "core/predictor.hpp"
-#include "util/rng.hpp"
 
 namespace forktail::baselines {
 namespace {
@@ -58,38 +57,6 @@ TEST(Direct, Validation) {
   EXPECT_THROW(required_samples(0.0), std::invalid_argument);
   EXPECT_THROW(required_samples(100.0), std::invalid_argument);
   EXPECT_THROW(measurement_time_seconds(99.0, 0.0), std::invalid_argument);
-}
-
-TEST(DirectCi, CoversTrueQuantile) {
-  util::Rng rng(70);
-  std::vector<double> v(50000);
-  for (auto& x : v) x = rng.exponential(1.0);
-  const auto ci = direct_percentile_ci(v, 99.0);
-  ASSERT_TRUE(ci.valid);
-  const double truth = -std::log(0.01);
-  EXPECT_LT(ci.lo, truth);
-  EXPECT_GT(ci.hi, truth);
-  EXPECT_LT(ci.lo, ci.point);
-  EXPECT_GT(ci.hi, ci.point);
-}
-
-TEST(DirectCi, InvalidWhenSampleTooSmall) {
-  util::Rng rng(71);
-  std::vector<double> v(50);  // far too few for a p99.9 interval
-  for (auto& x : v) x = rng.exponential(1.0);
-  const auto ci = direct_percentile_ci(v, 99.9);
-  EXPECT_FALSE(ci.valid);
-}
-
-TEST(DirectCi, WidthShrinksWithSamples) {
-  util::Rng rng(72);
-  auto width = [&](std::size_t n) {
-    std::vector<double> v(n);
-    for (auto& x : v) x = rng.exponential(1.0);
-    const auto ci = direct_percentile_ci(v, 99.0);
-    return ci.hi - ci.lo;
-  };
-  EXPECT_LT(width(100000), width(2000));
 }
 
 }  // namespace

@@ -25,7 +25,6 @@ baselines::BaselineInput clean_input(const dist::DistPtr& service, int n,
                                      double load) {
   baselines::BaselineInput in;
   in.service = service;
-  in.load = load;
   in.lambda = load / service->mean();
   in.cluster_nodes = static_cast<std::size_t>(n);
   in.fanout = n;
@@ -42,7 +41,6 @@ baselines::BaselineInput clean_input(const dist::DistPtr& service, int n,
 // only -> Chernoff.  A service declaring none of the three has no
 // certificate, so the baseline must refuse it outright.
 TEST(BoundsOracle, ApplicabilityFollowsTheCapabilityModel) {
-  const baselines::LinearBoundsBaseline bounds;
   const struct {
     dist::DistPtr service;
     bool certified;
@@ -55,7 +53,8 @@ TEST(BoundsOracle, ApplicabilityFollowsTheCapabilityModel) {
       {dist::make_named("HeavyMixture", 4.22, 2.6), false},
   };
   for (const auto& c : cases) {
-    EXPECT_EQ(bounds.applicable(clean_input(c.service, 4, 0.5)), c.certified)
+    EXPECT_EQ(baselines::linear_bounds_applicable(clean_input(c.service, 4, 0.5)),
+              c.certified)
         << c.service->name();
   }
 }
@@ -68,61 +67,15 @@ TEST(BoundsOracle, MM1BracketIsExact) {
   const double mean_s = service->mean();
   for (const double load : {0.3, 0.5, 0.8, 0.95}) {
     const baselines::BaselineInput in = clean_input(service, 1, load);
-    const baselines::LinearBoundsBaseline bounds;
-    ASSERT_TRUE(bounds.applicable(in));
+    ASSERT_TRUE(baselines::linear_bounds_applicable(in));
     for (const double p : {50.0, 90.0, 99.0, 99.9}) {
       const double exact =
           -std::log(1.0 - p / 100.0) * mean_s / (1.0 - load);
-      const baselines::Bracket b = bounds.bracket(in, p);
+      const baselines::Bracket b = baselines::linear_bounds_bracket(in, p);
       EXPECT_TRUE(b.certified);
       EXPECT_NEAR(b.lower, exact, 1e-6 * exact) << "load " << load;
       EXPECT_NEAR(b.upper, exact, 1e-6 * exact) << "load " << load;
     }
-    const baselines::Bracket mean = bounds.mean_bracket(in);
-    const double exact_mean = mean_s / (1.0 - load);
-    EXPECT_NEAR(mean.lower, exact_mean, 1e-6 * exact_mean);
-    EXPECT_NEAR(mean.upper, exact_mean, 1e-6 * exact_mean);
-  }
-}
-
-// n = 2 fork-join M/M/1 has the Flatto-Hahn / Nelson-Tantawi closed-form
-// mean E[T_2] = (12 - rho) / 8 * 1 / (mu - lambda): the one nontrivial
-// fork-join system anyone has solved exactly.  The mean bracket must
-// contain it across the load range.
-TEST(BoundsOracle, FlattoHahnMeanIsBracketed) {
-  const dist::DistPtr service = dist::make_named("Exponential");
-  const double mean_s = service->mean();
-  const baselines::LinearBoundsBaseline bounds;
-  for (const double load : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-    const baselines::BaselineInput in = clean_input(service, 2, load);
-    const double exact = (12.0 - load) / 8.0 * mean_s / (1.0 - load);
-    const baselines::Bracket mean = bounds.mean_bracket(in);
-    ASSERT_TRUE(mean.certified) << "load " << load;
-    EXPECT_LE(mean.lower, exact * (1.0 + 1e-9)) << "load " << load;
-    EXPECT_GE(mean.upper, exact * (1.0 - 1e-9)) << "load " << load;
-    // The bracket should also be informative, not vacuous: both edges
-    // within a factor ~2 of the truth at moderate load.
-    if (load <= 0.7) {
-      EXPECT_GT(mean.lower, 0.4 * exact) << "load " << load;
-      EXPECT_LT(mean.upper, 2.5 * exact) << "load " << load;
-    }
-  }
-}
-
-// Purging only removes work once the join fires; at k = n there is nothing
-// left to purge and the two variants are the same system.  The certified
-// intervals must coincide bit-for-bit.
-TEST(BoundsOracle, PurgingCoincidesAtJoinAll) {
-  const dist::DistPtr service = dist::make_named("HyperExp2");
-  const baselines::BaselineInput in = clean_input(service, 8, 0.7);
-  const baselines::LinearBoundsBaseline plain({.purging = false});
-  const baselines::LinearBoundsBaseline purging({.purging = true});
-  for (const double p : {90.0, 99.0}) {
-    const baselines::Bracket a = plain.bracket(in, p);
-    const baselines::Bracket b = purging.bracket(in, p);
-    EXPECT_EQ(a.lower, b.lower);
-    EXPECT_EQ(a.upper, b.upper);
-    EXPECT_EQ(a.certified, b.certified);
   }
 }
 

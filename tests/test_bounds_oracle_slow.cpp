@@ -78,13 +78,12 @@ TEST(BoundsOracleSlow, EarlyJoinBracketsAreMonotoneInK) {
   spec.seed = 9;
   const scenario::Outcome outcome = run_perfect(spec);
 
-  const baselines::LinearBoundsBaseline bounds;
   double prev_upper = 0.0;
   for (const int join : {8, 16, 24, 32}) {
     baselines::BaselineInput in = scenario::baseline_input(outcome);
     in.join = join;
-    ASSERT_TRUE(bounds.applicable(in)) << "join " << join;
-    const baselines::Bracket b = bounds.bracket(in, 99.0);
+    ASSERT_TRUE(baselines::linear_bounds_applicable(in)) << "join " << join;
+    const baselines::Bracket b = baselines::linear_bounds_bracket(in, 99.0);
     ASSERT_TRUE(b.certified);
     EXPECT_LE(b.lower, b.upper);
     EXPECT_GE(b.upper, prev_upper) << "join " << join;

@@ -67,6 +67,36 @@ TEST(CliFlags, BadBooleanThrows) {
   EXPECT_THROW(flags.get_bool("verbose"), std::invalid_argument);
 }
 
+// A number flag takes the whole token: "42x" is not 42, and the error
+// names the flag and the token.
+TEST(CliFlags, BadNumberThrows) {
+  CliFlags flags = make_flags();
+  const char* argv[] = {"prog", "--seed", "42x", "--load", "0.9ms"};
+  ASSERT_TRUE(flags.parse(5, argv));
+  try {
+    flags.get_int("seed");
+    FAIL() << "get_int accepted 42x";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --seed expects a number, got: 42x");
+  }
+  try {
+    flags.get_double("load");
+    FAIL() << "get_double accepted 0.9ms";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --load expects a number, got: 0.9ms");
+  }
+  for (const char* bad : {"", "abc", "1e3", "99999999999999999999"}) {
+    CliFlags other = make_flags();
+    const char* args[] = {"prog", "--seed", bad};
+    ASSERT_TRUE(other.parse(3, args));
+    EXPECT_THROW(other.get_int("seed"), std::invalid_argument) << bad;
+  }
+  const char* good[] = {"prog", "--seed", "-7", "--load", "1e-3"};
+  ASSERT_TRUE(flags.parse(5, good));
+  EXPECT_EQ(flags.get_int("seed"), -7);
+  EXPECT_DOUBLE_EQ(flags.get_double("load"), 1e-3);
+}
+
 TEST(BenchScale, ParseAndFactors) {
   EXPECT_EQ(parse_scale("smoke"), BenchScale::kSmoke);
   EXPECT_EQ(parse_scale("default"), BenchScale::kDefault);

@@ -48,9 +48,12 @@ std::vector<std::string> split_list(const std::string& text) {
   return items;
 }
 
+/// The --p list: comma-separated percentiles, each token parsed in full.
 std::vector<double> parse_percentiles(const std::string& text) {
   std::vector<double> ps;
-  for (const auto& item : split_list(text)) ps.push_back(std::stod(item));
+  for (const auto& item : split_list(text)) {
+    ps.push_back(util::parse_double("p", item));
+  }
   if (ps.empty()) throw std::invalid_argument("no percentiles given");
   return ps;
 }
@@ -150,8 +153,10 @@ int cmd_pipeline(int argc, const char* const* argv) {
         throw std::invalid_argument(
             "--stage wants name:mean:variance:k, got: " + std::string(argv[i]));
       }
-      stages.push_back(
-          {name, {std::stod(mean_s), std::stod(var_s)}, std::stod(k_s)});
+      stages.push_back({name,
+                        {util::parse_double("stage", mean_s),
+                         util::parse_double("stage", var_s)},
+                        util::parse_double("stage", k_s)});
     } else {
       rest.push_back(argv[i]);
     }
@@ -247,11 +252,16 @@ int cmd_sweep(int argc, const char* const* argv) {
   spec.distributions = split_list(flags.get_string("dists"));
   spec.node_counts.clear();
   for (const auto& n : split_list(flags.get_string("node-counts"))) {
-    spec.node_counts.push_back(static_cast<std::size_t>(std::stoull(n)));
+    const std::int64_t nodes = util::parse_int("node-counts", n);
+    if (nodes < 1) {
+      throw std::invalid_argument("flag --node-counts expects counts >= 1, got: " +
+                                  n);
+    }
+    spec.node_counts.push_back(static_cast<std::size_t>(nodes));
   }
   spec.loads.clear();
   for (const auto& l : split_list(flags.get_string("loads"))) {
-    spec.loads.push_back(std::stod(l));
+    spec.loads.push_back(util::parse_double("loads", l));
   }
   if (spec.distributions.empty() || spec.node_counts.empty() ||
       spec.loads.empty()) {
@@ -322,7 +332,13 @@ int cmd_run(int argc, const char* const* argv) {
 
   std::vector<std::string> predictors;
   const std::string predict = flags.get_string("predict");
-  if (!predict.empty() && predict != "none") predictors = split_list(predict);
+  if (predict != "none") {
+    predictors = split_list(predict);
+    if (predictors.empty()) {
+      throw std::invalid_argument(
+          "flag --predict names no predictor; pass 'none' to skip prediction");
+    }
+  }
 
   const auto report = scenario::run_scenario(
       spec, predictors, parse_percentiles(flags.get_string("p")));
